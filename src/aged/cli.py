@@ -105,7 +105,6 @@ DEFAULTS: dict[str, dict] = {
         "no_target_markers": False,
         "no_label_markers": False,
         "max_len": 0,
-        "workers": 1,
     },
     "eval": {
         "frames": _bundled("frames"),
@@ -120,7 +119,6 @@ DEFAULTS: dict[str, dict] = {
         "holdout": "Getting",
         "k": "0",
         "out": "experiment.json",
-        "workers": 1,
         **_TRAIN_DEFAULTS,
     },
 }
@@ -339,7 +337,7 @@ def cmd_predict(cfg: dict, force: bool) -> int:
     predictions = predict_all(
         instances, store, model, vocab,
         mode=TemplateMode(cfg["mode"]), markers=_markers(cfg),
-        max_len=cfg["max_len"] or None, workers=cfg["workers"],
+        max_len=cfg["max_len"] or None,
     )
     with open(out_path, "w", encoding="utf-8") as f:
         for inst, preds in zip(instances, predictions):
@@ -409,7 +407,6 @@ def cmd_experiment(cfg: dict, force: bool) -> int:
         train_instances, test_instances, store, frames, k,
         _encoder_config(cfg, vocab_size=1),  # vocab_size is recomputed inside
         _train_config(cfg, None),
-        workers=cfg["workers"],
     )
     report.save(out_path)
     print(json.dumps({

@@ -9,13 +9,12 @@ no-argument. Among equal-product pairs the lexicographically smallest
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import AnnotatedInstance, FrameStore
-from .encoder import Checkpoint, forward
+from .encoder import Checkpoint, ContextualEncoding, forward_batch
 from .encoding import Vocabulary, assemble
 from .pointer import PointerDistribution, make_queries, pointer_distributions
 from .templates import (
@@ -42,16 +41,17 @@ def decode_slot(start_probs: np.ndarray, end_probs: np.ndarray) -> tuple[tuple[i
     end = np.asarray(end_probs, dtype=np.float64)
     n = len(start) - 1
     null_score = float(start[0] * end[0])
-    best: tuple[float, int, int] | None = None
-    for s in range(1, n + 1):
-        products = start[s] * end[s:]
-        e_rel = int(np.argmax(products))  # first maximum: smallest e wins ties
-        p = float(products[e_rel])
-        if best is None or p > best[0]:
-            best = (p, s, s + e_rel)
-    if best is None or best[0] <= null_score:
+    if n < 1:
         return None, null_score
-    return (best[1], best[2]), best[0]
+    # products[s-1, e-1] = start[s] * end[e], with s > e masked out; the
+    # row-major argmax is the first maximum, i.e. the smallest (s, e)
+    products = np.outer(start[1:], end[1:])
+    products[np.tri(n, k=-1, dtype=bool)] = -np.inf
+    s_idx, e_idx = divmod(int(np.argmax(products)), n)
+    best = float(products[s_idx, e_idx])
+    if best <= null_score:
+        return None, null_score
+    return (s_idx + 1, e_idx + 1), best
 
 
 def decode(distributions: list[PointerDistribution]) -> list[SpanPrediction]:
@@ -75,23 +75,23 @@ def predict_instance(
     """One prediction per FE of the instance's frame.
 
     Frame-definition mode extracts every argument from a single pair;
-    question mode runs one single-slot pair per FE.
+    question mode runs one single-slot pair per FE, all in one padded
+    encoder batch.
     """
     frame = store.frame(instance.frame)
     max_len = max_len if max_len is not None else model.config.max_len
-
-    def run(template) -> list[SpanPrediction]:
-        pair = assemble(instance, template, vocab, markers, max_len)
-        encoding = forward(model.params, model.config, pair)
-        queries = make_queries(encoding, pair)
-        return decode(pointer_distributions(model.params, encoding, pair, queries))
-
     if mode is TemplateMode.QUESTION:
-        predictions: list[SpanPrediction] = []
-        for fe in frame.fe_order:
-            predictions.extend(run(build_question_template(frame, fe, markers)))
-        return predictions
-    return run(build_frame_template(frame, markers))
+        templates = [build_question_template(frame, fe, markers) for fe in frame.fe_order]
+    else:
+        templates = [build_frame_template(frame, markers)]
+    pairs = [assemble(instance, template, vocab, markers, max_len) for template in templates]
+    reps, _ = forward_batch(model.params, model.config, pairs)
+    predictions: list[SpanPrediction] = []
+    for pair, pair_reps in zip(pairs, reps):
+        encoding = ContextualEncoding(pair_reps[: len(pair.ids)])
+        queries = make_queries(encoding, pair)
+        predictions.extend(decode(pointer_distributions(model.params, encoding, pair, queries)))
+    return predictions
 
 
 def predict_all(
@@ -103,16 +103,9 @@ def predict_all(
     mode: TemplateMode = TemplateMode.FRAME_DEF,
     markers: MarkerOptions = DEFAULT_MARKERS,
     max_len: int | None = None,
-    workers: int = 1,
 ) -> list[list[SpanPrediction]]:
-    """Predict a whole set; parameters are read-only so instances can fan out."""
-
-    def one(instance):
-        return predict_instance(
-            instance, store, model, vocab, mode=mode, markers=markers, max_len=max_len
-        )
-
-    if workers <= 1:
-        return [one(inst) for inst in instances]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, instances))
+    """Predict a whole set, one instance at a time."""
+    return [
+        predict_instance(inst, store, model, vocab, mode=mode, markers=markers, max_len=max_len)
+        for inst in instances
+    ]

@@ -3,7 +3,9 @@
 Pre-normalization blocks, learned absolute position embeddings, learned
 two-way segment embeddings (sentence vs. definition), GELU feed-forward.
 Full bidirectional self-attention runs over the whole assembled pair, so
-sentence tokens and definition slots contextualize each other. Gradients
+sentence tokens and definition slots contextualize each other. A
+mini-batch runs as one pass padded to its longest pair, with a key-padding
+mask on the attention scores; a single pair is a batch of one. Gradients
 are exact reverse-mode and are validated against central finite differences
 in the test suite.
 """
@@ -119,10 +121,9 @@ def init_parameters(config: EncoderConfig) -> ParameterSet:
 
 
 def _layer_norm(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat = xc * inv
     return xhat * gain + bias, (xhat, inv)
 
 
@@ -138,65 +139,86 @@ def _layer_norm_backward(dy, cache, gain):
 
 
 def _gelu(x):
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    # products, not x**3: numpy's pow is far slower on negative entries
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
     return 0.5 * x * (1.0 + t), t
 
 
 def _gelu_backward(dy, x, t):
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
 
 
 def _softmax(x):
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    length, d = x.shape
-    return x.reshape(length, n_heads, d // n_heads).transpose(1, 0, 2)
+def _split_heads(x: np.ndarray, batch: int, n_heads: int) -> np.ndarray:
+    """(B*L, d) rows -> (B, H, L, dh)."""
+    rows, d = x.shape
+    return x.reshape(batch, rows // batch, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    n_heads, length, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(length, n_heads * dh)
+    """(B, H, L, dh) -> (B*L, d) rows."""
+    batch, n_heads, length, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(batch * length, n_heads * dh)
 
 
-def forward_cached(
+def forward_batch(
     params: ParameterSet,
     config: EncoderConfig,
-    pair: EncodedPair,
+    pairs: list[EncodedPair],
     rng: np.random.Generator | None = None,
-) -> tuple[ContextualEncoding, dict]:
-    """Forward pass keeping every intermediate needed by the backward pass.
+) -> tuple[np.ndarray, dict]:
+    """One forward pass over a mini-batch padded to its longest pair.
 
-    Dropout is applied only when `rng` is given (training mode) and
-    config.dropout > 0; prediction always runs deterministically.
+    Returns reps of shape (B, L, d_model) and the cache for
+    `backward_from_cache`. A key-padding mask gives padded positions zero
+    attention probability, so each pair's rows equal its unpadded encoding;
+    rows past a pair's length are padding and carry no meaning. Dropout is
+    applied only when `rng` is given (training mode) and config.dropout > 0;
+    prediction always runs deterministically.
     """
-    ids = np.asarray(pair.ids)
-    length = len(ids)
+    lengths = np.array([len(pair.ids) for pair in pairs])
+    batch, length = len(pairs), int(lengths.max())
     if length > config.max_len:
         raise ValueError(f"input length {length} exceeds max_len {config.max_len}")
+    ids = np.zeros((batch, length), dtype=np.intp)
+    segments = np.zeros((batch, length), dtype=np.intp)
+    for b, pair in enumerate(pairs):
+        ids[b, : lengths[b]] = pair.ids
+        segments[b, : lengths[b]] = pair.segment
     if ids.max() >= config.vocab_size:
         raise ValueError(f"token id {int(ids.max())} out of range for vocab_size {config.vocab_size}")
-    segments = np.asarray(pair.segment)
+    valid = np.arange(length) < lengths[:, None]
     p_drop = config.dropout if rng is not None else 0.0
+    d = config.d_model
 
     x = params["tok_emb"][ids] + params["pos_emb"][:length] + params["seg_emb"][segments]
-    cache: dict = {"ids": ids, "segments": segments, "length": length, "layers": [], "p_drop": p_drop}
-    dh = config.d_model // config.n_heads
+    x = x.reshape(batch * length, d)
+    key_bias = None
+    if not valid.all():
+        key_bias = np.where(valid, 0.0, -np.inf).astype(x.dtype)[:, None, None, :]
+    cache: dict = {"ids": ids, "segments": segments, "valid": valid,
+                   "shape": (batch, length, d), "layers": [], "p_drop": p_drop}
+    dh = d // config.n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
 
     for i in range(config.n_layers):
         p = f"layer{i}."
-        lc: dict = {"x_in": x}
+        lc: dict = {}
         a, lc["ln1"] = _layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
         q = a @ params[p + "attn.w_q"] + params[p + "attn.b_q"]
         k = a @ params[p + "attn.w_k"]
         v = a @ params[p + "attn.w_v"] + params[p + "attn.b_v"]
-        qh, kh, vh = (_split_heads(m, config.n_heads) for m in (q, k, v))
-        scores = qh @ kh.transpose(0, 2, 1) * inv_sqrt_dh
+        qh, kh, vh = (_split_heads(m, batch, config.n_heads) for m in (q, k, v))
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores *= inv_sqrt_dh
+        if key_bias is not None:
+            scores += key_bias
         probs = _softmax(scores)
         ctx = _merge_heads(probs @ vh)
         o = ctx @ params[p + "attn.w_o"] + params[p + "attn.b_o"]
@@ -211,12 +233,23 @@ def forward_cached(
         if p_drop > 0.0:
             lc["mask_f"] = ((rng.random(f.shape) >= p_drop) / (1.0 - p_drop)).astype(f.dtype)
             f = f * lc["mask_f"]
-        lc.update(a=a, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx, x1=x1, a2=a2, h1=h1, t=t, g=g)
+        lc.update(a=a, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx, a2=a2, h1=h1, t=t, g=g)
         cache["layers"].append(lc)
         x = x1 + f
 
     reps, cache["final_ln"] = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
-    return ContextualEncoding(reps), cache
+    return reps.reshape(batch, length, d), cache
+
+
+def forward_cached(
+    params: ParameterSet,
+    config: EncoderConfig,
+    pair: EncodedPair,
+    rng: np.random.Generator | None = None,
+) -> tuple[ContextualEncoding, dict]:
+    """`forward_batch` of the single pair; reps have shape (len, d_model)."""
+    reps, cache = forward_batch(params, config, [pair], rng)
+    return ContextualEncoding(reps[0]), cache
 
 
 def forward(params: ParameterSet, config: EncoderConfig, pair: EncodedPair) -> ContextualEncoding:
@@ -231,13 +264,20 @@ def backward_from_cache(
     cache: dict,
     d_reps: np.ndarray,
 ) -> ParameterGradients:
-    """Exact gradients of every parameter given d(loss)/d(reps)."""
+    """Exact gradients of every parameter given d(loss)/d(reps), summed over the batch.
+
+    `d_reps` has the (B, L, d_model) shape of the batch's reps; a
+    single-pair cache also takes (L, d_model). Rows past a pair's length
+    are padding and get zero gradient.
+    """
     grads: ParameterGradients = {k: np.zeros_like(v) for k, v in params.items()}
-    dh = config.d_model // config.n_heads
+    batch, length, d = cache["shape"]
+    dh = d // config.n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
+    d_reps = np.asarray(d_reps).reshape(batch, length, d) * cache["valid"][..., None]
 
     dx, grads["final_ln.gain"], grads["final_ln.bias"] = _layer_norm_backward(
-        d_reps, cache["final_ln"], params["final_ln.gain"]
+        d_reps.reshape(batch * length, d), cache["final_ln"], params["final_ln.gain"]
     )
 
     for i in reversed(range(config.n_layers)):
@@ -258,18 +298,21 @@ def backward_from_cache(
             da2, lc["ln2"], params[p + "ln2.gain"]
         )
         dx1 = dx + dx1_ln
-        # x1 = x_in + o, o = merge(softmax(qk/sqrt) v) @ w_o + b_o
+        # x1 = x_in + o, o = merge(softmax(qk/sqrt + key_bias) v) @ w_o + b_o
         do = dx1
         if cache["p_drop"] > 0.0:
             do = do * lc["mask_o"]
         grads[p + "attn.w_o"] = lc["ctx"].T @ do
         grads[p + "attn.b_o"] = do.sum(axis=0)
-        dctx = _split_heads(do @ params[p + "attn.w_o"].T, config.n_heads)
-        dprobs = dctx @ lc["vh"].transpose(0, 2, 1)
-        dvh = lc["probs"].transpose(0, 2, 1) @ dctx
-        dscores = lc["probs"] * (dprobs - (dprobs * lc["probs"]).sum(axis=-1, keepdims=True))
+        dctx = _split_heads(do @ params[p + "attn.w_o"].T, batch, config.n_heads)
+        probs = lc["probs"]
+        dvh = probs.transpose(0, 1, 3, 2) @ dctx
+        # softmax backward, in place: dscores = probs * (dprobs - sum(dprobs * probs))
+        dscores = dctx @ lc["vh"].transpose(0, 1, 3, 2)
+        dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+        dscores *= probs
         dqh = dscores @ lc["kh"] * inv_sqrt_dh
-        dkh = dscores.transpose(0, 2, 1) @ lc["qh"] * inv_sqrt_dh
+        dkh = dscores.transpose(0, 1, 3, 2) @ lc["qh"] * inv_sqrt_dh
         dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
         a = lc["a"]
         grads[p + "attn.w_q"] = a.T @ dq
@@ -287,9 +330,9 @@ def backward_from_cache(
         )
         dx = dx1 + dx_ln
 
-    np.add.at(grads["tok_emb"], cache["ids"], dx)
-    grads["pos_emb"][: cache["length"]] += dx
-    np.add.at(grads["seg_emb"], cache["segments"], dx)
+    np.add.at(grads["tok_emb"], cache["ids"].ravel(), dx)
+    grads["pos_emb"][:length] += dx.reshape(batch, length, d).sum(axis=0)
+    np.add.at(grads["seg_emb"], cache["segments"].ravel(), dx)
     return grads
 
 

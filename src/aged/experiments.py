@@ -65,8 +65,6 @@ def run_holdout_experiment(
     k: int | None,
     encoder_config: EncoderConfig,
     train_config: TrainConfig,
-    *,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Train with held-out frames capped at k instances and evaluate on test."""
     for name in frames:
@@ -78,11 +76,14 @@ def run_holdout_experiment(
 
     train_counts = {name: sum(1 for i in sampled if i.frame == name) for name in sorted(frames)}
     available = {name: sum(1 for i in train_instances if i.frame == name) for name in frames}
-    certified = all(
-        count == (available[name] if k is None else min(k, available[name]))
-        for name, count in train_counts.items()
-    )
-    assert certified, f"holdout cap violated: {train_counts}"
+    expected = {
+        name: available[name] if k is None else min(k, available[name]) for name in train_counts
+    }
+    certified = train_counts == expected
+    if not certified:
+        raise ValueError(
+            f"holdout cap violated: sampled training counts {train_counts}, expected {expected}"
+        )
 
     vocab = build_vocabulary(sampled, store)
     encoder_config = EncoderConfig(**{**encoder_config.to_json(), "vocab_size": len(vocab)})
@@ -97,7 +98,7 @@ def run_holdout_experiment(
     predictions = predict_all(
         test_instances, store, model, vocab,
         mode=train_config.template_mode, markers=train_config.marker_options,
-        max_len=train_config.max_len, workers=workers,
+        max_len=train_config.max_len,
     )
     predictions_complete = all(
         len(preds) == len(store.frame(inst.frame).fe_order)

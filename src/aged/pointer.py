@@ -20,7 +20,7 @@ from .encoder import (
     ParameterGradients,
     ParameterSet,
     backward_from_cache,
-    forward_cached,
+    forward_batch,
     _softmax,
 )
 from .encoding import EncodedPair, SlotLabel
@@ -98,6 +98,96 @@ def slot_loss(distributions: list[PointerDistribution], labels: list[SlotLabel])
     return LossBreakdown.combine(loss_start, loss_end)
 
 
+def batch_loss_and_gradients(
+    params: ParameterSet,
+    config: EncoderConfig,
+    pairs: list[EncodedPair],
+    labels: list[list[SlotLabel]],
+    rng: np.random.Generator | None = None,
+) -> tuple[list[LossBreakdown], list[list[PointerDistribution]], ParameterGradients]:
+    """Forward and backward for a mini-batch in one padded encoder pass.
+
+    Returns each pair's loss and pointer distributions, and exact gradients
+    of the summed loss for every parameter (encoder, embeddings, and both
+    pointer matrices). Slots are padded to the batch's most slots (M) and
+    candidates to its most candidates (C); padded candidates get zero
+    probability and padded slots zero loss.
+    """
+    if len(pairs) != len(labels):
+        raise ValueError(f"{len(pairs)} pairs vs {len(labels)} label lists")
+    reps, cache = forward_batch(params, config, pairs, rng)
+    batch, _, d = reps.shape
+    n_cands = [len(pair.sentence_pos) + 1 for pair in pairs]
+    n_slots = [len(pair.slot_pos) for pair in pairs]
+    n_cand, n_slot = max(n_cands), max(n_slots)
+    cand = np.zeros((batch, n_cand), dtype=np.intp)
+    span_lo = np.zeros((batch, n_slot), dtype=np.intp)
+    span_hi = np.zeros((batch, n_slot), dtype=np.intp)
+    gold = np.zeros((2, batch, n_slot), dtype=np.intp)
+    for b, (pair, pair_labels) in enumerate(zip(pairs, labels)):
+        if len(pair_labels) != n_slots[b]:
+            raise ValueError(f"{n_slots[b]} distributions vs {len(pair_labels)} labels")
+        for s, e in pair_labels:
+            if not (0 <= s < n_cands[b] and 0 <= e < n_cands[b]):
+                raise ValueError(f"label ({s}, {e}) outside 0..{n_cands[b] - 1}")
+        cand[b, : n_cands[b]] = pair.candidate_positions()
+        if n_slots[b]:
+            span_lo[b, : n_slots[b]], span_hi[b, : n_slots[b]] = zip(*pair.slot_pos)
+            gold[:, b, : n_slots[b]] = np.array(pair_labels).T
+    cand_ok = np.arange(n_cand) < np.array(n_cands)[:, None]
+    slot_ok = np.arange(n_slot) < np.array(n_slots)[:, None]
+    batch_idx = np.arange(batch)[:, None]
+
+    rows = reps[batch_idx, cand]  # (B, C, d); padded candidates repeat [CLS]
+    # maxpool over each slot span, padded to the widest span by repeating
+    # its last row; argmax keeps the first row attaining the maximum, which
+    # is where the subgradient flows
+    width = int((span_hi - span_lo).max(initial=0)) + 1
+    span_rows = np.minimum(span_lo[..., None] + np.arange(width), span_hi[..., None])
+    pooled = reps[batch_idx[..., None], span_rows]  # (B, M, W, d)
+    queries = pooled.max(axis=2)
+    winners = span_lo[..., None] + pooled.argmax(axis=2)  # (B, M, d) positions
+
+    cand_bias = np.where(cand_ok, 0.0, -np.inf).astype(reps.dtype)[:, None, :]
+    d_rows = np.zeros_like(rows)
+    d_queries = np.zeros_like(queries)
+    dw = {}
+    probs, nll = [], []
+    for name, head_gold in zip(("pointer.w_start", "pointer.w_end"), gold):
+        w = params[name]
+        z = queries @ w.T  # (B, M, d): w @ q for every slot
+        head_probs = _softmax(z @ rows.transpose(0, 2, 1) + cand_bias)  # (B, M, C)
+        p_gold = np.take_along_axis(head_probs, head_gold[..., None], axis=2)[..., 0]
+        nll.append(-np.log(np.where(slot_ok, p_gold, 1.0)).astype(np.float64))
+        probs.append(head_probs)
+        # loss contribution 0.5 * -log softmax(rows @ (w @ q))[gold]
+        dlogits = 0.5 * (head_probs - (np.arange(n_cand) == head_gold[..., None]))
+        dlogits *= slot_ok[..., None]
+        d_rows += dlogits.transpose(0, 2, 1) @ z
+        dz = dlogits @ rows
+        dw[name] = dz.reshape(-1, d).T @ queries.reshape(-1, d)
+        d_queries += dz @ w
+
+    d_reps = np.zeros_like(reps)
+    np.add.at(d_reps, (batch_idx, cand), d_rows)
+    np.add.at(d_reps, (batch_idx[..., None], winners, np.arange(d)), d_queries)
+    grads = backward_from_cache(params, config, cache, d_reps)
+    grads.update(dw)
+
+    breakdowns = [
+        LossBreakdown.combine(float(nll[0][b].sum()), float(nll[1][b].sum()))
+        for b in range(batch)
+    ]
+    distributions = [
+        [
+            PointerDistribution(fe, probs[0][b, m, : n_cands[b]], probs[1][b, m, : n_cands[b]])
+            for m, fe in enumerate(pair.slot_fes)
+        ]
+        for b, pair in enumerate(pairs)
+    ]
+    return breakdowns, distributions, grads
+
+
 def loss_and_gradients(
     params: ParameterSet,
     config: EncoderConfig,
@@ -105,48 +195,8 @@ def loss_and_gradients(
     labels: list[SlotLabel],
     rng: np.random.Generator | None = None,
 ) -> tuple[LossBreakdown, list[PointerDistribution], ParameterGradients]:
-    """One training step's forward and backward for a single pair.
-
-    Returns the loss, the pointer distributions, and exact gradients for
-    every parameter (encoder, embeddings, and both pointer matrices).
-    """
-    encoding, cache = forward_cached(params, config, pair, rng)
-    queries = make_queries(encoding, pair)
-    distributions = pointer_distributions(params, encoding, pair, queries)
-    breakdown = slot_loss(distributions, labels)
-
-    reps = encoding.reps
-    dtype = reps.dtype
-    cand = np.asarray(pair.candidate_positions())
-    rows = reps[cand]
-    w_start, w_end = params["pointer.w_start"], params["pointer.w_end"]
-    d_rows = np.zeros_like(rows)
-    d_reps = np.zeros_like(reps)
-    dw_start = np.zeros_like(w_start)
-    dw_end = np.zeros_like(w_end)
-
-    for idx, (query, dist, (s, e)) in enumerate(zip(queries, distributions, labels)):
-        dq = np.zeros_like(query.q)
-        for w, dw, probs, gold in (
-            (w_start, dw_start, dist.start_probs, s),
-            (w_end, dw_end, dist.end_probs, e),
-        ):
-            # loss contribution 0.5 * -log softmax(rows @ (w @ q))[gold]
-            dlogits = (0.5 * probs).astype(dtype)
-            dlogits[gold] -= 0.5
-            z = w @ query.q
-            d_rows += np.outer(dlogits, z)
-            dz = rows.T @ dlogits
-            dw += np.outer(dz, query.q)
-            dq += w.T @ dz
-        # maxpool subgradient: each coordinate flows to the first row
-        # attaining the maximum over the slot span
-        s0, e0 = pair.slot_pos[idx]
-        winners = reps[s0 : e0 + 1].argmax(axis=0)
-        d_reps[s0 + winners, np.arange(reps.shape[1])] += dq
-
-    np.add.at(d_reps, cand, d_rows)
-    grads = backward_from_cache(params, config, cache, d_reps)
-    grads["pointer.w_start"] += dw_start
-    grads["pointer.w_end"] += dw_end
+    """`batch_loss_and_gradients` of the single pair."""
+    [breakdown], [distributions], grads = batch_loss_and_gradients(
+        params, config, [pair], [labels], rng
+    )
     return breakdown, distributions, grads

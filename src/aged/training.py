@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import AnnotatedInstance, FrameStore
 from .encoder import Checkpoint, ParameterGradients, ParameterSet, save_checkpoint
 from .encoding import EncodedPair, SlotLabel, Vocabulary, assemble, gold_labels
-from .pointer import loss_and_gradients
+from .pointer import batch_loss_and_gradients
 from .templates import (
     DEFAULT_MARKERS,
     MarkerOptions,
@@ -192,6 +192,7 @@ def train(
     """Run seeded shuffled mini-batch training; returns a trained copy of the model.
 
     Per-example losses are summed over slots; batches average over examples.
+    Each mini-batch runs as one padded forward and backward pass.
     Dev F1 is computed every `eval_every` epochs when a dev set, store, and
     vocabulary are supplied, and the best-dev checkpoint is saved alongside
     the final one.
@@ -213,29 +214,22 @@ def train(
         epoch_loss = 0.0
         for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
             batch = order[lo : lo + config.batch_size]
-            grads_sum: ParameterGradients | None = None
-            batch_loss = 0.0
-            for idx in batch:
-                ex = stream[idx]
-                breakdown, _, grads = loss_and_gradients(
-                    params, enc_config, ex.pair, ex.labels, dropout_rng
-                )
-                batch_loss += breakdown.total
-                if grads_sum is None:
-                    grads_sum = grads
-                else:
-                    for k in grads_sum:
-                        grads_sum[k] += grads[k]
+            examples = [stream[idx] for idx in batch]
+            breakdowns, _, grads = batch_loss_and_gradients(
+                params, enc_config,
+                [ex.pair for ex in examples], [ex.labels for ex in examples], dropout_rng,
+            )
+            batch_loss = sum(breakdown.total for breakdown in breakdowns)
             if not math.isfinite(batch_loss):
                 raise NonFiniteLossError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no} "
                     f"(examples {[int(i) for i in batch]})"
                 )
             inv = 1.0 / len(batch)
-            for k in grads_sum:
-                grads_sum[k] = grads_sum[k] * inv
-            clip_gradients(grads_sum, config.grad_clip)
-            optimizer.step(params, grads_sum)
+            for k in grads:
+                grads[k] = grads[k] * inv
+            clip_gradients(grads, config.grad_clip)
+            optimizer.step(params, grads)
             epoch_loss += batch_loss
         mean_loss = epoch_loss / len(order)
         report.epoch_losses.append(mean_loss)

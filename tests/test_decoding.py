@@ -116,3 +116,22 @@ def test_predict_instance_is_structurally_total(store, vocab, test_instances):
             if p.span is not None:
                 s, e = p.span
                 assert 1 <= s <= e <= len(inst.tokens)
+
+
+def test_decode_matches_oracle_on_long_distributions():
+    rng = np.random.default_rng(77)
+    for n in (60, 150, 250):
+        for _ in range(3):
+            start = rng.dirichlet(np.full(n + 1, 0.3))
+            end = rng.dirichlet(np.full(n + 1, 0.3))
+            assert decode_slot(start, end) == brute_force_decode(start, end)
+
+
+def test_decode_rounding_tie_keeps_smallest_end():
+    # end[2] > end[1], yet start[1] * end[1] == start[1] * end[2] after rounding:
+    # the first maximal product wins, not the larger end probability
+    e1 = 0.4
+    e2 = float(np.nextafter(e1, 1.0))
+    assert e2 > e1 and 0.1 * e1 == 0.1 * e2
+    start, end = [0.01, 0.1, 0.01], [0.01, e1, e2]
+    assert decode_slot(start, end) == brute_force_decode(start, end) == ((1, 1), 0.1 * e1)

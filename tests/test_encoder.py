@@ -7,7 +7,9 @@ from aged.encoder import (
     Checkpoint,
     EncoderConfig,
     backward,
+    backward_from_cache,
     forward,
+    forward_batch,
     forward_cached,
     init_parameters,
     load_checkpoint,
@@ -209,3 +211,32 @@ def test_checkpoint_file_schema(tmp_path):
         assert len(spec["data"]) == tensor.size
         # row-major order
         assert spec["data"][:3] == [float(x) for x in tensor.ravel()[:3]]
+
+
+def test_padded_reps_equal_unpadded(vocab, pair):
+    config = tiny_config(vocab_size=len(vocab), max_len=128, n_layers=2)
+    params = init_parameters(config)
+    short = make_pair([CLS_ID, 11, 12, 3, 13, 3], n_text=2)
+    cls_only = make_pair([CLS_ID], n_text=0)
+    reps, cache = forward_batch(params, config, [short, pair, cls_only])
+    assert reps.shape == (3, len(pair.ids), config.d_model)
+    for b, p in enumerate((short, pair, cls_only)):
+        np.testing.assert_allclose(reps[b, : len(p.ids)], forward(params, config, p).reps,
+                                   rtol=0, atol=1e-12)
+    for layer in cache["layers"]:
+        # padded keys get exactly zero attention
+        assert not layer["probs"][0, :, :, len(short.ids):].any()
+        assert not layer["probs"][2, :, :, 1:].any()
+
+
+def test_padded_rows_get_no_gradient(vocab, pair):
+    config = tiny_config(vocab_size=len(vocab), max_len=128)
+    params = init_parameters(config)
+    short = make_pair([CLS_ID, 11, 12, 3, 13, 3], n_text=2)
+    reps, cache = forward_batch(params, config, [short, pair])
+    upstream = np.random.default_rng(1).normal(size=reps.shape)
+    grads = backward_from_cache(params, config, cache, upstream)
+    alone = backward(params, config, short, upstream[0, : len(short.ids)])
+    long = backward(params, config, pair, upstream[1])
+    for name in grads:
+        np.testing.assert_allclose(grads[name], alone[name] + long[name], rtol=1e-9, atol=1e-12)

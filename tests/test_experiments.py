@@ -68,3 +68,14 @@ def test_question_mode_holdout_runs(store, train_instances, test_instances):
     )
     assert report.mode == "question"
     assert report.predictions_complete
+
+
+def test_violated_holdout_cap_raises(store, train_instances, test_instances, monkeypatch):
+    # a sampler that ignores the cap must be caught even under python -O
+    monkeypatch.setattr("aged.experiments.sample_k_shot", lambda instances, *_: list(instances))
+    encoder, training = quick_configs()
+    available = sum(1 for i in train_instances if i.frame == "Getting")
+    with pytest.raises(ValueError, match=rf"holdout cap violated.*'Getting': {available}\}}.*'Getting': 0\}}"):
+        run_holdout_experiment(
+            train_instances, test_instances, store, {"Getting"}, 0, encoder, training
+        )

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aged.encoder import ContextualEncoding, EncoderConfig, init_parameters
-from aged.encoding import EncodedPair, assemble, gold_labels
+from aged.encoding import CLS_ID, EncodedPair, assemble, gold_labels
 from aged.pointer import (
     LossBreakdown,
     PointerDistribution,
+    batch_loss_and_gradients,
     loss_and_gradients,
     make_queries,
     pointer_distributions,
@@ -203,3 +204,88 @@ def test_end_to_end_gradients_match_finite_differences(store, vocab, train_insta
             an = grads[name][idx]
             rel = abs(an - fd) / max(abs(an), abs(fd), 1e-8)
             assert rel <= 1e-4, (name, idx, an, fd)
+
+
+def mixed_batch(store, vocab, train_instances):
+    """f64 pairs of mixed length and slot count: frame-def, question, FE-def, bare [CLS]."""
+    from aged.templates import build_fe_template, build_question_template
+
+    inst = train_instances[0]
+    frame = store.frame(inst.frame)
+    other = next(i for i in train_instances if i.frame != inst.frame)
+    other_frame = store.frame(other.frame)
+    templates = [
+        (inst, build_frame_template(frame)),
+        (other, build_question_template(other_frame, other_frame.fe_order[0])),
+        (inst, build_fe_template(frame, frame.fe_order[1])),
+    ]
+    pairs = [assemble(i, t, vocab) for i, t in templates]
+    labels = [gold_labels(i, t) for i, t in templates]
+    cls_only = EncodedPair(ids=(CLS_ID,), sentence_pos=(), slot_pos=(), slot_fes=(), segment=(0,), n=0)
+    pairs.insert(2, cls_only)
+    labels.insert(2, [])
+    assert len({len(p.ids) for p in pairs}) == len(pairs)
+    assert len({len(p.slot_pos) for p in pairs}) >= 3
+    config = EncoderConfig(
+        vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, max_len=128, seed=4, dtype="f64"
+    )
+    return config, init_parameters(config), pairs, labels
+
+
+def test_batched_loss_and_gradients_equal_sum_of_single_pairs(store, vocab, train_instances):
+    config, params, pairs, labels = mixed_batch(store, vocab, train_instances)
+    breakdowns, distributions, grads = batch_loss_and_gradients(params, config, pairs, labels)
+    summed = {k: np.zeros_like(v) for k, v in params.items()}
+    for pair, pair_labels, breakdown, dists in zip(pairs, labels, breakdowns, distributions):
+        single, single_dists, single_grads = loss_and_gradients(params, config, pair, pair_labels)
+        assert breakdown.total == pytest.approx(single.total, rel=1e-9)
+        assert [d.fe for d in dists] == [d.fe for d in single_dists]
+        for d, s in zip(dists, single_dists):
+            np.testing.assert_allclose(d.start_probs, s.start_probs, rtol=1e-9, atol=1e-15)
+            np.testing.assert_allclose(d.end_probs, s.end_probs, rtol=1e-9, atol=1e-15)
+        for k in summed:
+            summed[k] += single_grads[k]
+    assert set(grads) == set(params)
+    for k, expected in summed.items():
+        scale = np.abs(expected).max()
+        assert np.abs(grads[k] - expected).max() <= 1e-9 * scale, k
+
+
+def test_batched_gradients_match_finite_differences(store, vocab, train_instances):
+    # the padded batch's gradient against the per-pair reference loss
+    config, params, pairs, labels = mixed_batch(store, vocab, train_instances)
+    _, _, grads = batch_loss_and_gradients(params, config, pairs, labels)
+
+    from aged.encoder import forward
+
+    def total_loss():
+        total = 0.0
+        for pair, pair_labels in zip(pairs, labels):
+            encoding = forward(params, config, pair)
+            dists = pointer_distributions(params, encoding, pair, make_queries(encoding, pair))
+            total += slot_loss(dists, pair_labels).total
+        return total
+
+    rng = np.random.default_rng(8)
+    eps = 1e-5
+    for name, tensor in params.items():
+        for fi in rng.choice(tensor.size, size=min(6, tensor.size), replace=False):
+            idx = np.unravel_index(fi, tensor.shape)
+            orig = tensor[idx]
+            tensor[idx] = orig + eps
+            plus = total_loss()
+            tensor[idx] = orig - eps
+            minus = total_loss()
+            tensor[idx] = orig
+            fd = (plus - minus) / (2 * eps)
+            an = grads[name][idx]
+            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-8)
+            assert rel <= 1e-4, (name, idx, an, fd)
+
+
+def test_batch_label_count_mismatch_rejected(store, vocab, train_instances):
+    config, params, pairs, labels = mixed_batch(store, vocab, train_instances)
+    with pytest.raises(ValueError, match="distributions"):
+        batch_loss_and_gradients(params, config, pairs, [labels[0][:-1]] + labels[1:])
+    with pytest.raises(ValueError, match="outside"):
+        batch_loss_and_gradients(params, config, pairs[:1], [[(0, 999)] * len(labels[0])])

@@ -139,3 +139,22 @@ def test_training_report_serializes(tmp_path, store, vocab, train_instances):
     report.save(path)
     assert path.exists()
     assert report.stream_size == 4
+
+
+def test_batched_training_with_dropout_is_deterministic(store, vocab, train_instances):
+    # augmentation mixes frame-def and FE-def pairs: lengths and slot counts vary per batch
+    config = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, seed=3, augment_fe_defs=True)
+    stream = build_training_stream(train_instances[:6], store, vocab, config)
+
+    def run(dropout):
+        enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
+                            max_len=256, seed=0, dtype="f64", dropout=dropout)
+        return train(stream, Checkpoint(enc, init_parameters(enc)), config)
+
+    model_a, report_a = run(0.2)
+    model_b, report_b = run(0.2)
+    assert report_a.epoch_losses == report_b.epoch_losses
+    for k in model_a.params:
+        assert np.array_equal(model_a.params[k], model_b.params[k]), k
+    _, report_plain = run(0.0)
+    assert report_plain.epoch_losses != report_a.epoch_losses  # dropout was applied
