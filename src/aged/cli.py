@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import logging
@@ -135,7 +136,9 @@ def _add_option(parser: _Parser, key: str, default) -> None:
                             help=f"(default: {default})")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="aged", description=__doc__)
     parser.add_argument("--version", action="version", version=f"aged {__version__}")
     sub = parser.add_subparsers(dest="command")
@@ -353,24 +356,57 @@ def cmd_predict(cfg: dict, force: bool) -> int:
     return EXIT_OK
 
 
-def _load_prediction_file(path: str, gold_instances) -> list[list[SpanPrediction]]:
-    prediction_lists = []
+def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPrediction]]:
+    """Read `aged predict` output aligned with the gold file, one record per line.
+
+    Rejects, naming the 1-based line, malformed JSON, a record or prediction
+    that is not an object, a frame that differs from the gold instance's,
+    an FE outside that frame or predicted twice, and a span that is not
+    1 <= start <= end <= len(tokens).
+    """
+    records = []
     with open(path, encoding="utf-8") as f:
-        records = [json.loads(line) for line in f if line.strip()]
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise CorpusError(f"{path}:{lineno}: malformed JSON ({e.msg})") from None
+            if not isinstance(rec, dict):
+                raise CorpusError(f"{path}:{lineno}: a prediction record must be a JSON object")
+            records.append((lineno, rec))
     if len(records) != len(gold_instances):
         raise CorpusError(
             f"misaligned: {len(records)} prediction records vs {len(gold_instances)} gold instances"
         )
-    for i, (rec, inst) in enumerate(zip(records, gold_instances), start=1):
+    prediction_lists = []
+    for i, ((lineno, rec), inst) in enumerate(zip(records, gold_instances), start=1):
+        where = f"{path}:{lineno}"
         if rec.get("frame") != inst.frame:
             raise CorpusError(
-                f"misaligned at instance {i}: prediction frame {rec.get('frame')!r} "
+                f"{where}: misaligned at instance {i}: prediction frame {rec.get('frame')!r} "
                 f"vs gold frame {inst.frame!r}"
             )
+        frame, n = store.frame(inst.frame), len(inst.tokens)
         preds = []
         for p in rec.get("predictions", []):
+            if not isinstance(p, dict):
+                raise CorpusError(f"{where}: a prediction must be a JSON object, got {p!r}")
+            fe = p.get("fe")
+            if fe not in frame.fes:
+                raise CorpusError(f"{where}: FE {fe!r} is not in frame '{inst.frame}'")
+            if any(prev.fe == fe for prev in preds):
+                raise CorpusError(f"{where}: FE '{fe}' is predicted more than once")
             span = tuple(p["span"]) if p.get("span") else None
-            preds.append(SpanPrediction(p["fe"], span, float(p.get("score", 0.0))))
+            if span is not None:
+                if len(span) != 2 or not all(isinstance(x, int) for x in span) or span[0] > span[1]:
+                    raise CorpusError(
+                        f"{where}: bad span {list(span)} for FE '{fe}': need start <= end"
+                    )
+                if not (1 <= span[0] and span[1] <= n):
+                    raise CorpusError(f"{where}: span {list(span)} for FE '{fe}' outside 1..{n}")
+            preds.append(SpanPrediction(fe, span, float(p.get("score", 0.0))))
         prediction_lists.append(preds)
     return prediction_lists
 
@@ -382,7 +418,7 @@ def cmd_eval(cfg: dict, force: bool) -> int:
     write_manifest("eval", cfg, [cfg["frames"], cfg["gold"], cfg["pred"]], out_path)
     store = load_ontology(cfg["frames"])
     gold = load_instances(cfg["gold"], store)
-    predictions = _load_prediction_file(cfg["pred"], gold)
+    predictions = _load_prediction_file(cfg["pred"], gold, store)
     metrics = evaluate(predictions, gold)
     line = json.dumps(metrics.to_json())
     print(line)

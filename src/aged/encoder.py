@@ -12,6 +12,8 @@ in the test suite.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -364,11 +366,16 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Single JSON document; float values round-trip bitwise."""
+    """Single JSON document; each tensor's `data` is base64 of its row-major
+    little-endian bytes in the config dtype, so values round-trip bitwise."""
+    dtype = _wire_dtype(ckpt.config)
     doc = {
         "config": ckpt.config.to_json(),
         "params": {
-            name: {"shape": list(t.shape), "data": [float(x) for x in t.ravel()]}
+            name: {
+                "shape": list(t.shape),
+                "data": base64.b64encode(t.astype(dtype, copy=False).tobytes()).decode("ascii"),
+            }
             for name, t in ckpt.params.items()
         },
     }
@@ -376,10 +383,34 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a `save_checkpoint` file; a malformed tensor raises ValueError naming it."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     config = EncoderConfig.from_json(doc["config"])
-    params = {
-        name: np.asarray(spec["data"], dtype=config.np_dtype).reshape(spec["shape"])
-        for name, spec in doc["params"].items()
-    }
+    dtype = _wire_dtype(config)
+    params = {}
+    for name, spec in doc["params"].items():
+        data, shape = spec["data"], tuple(spec["shape"])
+        if not isinstance(data, str):
+            raise ValueError(
+                f"checkpoint tensor '{name}': data must be a base64 string, "
+                f"got {type(data).__name__} (decimal-list checkpoints are not read)"
+            )
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except binascii.Error as e:
+            raise ValueError(
+                f"checkpoint tensor '{name}': data is not valid base64 ({e})"
+            ) from None
+        expected = math.prod(shape) * dtype.itemsize
+        if len(raw) != expected:
+            raise ValueError(
+                f"checkpoint tensor '{name}': {len(raw)} bytes, expected {expected} "
+                f"for shape {list(shape)} in {config.dtype}"
+            )
+        # astype copies, so the parameters are writable and in native byte order
+        params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(config.np_dtype)
     return Checkpoint(config, params)
+
+
+def _wire_dtype(config: EncoderConfig) -> np.dtype:
+    return np.dtype(config.np_dtype).newbyteorder("<")

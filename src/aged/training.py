@@ -121,24 +121,54 @@ def build_training_stream(
 
 
 class Adam:
-    """Plain Adam with bias correction; no schedule, no weight decay."""
+    """Plain Adam with bias correction; no schedule, no weight decay.
+
+    The moments live in flat buffers over all parameters, and a step runs
+    the per-tensor elementwise formula in place on two preallocated scratch
+    buffers, op for op in the same order, so its updates are bitwise those
+    of the per-tensor form.
+    """
 
     def __init__(self, params: ParameterSet, lr: float):
         self.lr = lr
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
+        self.slices: dict[str, slice] = {}
+        size = 0
+        for k, p in params.items():
+            self.slices[k] = slice(size, size + p.size)
+            size += p.size
+        dtype = np.result_type(*params.values())
+        self.m = np.zeros(size, dtype)
+        self.v = np.zeros(size, dtype)
+        self._g = np.empty(size, dtype)
+        self._tmp = np.empty(size, dtype)
 
     def step(self, params: ParameterSet, grads: ParameterGradients) -> None:
         self.t += 1
         b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        for k, p in params.items():
-            g = grads[k]
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            p -= self.lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + ADAM_EPS)
+        m, v, g, tmp = self.m, self.v, self._g, self._tmp
+        np.concatenate([grads[k].ravel() for k in self.slices], out=g)
+        # m = b1 * m + (1 - b1) * g
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m += tmp
+        # v = b2 * v + (1 - b2) * g * g
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        # update = lr * (m / c1) / (sqrt(v / c2) + eps), built in g
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        np.divide(m, c1, out=g)
+        g *= self.lr
+        g /= tmp
+        for k, flat in self.slices.items():
+            p = params[k]
+            p -= g[flat].reshape(p.shape)
 
 
 def clip_gradients(grads: ParameterGradients, max_norm: float) -> float:
@@ -146,8 +176,8 @@ def clip_gradients(grads: ParameterGradients, max_norm: float) -> float:
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
-        for k in grads:
-            grads[k] = grads[k] * scale
+        for g in grads.values():
+            g *= scale
     return total
 
 
@@ -156,6 +186,10 @@ class TrainingReport:
     epochs: int
     stream_size: int
     epoch_losses: list[float] = field(default_factory=list)
+    # per epoch: pre-clip global gradient norms and how many steps were clipped
+    grad_norm_mean: list[float] = field(default_factory=list)
+    grad_norm_max: list[float] = field(default_factory=list)
+    clipped_steps: list[int] = field(default_factory=list)
     dev_f1_history: list[tuple[int, float]] = field(default_factory=list)
     best_dev_f1: float | None = None
     best_epoch: int | None = None
@@ -168,6 +202,9 @@ class TrainingReport:
             "epochs": self.epochs,
             "stream_size": self.stream_size,
             "epoch_losses": self.epoch_losses,
+            "grad_norm_mean": self.grad_norm_mean,
+            "grad_norm_max": self.grad_norm_max,
+            "clipped_steps": self.clipped_steps,
             "dev_f1_history": [[e, f] for e, f in self.dev_f1_history],
             "best_dev_f1": self.best_dev_f1,
             "best_epoch": self.best_epoch,
@@ -212,6 +249,7 @@ def train(
     for epoch in range(config.epochs):
         order = np.random.default_rng((config.seed, epoch)).permutation(len(stream))
         epoch_loss = 0.0
+        norms = []
         for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
             batch = order[lo : lo + config.batch_size]
             examples = [stream[idx] for idx in batch]
@@ -226,13 +264,16 @@ def train(
                     f"(examples {[int(i) for i in batch]})"
                 )
             inv = 1.0 / len(batch)
-            for k in grads:
-                grads[k] = grads[k] * inv
-            clip_gradients(grads, config.grad_clip)
+            for g in grads.values():  # each gradient owns its array
+                g *= inv
+            norms.append(clip_gradients(grads, config.grad_clip))
             optimizer.step(params, grads)
             epoch_loss += batch_loss
         mean_loss = epoch_loss / len(order)
         report.epoch_losses.append(mean_loss)
+        report.grad_norm_mean.append(sum(norms) / len(norms))
+        report.grad_norm_max.append(max(norms))
+        report.clipped_steps.append(sum(0 < config.grad_clip < n for n in norms))
         logger.info("epoch %d: mean loss %.6f", epoch, mean_loss)
 
         if (

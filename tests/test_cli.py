@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from aged.cli import dispatch
+from aged.cli import build_parser, dispatch
 from aged.corpus import load_instances, load_ontology, mini_framenet_path
 
 
@@ -158,6 +158,90 @@ def test_eval_misaligned_names_first_bad_instance(capsys, tmp_path, monkeypatch)
     code, _, err = run(capsys, "eval", "--pred", str(pred_path))
     assert code == 1
     assert "instance 3" in err
+
+
+def _gold_as_predictions(path, edit):
+    """Write gold arguments as predictions, `edit`ing the last record that has any.
+
+    Returns the 1-based line of the edited record.
+    """
+    store = load_ontology(mini_framenet_path("frames"))
+    gold = load_instances(mini_framenet_path("test"), store)
+    target = max(i for i, inst in enumerate(gold) if inst.arguments)
+    with open(path, "w") as f:
+        for i, inst in enumerate(gold):
+            preds = [{"fe": a.fe, "span": [a.start, a.end], "score": 1.0} for a in inst.arguments]
+            if i == target:
+                edit(preds, inst)
+            f.write(json.dumps({"frame": inst.frame, "predictions": preds}) + "\n")
+    return target + 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda preds, inst: preds.extend([dict(preds[0])] * 2), "more than once"),
+    (lambda preds, inst: preds.append({"fe": "Nonsense", "span": None, "score": 0.0}),
+     "not in frame"),
+    (lambda preds, inst: preds[0].update(span=[1, len(inst.tokens) + 1]), "outside 1.."),
+    (lambda preds, inst: preds[0].update(span=[0, 1]), "outside 1.."),
+    (lambda preds, inst: preds[0].update(span=[2, 1]), "start <= end"),
+    (lambda preds, inst: preds.append([1, 2]), "must be a JSON object"),
+], ids=["duplicate-fe", "unknown-fe", "span-past-end", "span-before-start", "start-after-end",
+        "not-an-object"])
+def test_eval_rejects_invalid_predictions(capsys, tmp_path, monkeypatch, edit, message):
+    monkeypatch.chdir(tmp_path)
+    pred_path = tmp_path / "bad.jsonl"
+    line = _gold_as_predictions(pred_path, edit)
+    code, out, err = run(capsys, "eval", "--pred", str(pred_path))
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert f"bad.jsonl:{line}:" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"frame": ', "malformed JSON"),
+    ("[1, 2]", "a prediction record must be a JSON object"),
+], ids=["truncated-json", "not-an-object"])
+def test_eval_malformed_record_names_line(capsys, tmp_path, monkeypatch, line, message):
+    monkeypatch.chdir(tmp_path)
+    pred_path = tmp_path / "bad.jsonl"
+    pred_path.write_text('{"frame": "Attack", "predictions": []}\n\n' + line + "\n")
+    code, _, err = run(capsys, "eval", "--pred", str(pred_path))
+    assert code == 1
+    assert f"bad.jsonl:3: {message}" in err
+
+
+def _corrupt_checkpoint(src, dst, data):
+    doc = json.loads(src.read_text())
+    doc["params"]["layer0.ffn.w1"]["data"] = data(doc["params"]["layer0.ffn.w1"]["data"])
+    dst.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("data, message", [
+    (lambda d: d[: len(d) // 2], "bytes, expected"),
+    (lambda d: [0.25] * 16, "base64 string"),
+], ids=["truncated", "decimal-list"])
+def test_predict_rejects_bad_checkpoint(capsys, trained, tmp_path, monkeypatch, data, message):
+    workdir, ckpt = trained
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "model.json"
+    _corrupt_checkpoint(ckpt, bad, data)
+    code, _, err = run(capsys, "predict", "--checkpoint", str(bad),
+                       "--vocab", str(workdir / "model.json.vocab.json"),
+                       "--out", str(tmp_path / "pred.jsonl"))
+    assert code == 1
+    assert message in err
+    assert "'layer0.ffn.w1'" in err
+
+
+def test_train_report_has_gradient_norms(trained):
+    workdir, _ = trained
+    report = json.loads((workdir / "model.json.report.json").read_text())
+    assert len(report["grad_norm_mean"]) == len(report["clipped_steps"]) == report["epochs"]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_config_file_precedence(capsys, tmp_path, monkeypatch):

@@ -195,22 +195,60 @@ def test_checkpoint_round_trip_f32(tmp_path):
 
 
 def test_checkpoint_file_schema(tmp_path):
+    import base64
     import json
 
-    config = tiny_config()
-    ckpt = Checkpoint(config, init_parameters(config))
-    path = tmp_path / "model.json"
-    save_checkpoint(ckpt, path)
+    for dtype in ("f32", "f64"):
+        config = tiny_config(dtype=dtype)
+        ckpt = Checkpoint(config, init_parameters(config))
+        path = tmp_path / f"model-{dtype}.json"
+        save_checkpoint(ckpt, path)
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"config", "params"}
+        assert doc["config"]["d_model"] == config.d_model
+        assert doc["config"]["dtype"] == dtype
+        assert list(doc["params"]) == list(ckpt.params)
+        size = np.dtype(config.np_dtype).itemsize
+        for name, tensor in ckpt.params.items():
+            spec = doc["params"][name]
+            assert set(spec) == {"shape", "data"}
+            assert spec["shape"] == list(tensor.shape)
+            raw = base64.b64decode(spec["data"], validate=True)
+            assert len(raw) == tensor.size * size
+            # little-endian bit patterns of the row-major flattening
+            stored = np.frombuffer(raw, dtype=f"<u{size}")
+            assert np.array_equal(stored, tensor.ravel().view(f"=u{size}")), name
+
+
+def _rewrite_tensor(path, name, data):
+    import json
+
     doc = json.loads(path.read_text())
-    assert set(doc) == {"config", "params"}
-    assert doc["config"]["d_model"] == config.d_model
-    for name, tensor in ckpt.params.items():
-        spec = doc["params"][name]
-        assert set(spec) == {"shape", "data"}
-        assert spec["shape"] == list(tensor.shape)
-        assert len(spec["data"]) == tensor.size
-        # row-major order
-        assert spec["data"][:3] == [float(x) for x in tensor.ravel()[:3]]
+    doc["params"][name]["data"] = data(doc["params"][name]["data"])
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("data, message", [
+    (lambda d: d[:-8], "bytes, expected"),
+    (lambda d: "!" + d[1:], "not valid base64"),
+    (lambda d: [0.5] * 8, "base64 string, got list"),
+])
+def test_load_rejects_bad_tensor_data(tmp_path, data, message):
+    config = tiny_config()
+    path = tmp_path / "model.json"
+    save_checkpoint(Checkpoint(config, init_parameters(config)), path)
+    _rewrite_tensor(path, "layer0.ffn.w1", data)
+    with pytest.raises(ValueError, match=message) as err:
+        load_checkpoint(path)
+    assert "'layer0.ffn.w1'" in str(err.value)
+
+
+def test_loaded_parameters_are_writable(tmp_path):
+    config = tiny_config()
+    path = tmp_path / "model.json"
+    save_checkpoint(Checkpoint(config, init_parameters(config)), path)
+    for tensor in load_checkpoint(path).params.values():
+        tensor += 1.0
 
 
 def test_padded_reps_equal_unpadded(vocab, pair):

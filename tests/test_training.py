@@ -5,8 +5,12 @@ from aged.corpus import AnnotatedInstance, Argument
 from aged.encoder import Checkpoint, EncoderConfig, init_parameters, load_checkpoint
 from aged.evaluation import evaluate
 from aged.decoding import predict_all
+from aged.pointer import batch_loss_and_gradients
 from aged.templates import TemplateMode
 from aged.training import (
+    ADAM_BETAS,
+    ADAM_EPS,
+    Adam,
     Provenance,
     TrainConfig,
     build_training_stream,
@@ -158,3 +162,105 @@ def test_batched_training_with_dropout_is_deterministic(store, vocab, train_inst
         assert np.array_equal(model_a.params[k], model_b.params[k]), k
     _, report_plain = run(0.0)
     assert report_plain.epoch_losses != report_a.epoch_losses  # dropout was applied
+
+
+class ReferenceAdam:
+    """The per-tensor Adam that the flat in-place optimizer must match bitwise."""
+
+    def __init__(self, params, lr):
+        self.lr = lr
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = ADAM_BETAS
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        for k, p in params.items():
+            g = grads[k]
+            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
+            p -= self.lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + ADAM_EPS)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_flat_adam_matches_per_tensor_reference_bitwise(vocab, dtype):
+    params = small_model(vocab, dtype=dtype).params
+    ours = {k: v.copy() for k, v in params.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    adam, ref_adam = Adam(ours, 3e-3), ReferenceAdam(ref, 3e-3)
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        # wide magnitudes so rounding differences would show
+        grads = {k: (rng.normal(size=v.shape) * 10.0 ** rng.integers(-6, 3)).astype(v.dtype)
+                 for k, v in params.items()}
+        adam.step(ours, {k: g.copy() for k, g in grads.items()})
+        ref_adam.step(ref, grads)
+        for k in params:
+            assert ours[k].dtype == ref[k].dtype
+            assert np.array_equal(ours[k], ref[k]), k
+
+
+@pytest.mark.parametrize("dtype, dropout", [("f32", 0.0), ("f64", 0.2)])
+def test_training_matches_per_tensor_adam_bitwise(store, vocab, train_instances, monkeypatch,
+                                                  dtype, dropout):
+    import aged.training
+
+    config = TrainConfig(epochs=2, batch_size=4, learning_rate=3e-3, seed=4,
+                         augment_fe_defs=True, grad_clip=0.5)
+    stream = build_training_stream(train_instances[:8], store, vocab, config)
+    enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
+                        max_len=256, seed=0, dtype=dtype, dropout=dropout)
+    model = Checkpoint(enc, init_parameters(enc))
+    trained, report = train(stream, model, config)
+    monkeypatch.setattr(aged.training, "Adam", ReferenceAdam)
+    ref_trained, ref_report = train(stream, model, config)
+    assert report.epoch_losses == ref_report.epoch_losses
+    for k in trained.params:
+        assert np.array_equal(trained.params[k], ref_trained.params[k]), k
+
+
+def test_gradients_own_their_arrays(store, vocab, train_instances):
+    # training scales gradients in place, so no two may share memory
+    model = small_model(vocab, n_layers=2)
+    config = TrainConfig(epochs=1)
+    stream = build_training_stream(train_instances[:3], store, vocab, config)
+    _, _, grads = batch_loss_and_gradients(
+        model.params, model.config, [ex.pair for ex in stream], [ex.labels for ex in stream]
+    )
+    arrays = list(grads.values()) + list(model.params.values())
+    for i, a in enumerate(grads.values()):
+        assert a.flags.writeable and a.dtype == model.params[next(iter(model.params))].dtype
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_report_records_gradient_norms_per_epoch(store, vocab, train_instances, monkeypatch):
+    import aged.training
+
+    norms = []
+
+    def recording_clip(grads, max_norm):
+        norms.append(clip_gradients(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(aged.training, "clip_gradients", recording_clip)
+    config = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3, seed=0, grad_clip=0.05)
+    stream = build_training_stream(train_instances[:10], store, vocab, config)
+    _, report = train(stream, small_model(vocab), config)
+    steps = -(-len(stream) // config.batch_size)
+    assert len(norms) == config.epochs * steps
+    for name in ("grad_norm_mean", "grad_norm_max", "clipped_steps"):
+        assert len(getattr(report, name)) == config.epochs, name
+        assert report.to_json()[name] == getattr(report, name)
+    for epoch, clipped in enumerate(report.clipped_steps):
+        epoch_norms = norms[epoch * steps : (epoch + 1) * steps]
+        assert report.grad_norm_mean[epoch] == sum(epoch_norms) / steps
+        assert report.grad_norm_max[epoch] == max(epoch_norms)
+        assert clipped == sum(n > config.grad_clip for n in epoch_norms) <= steps
+    assert sum(report.clipped_steps) > 0  # the cap is tiny, so some steps clip
+    _, unclipped = train(stream, small_model(vocab), TrainConfig(
+        epochs=1, batch_size=4, learning_rate=1e-3, seed=0, grad_clip=0.0))
+    assert unclipped.clipped_steps == [0]
