@@ -270,8 +270,12 @@ TEST = [
 ]
 
 
+def to_jsonl(records):
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
 def write_jsonl(records, path):
-    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    path.write_text(to_jsonl(records), encoding="utf-8")
 
 
 def main():

@@ -29,12 +29,12 @@ from .corpus import (
     mini_framenet_path,
 )
 from .decoding import SpanPrediction, predict_all
-from .encoder import Checkpoint, EncoderConfig, init_parameters, load_checkpoint
-from .encoding import Vocabulary, build_vocabulary
+from .encoder import EncoderConfig, load_checkpoint
+from .encoding import Vocabulary
 from .evaluation import evaluate
 from .experiments import run_holdout_experiment
 from .templates import MarkerOptions, TemplateMode, build_template, render_surface
-from .training import NonFiniteLossError, TrainConfig, build_training_stream, train
+from .training import NonFiniteLossError, TrainConfig, fit
 
 logger = logging.getLogger(__name__)
 
@@ -105,7 +105,6 @@ DEFAULTS: dict[str, dict] = {
         "mode": "frame-def",
         "no_target_markers": False,
         "no_label_markers": False,
-        "max_len": 0,
     },
     "eval": {
         "frames": _bundled("frames"),
@@ -236,16 +235,15 @@ def _markers(cfg: dict) -> MarkerOptions:
     )
 
 
-def _encoder_config(cfg: dict, vocab_size: int, dtype: str = "f32") -> EncoderConfig:
+def _encoder_config(cfg: dict) -> EncoderConfig:
     return EncoderConfig(
-        vocab_size=vocab_size,
+        vocab_size=1,  # `fit` sizes the embedding to the vocabulary it builds
         d_model=cfg["d_model"],
         n_layers=cfg["layers"],
         n_heads=cfg["heads"],
         d_ff=cfg["d_ff"],
         max_len=cfg["max_len"],
         seed=cfg["seed"],
-        dtype=dtype,
     )
 
 
@@ -301,19 +299,13 @@ def cmd_train(cfg: dict, force: bool) -> int:
     store = load_ontology(cfg["frames"])
     train_instances = load_instances(cfg["train"], store)
     dev_instances = load_instances(cfg["dev"], store) if cfg["dev"] else None
-    vocab = build_vocabulary(train_instances, store)
-    vocab.save(vocab_path)
-
     train_config = _train_config(cfg, checkpoint_path)
     if dev_instances is not None and train_config.eval_every == 0:
         train_config.eval_every = 1
-    encoder_config = _encoder_config(cfg, len(vocab))
-    model = Checkpoint(encoder_config, init_parameters(encoder_config))
-    stream = build_training_stream(train_instances, store, vocab, train_config)
-    logger.info("training on %d pairs (%d instances)", len(stream), len(train_instances))
-    model, report = train(
-        stream, model, train_config, store=store, vocab=vocab, dev=dev_instances
+    _, vocab, report = fit(
+        train_instances, store, _encoder_config(cfg), train_config, dev=dev_instances
     )
+    vocab.save(vocab_path)
     report.save(report_path)
     summary = {
         "checkpoint": checkpoint_path,
@@ -340,7 +332,6 @@ def cmd_predict(cfg: dict, force: bool) -> int:
     predictions = predict_all(
         instances, store, model, vocab,
         mode=TemplateMode(cfg["mode"]), markers=_markers(cfg),
-        max_len=cfg["max_len"] or None,
     )
     with open(out_path, "w", encoding="utf-8") as f:
         for inst, preds in zip(instances, predictions):
@@ -435,14 +426,16 @@ def cmd_experiment(cfg: dict, force: bool) -> int:
     train_instances = load_instances(cfg["train"], store)
     test_instances = load_instances(cfg["test"], store)
     k_raw = str(cfg["k"]).strip().lower()
-    k = None if k_raw == "full" else int(k_raw)
-    if k is not None and k < 0:
-        raise UsageError("--k must be >= 0 or 'full'")
+    if k_raw == "full":
+        k = None
+    elif k_raw.isdecimal():
+        k = int(k_raw)
+    else:
+        raise UsageError(f"--k must be an integer >= 0 or 'full', got {cfg['k']!r}")
     frames = {name.strip() for name in str(cfg["holdout"]).split(",") if name.strip()}
     report = run_holdout_experiment(
         train_instances, test_instances, store, frames, k,
-        _encoder_config(cfg, vocab_size=1),  # vocab_size is recomputed inside
-        _train_config(cfg, None),
+        _encoder_config(cfg), _train_config(cfg, None),
     )
     report.save(out_path)
     print(json.dumps({

@@ -322,21 +322,6 @@ def save_instances(instances: Iterable[AnnotatedInstance], path: str | Path) -> 
             f.write(json.dumps(rec) + "\n")
 
 
-class FilterMode(Enum):
-    KEEP = "keep"
-    DROP = "drop"
-
-
-def filter_by_frames(
-    instances: Iterable[AnnotatedInstance],
-    frame_names: set[str],
-    mode: FilterMode,
-) -> list[AnnotatedInstance]:
-    """Keep (or drop) exactly the instances evoking one of the named frames."""
-    keep = mode is FilterMode.KEEP
-    return [inst for inst in instances if (inst.frame in frame_names) == keep]
-
-
 def sample_k_shot(
     instances: list[AnnotatedInstance],
     frame_names: set[str],

@@ -70,21 +70,25 @@ def predict_instance(
     *,
     mode: TemplateMode = TemplateMode.FRAME_DEF,
     markers: MarkerOptions = DEFAULT_MARKERS,
-    max_len: int | None = None,
 ) -> list[SpanPrediction]:
     """One prediction per FE of the instance's frame.
 
     Frame-definition mode extracts every argument from a single pair;
     question mode runs one single-slot pair per FE, all in one padded
-    encoder batch.
+    encoder batch. FE-definition templates query one FE each and are only
+    an augmentation of training, so `mode` fe-def raises ValueError.
     """
+    if mode is TemplateMode.FE_DEF:
+        raise ValueError("fe-def is an augmentation mode, not a prediction mode")
     frame = store.frame(instance.frame)
-    max_len = max_len if max_len is not None else model.config.max_len
     if mode is TemplateMode.QUESTION:
         templates = [build_question_template(frame, fe, markers) for fe in frame.fe_order]
     else:
         templates = [build_frame_template(frame, markers)]
-    pairs = [assemble(instance, template, vocab, markers, max_len) for template in templates]
+    pairs = [
+        assemble(instance, template, vocab, markers, model.config.max_len)
+        for template in templates
+    ]
     reps, _ = forward_batch(model.params, model.config, pairs)
     predictions: list[SpanPrediction] = []
     for pair, pair_reps in zip(pairs, reps):
@@ -102,10 +106,9 @@ def predict_all(
     *,
     mode: TemplateMode = TemplateMode.FRAME_DEF,
     markers: MarkerOptions = DEFAULT_MARKERS,
-    max_len: int | None = None,
 ) -> list[list[SpanPrediction]]:
     """Predict a whole set, one instance at a time."""
     return [
-        predict_instance(inst, store, model, vocab, mode=mode, markers=markers, max_len=max_len)
+        predict_instance(inst, store, model, vocab, mode=mode, markers=markers)
         for inst in instances
     ]

@@ -269,14 +269,21 @@ def backward_from_cache(
     """Exact gradients of every parameter given d(loss)/d(reps), summed over the batch.
 
     `d_reps` has the (B, L, d_model) shape of the batch's reps; a
-    single-pair cache also takes (L, d_model). Rows past a pair's length
-    are padding and get zero gradient.
+    single-pair cache also takes (L, d_model). Any other shape raises
+    ValueError, even one of the same size. Rows past a pair's length are
+    padding and get zero gradient.
     """
-    grads: ParameterGradients = {k: np.zeros_like(v) for k, v in params.items()}
     batch, length, d = cache["shape"]
+    d_reps = np.asarray(d_reps)
+    if d_reps.shape != (batch, length, d) and not (batch == 1 and d_reps.shape == (length, d)):
+        raise ValueError(
+            f"upstream gradient shape {d_reps.shape} does not match "
+            f"output shape {(batch, length, d)}"
+        )
+    grads: ParameterGradients = {k: np.zeros_like(v) for k, v in params.items()}
     dh = d // config.n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
-    d_reps = np.asarray(d_reps).reshape(batch, length, d) * cache["valid"][..., None]
+    d_reps = d_reps.reshape(batch, length, d) * cache["valid"][..., None]
 
     dx, grads["final_ln.gain"], grads["final_ln.bias"] = _layer_norm_backward(
         d_reps.reshape(batch * length, d), cache["final_ln"], params["final_ln.gain"]
@@ -336,22 +343,6 @@ def backward_from_cache(
     grads["pos_emb"][:length] += dx.reshape(batch, length, d).sum(axis=0)
     np.add.at(grads["seg_emb"], cache["segments"].ravel(), dx)
     return grads
-
-
-def backward(
-    params: ParameterSet,
-    config: EncoderConfig,
-    pair: EncodedPair,
-    upstream_grads: np.ndarray,
-) -> ParameterGradients:
-    """Recompute the forward pass and backpropagate `upstream_grads` (d loss / d reps)."""
-    encoding, cache = forward_cached(params, config, pair)
-    if upstream_grads.shape != encoding.reps.shape:
-        raise ValueError(
-            f"upstream gradient shape {upstream_grads.shape} does not match "
-            f"output shape {encoding.reps.shape}"
-        )
-    return backward_from_cache(params, config, cache, upstream_grads)
 
 
 @dataclass

@@ -10,18 +10,14 @@ is rendered from the ontology, not learned from instances.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import AnnotatedInstance, FrameStore, sample_k_shot
 from .decoding import predict_all
-from .encoder import Checkpoint, EncoderConfig, init_parameters
-from .encoding import build_vocabulary
+from .encoder import EncoderConfig
 from .evaluation import Metrics, evaluate, per_frame_metrics
-from .training import TrainConfig, build_training_stream, train
-
-logger = logging.getLogger(__name__)
+from .training import TrainConfig, fit
 
 
 @dataclass
@@ -85,20 +81,10 @@ def run_holdout_experiment(
             f"holdout cap violated: sampled training counts {train_counts}, expected {expected}"
         )
 
-    vocab = build_vocabulary(sampled, store)
-    encoder_config = EncoderConfig(**{**encoder_config.to_json(), "vocab_size": len(vocab)})
-    model = Checkpoint(encoder_config, init_parameters(encoder_config))
-    stream = build_training_stream(sampled, store, vocab, train_config)
-    logger.info(
-        "holdout %s k=%s: %d train instances, stream size %d",
-        sorted(frames), k, len(sampled), len(stream),
-    )
-    model, train_report = train(stream, model, train_config, store=store, vocab=vocab)
-
+    model, vocab, train_report = fit(sampled, store, encoder_config, train_config)
     predictions = predict_all(
         test_instances, store, model, vocab,
         mode=train_config.template_mode, markers=train_config.marker_options,
-        max_len=train_config.max_len,
     )
     predictions_complete = all(
         len(preds) == len(store.frame(inst.frame).fe_order)
@@ -114,10 +100,10 @@ def run_holdout_experiment(
         predictions_complete=predictions_complete,
         overall=evaluate(predictions, test_instances),
         per_frame=per_frame_metrics(predictions, test_instances),
-        stream_size=len(stream),
+        stream_size=train_report.stream_size,
         epochs=train_config.epochs,
         config={
-            "encoder": encoder_config.to_json(),
+            "encoder": model.config.to_json(),
             "learning_rate": train_config.learning_rate,
             "batch_size": train_config.batch_size,
             "seed": train_config.seed,

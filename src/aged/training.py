@@ -1,4 +1,5 @@
-"""Training-stream construction and the seeded mini-batch training loop.
+"""Training-stream construction, the seeded mini-batch training loop, and
+`fit`, the one pipeline from annotated instances to a trained model.
 
 Every instance contributes a (sentence, frame-definition) pair. With FE
 augmentation on, each gold argument additionally contributes a (sentence,
@@ -13,14 +14,21 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import AnnotatedInstance, FrameStore
-from .encoder import Checkpoint, ParameterGradients, ParameterSet, save_checkpoint
-from .encoding import EncodedPair, SlotLabel, Vocabulary, assemble, gold_labels
+from .encoder import (
+    Checkpoint,
+    EncoderConfig,
+    ParameterGradients,
+    ParameterSet,
+    init_parameters,
+    save_checkpoint,
+)
+from .encoding import EncodedPair, SlotLabel, Vocabulary, assemble, build_vocabulary, gold_labels
 from .pointer import batch_loss_and_gradients
 from .templates import (
     DEFAULT_MARKERS,
@@ -298,12 +306,35 @@ def train(
     return model, report
 
 
+def fit(
+    instances: list[AnnotatedInstance],
+    store: FrameStore,
+    encoder_config: EncoderConfig,
+    train_config: TrainConfig,
+    *,
+    dev: list[AnnotatedInstance] | None = None,
+) -> tuple[Checkpoint, Vocabulary, TrainingReport]:
+    """Train a fresh model on `instances`: the one pipeline every entry point runs.
+
+    Builds the vocabulary from `instances` and the ontology, sizes the
+    embedding to it (the `vocab_size` of `encoder_config` is ignored),
+    initialises parameters from the encoder seed, builds the training
+    stream and runs `train`.
+    """
+    vocab = build_vocabulary(instances, store)
+    encoder_config = replace(encoder_config, vocab_size=len(vocab))
+    model = Checkpoint(encoder_config, init_parameters(encoder_config))
+    stream = build_training_stream(instances, store, vocab, train_config)
+    logger.info("training on %d pairs (%d instances)", len(stream), len(instances))
+    model, report = train(stream, model, train_config, store=store, vocab=vocab, dev=dev)
+    return model, vocab, report
+
+
 def _dev_f1(model, store, vocab, dev, config) -> float:
     from .decoding import predict_all
     from .evaluation import evaluate
 
     predictions = predict_all(
-        dev, store, model, vocab,
-        mode=config.template_mode, markers=config.marker_options, max_len=config.max_len,
+        dev, store, model, vocab, mode=config.template_mode, markers=config.marker_options
     )
     return evaluate(predictions, dev).f1

@@ -234,6 +234,37 @@ def test_predict_rejects_bad_checkpoint(capsys, trained, tmp_path, monkeypatch, 
     assert "'layer0.ffn.w1'" in err
 
 
+def test_predict_rejects_fe_def_mode(capsys, trained, tmp_path, monkeypatch):
+    workdir, ckpt = trained
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "pred.jsonl"
+    code, _, err = run(capsys, "predict", "--checkpoint", str(ckpt), "--mode", "fe-def",
+                       "--out", str(out))
+    assert code == 1
+    assert "fe-def" in err
+    assert not out.exists()
+
+
+def test_experiment_equals_train_predict_eval(capsys, trained, tmp_path, monkeypatch):
+    # same flags and seed as the `trained` fixture, no frame held out
+    workdir, ckpt = trained
+    monkeypatch.chdir(tmp_path)
+    pred = tmp_path / "pred.jsonl"
+    assert run(capsys, "predict", "--checkpoint", str(ckpt), "--out", str(pred))[0] == 0
+    code, stdout, _ = run(capsys, "eval", "--pred", str(pred))
+    assert code == 0
+    metrics = json.loads(stdout)
+    out = tmp_path / "exp.json"
+    code, _, _ = run(
+        capsys, "experiment", "--holdout", "", "--k", "full",
+        "--epochs", "2", "--batch-size", "8", "--lr", "1e-3", "--seed", "7",
+        "--d-model", "8", "--layers", "1", "--heads", "2", "--out", str(out),
+    )
+    assert code == 0
+    assert metrics["tp"] > 0
+    assert json.loads(out.read_text())["overall"] == metrics
+
+
 def test_train_report_has_gradient_norms(trained):
     workdir, _ = trained
     report = json.loads((workdir / "model.json.report.json").read_text())
@@ -297,3 +328,12 @@ def test_experiment_k_full(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert json.loads(out.read_text())["k"] is None
+
+
+@pytest.mark.parametrize("k", ["abc", "-1", "1.5", ""])
+def test_experiment_rejects_bad_k(capsys, tmp_path, monkeypatch, k):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "experiment", "--k", k, "--epochs", "1")
+    assert code == 1
+    assert "--k must be an integer >= 0 or 'full'" in err
+    assert repr(k) in err

@@ -1,15 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aged.corpus import (
     AnnotatedInstance,
     Argument,
     CorpusError,
-    FilterMode,
-    filter_by_frames,
     load_instances,
     load_ontology,
     sample_k_shot,
@@ -171,30 +169,15 @@ def make_instances(frames_counts):
     return out
 
 
-def test_filter_examples():
-    insts = make_instances({"Getting": 2, "Attack": 3})
-    assert len(filter_by_frames(insts, {"Getting"}, FilterMode.DROP)) == 3
-    assert filter_by_frames(insts, set(), FilterMode.KEEP) == []
-    assert filter_by_frames(insts, set(), FilterMode.DROP) == insts
-
-
 @given(
     frames=st.lists(st.sampled_from(["A", "B", "C", "D"]), min_size=0, max_size=30),
     chosen=st.sets(st.sampled_from(["A", "B", "C", "D"])),
 )
-def test_keep_drop_partition(frames, chosen):
+@example(frames=["Getting"] * 5 + ["Attack"] * 3, chosen={"Getting"})
+@example(frames=["Getting"] * 2 + ["Attack"] * 3, chosen=set())
+def test_sample_k_shot_zero_equals_drop(frames, chosen):
     insts = [AnnotatedInstance((f"w{i}",), 1, f, ()) for i, f in enumerate(frames)]
-    kept = filter_by_frames(insts, chosen, FilterMode.KEEP)
-    dropped = filter_by_frames(insts, chosen, FilterMode.DROP)
-    assert sorted(kept + dropped, key=insts.index) == insts
-    assert not set(map(id, kept)) & set(map(id, dropped))
-
-
-def test_sample_k_shot_zero_equals_drop():
-    insts = make_instances({"Getting": 5, "Attack": 3})
-    assert sample_k_shot(insts, {"Getting"}, 0, seed=1) == filter_by_frames(
-        insts, {"Getting"}, FilterMode.DROP
-    )
+    assert sample_k_shot(insts, chosen, 0, seed=1) == [i for i in insts if i.frame not in chosen]
 
 
 def test_sample_k_shot_saturation():

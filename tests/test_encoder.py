@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from aged.encoder import (
     Checkpoint,
     EncoderConfig,
-    backward,
     backward_from_cache,
     forward,
     forward_batch,
@@ -36,6 +35,12 @@ def make_pair(ids, n_text):
         segment=tuple(0 if i <= n_text + 1 else 1 for i in range(length)),
         n=n_text,
     )
+
+
+def backward(params, config, pair, upstream):
+    """Encode one pair and backpropagate `upstream` (d loss / d reps) through it."""
+    _, cache = forward_cached(params, config, pair)
+    return backward_from_cache(params, config, cache, upstream)
 
 
 @pytest.fixture
@@ -123,8 +128,16 @@ def test_backward_is_linear_in_upstream(vocab, pair):
 def test_backward_shape_mismatch_rejected(vocab, pair):
     config = tiny_config(vocab_size=len(vocab), max_len=128)
     params = init_parameters(config)
+    length, d = len(pair.ids), config.d_model
+    _, cache = forward_cached(params, config, pair)
+    # a transposed upstream has the right size but not the right shape
+    for shape in ((3, 3), (d, length), (length * d,), (2, length, d)):
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*\(1, {length}, {d}\)"):
+            backward_from_cache(params, config, cache, np.zeros(shape))
+    short = make_pair([CLS_ID, 11, 12, 3], n_text=2)
+    _, batch_cache = forward_batch(params, config, [short, pair])
     with pytest.raises(ValueError, match="shape"):
-        backward(params, config, pair, np.zeros((3, 3)))
+        backward_from_cache(params, config, batch_cache, np.zeros((2 * length, d)))
 
 
 def test_encoder_gradients_match_finite_differences(vocab, pair):

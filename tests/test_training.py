@@ -3,6 +3,7 @@ import pytest
 
 from aged.corpus import AnnotatedInstance, Argument
 from aged.encoder import Checkpoint, EncoderConfig, init_parameters, load_checkpoint
+from aged.encoding import build_vocabulary
 from aged.evaluation import evaluate
 from aged.decoding import predict_all
 from aged.pointer import batch_loss_and_gradients
@@ -15,6 +16,7 @@ from aged.training import (
     TrainConfig,
     build_training_stream,
     clip_gradients,
+    fit,
     train,
 )
 
@@ -264,3 +266,29 @@ def test_report_records_gradient_norms_per_epoch(store, vocab, train_instances, 
     _, unclipped = train(stream, small_model(vocab), TrainConfig(
         epochs=1, batch_size=4, learning_rate=1e-3, seed=0, grad_clip=0.0))
     assert unclipped.clipped_steps == [0]
+
+
+@pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
+def test_fit_equals_hand_built_pipeline_bitwise(store, train_instances, test_instances, mode):
+    instances, dev = train_instances[:6], test_instances[:2]
+    config = TrainConfig(epochs=2, batch_size=4, seed=3, template_mode=mode, eval_every=1)
+    shape = dict(d_model=8, n_layers=1, n_heads=2, max_len=256, seed=2)
+    model, vocab, report = fit(instances, store, EncoderConfig(vocab_size=1, **shape), config,
+                               dev=dev)
+
+    expected_vocab = build_vocabulary(instances, store)
+    sized = EncoderConfig(vocab_size=len(expected_vocab), **shape)
+    stream = build_training_stream(instances, store, expected_vocab, config)
+    expected, expected_report = train(
+        stream, Checkpoint(sized, init_parameters(sized)), config,
+        store=store, vocab=expected_vocab, dev=dev,
+    )
+    assert vocab.tokens == expected_vocab.tokens
+    assert model.config == sized
+    assert report.stream_size == len(stream)
+    assert report.epoch_losses == expected_report.epoch_losses
+    assert len(report.dev_f1_history) == 2
+    assert report.dev_f1_history == expected_report.dev_f1_history
+    assert model.params.keys() == expected.params.keys()
+    for name, tensor in expected.params.items():
+        assert model.params[name].tobytes() == tensor.tobytes(), name
