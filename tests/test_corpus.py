@@ -169,12 +169,30 @@ def make_instances(frames_counts):
     return out
 
 
+def test_filter_examples():
+    insts = make_instances({"Getting": 2, "Attack": 3})
+    assert len(sample_k_shot(insts, {"Getting"}, 0, seed=1)) == 3
+    assert sample_k_shot(insts, set(), 0, seed=1) == insts
+    assert sample_k_shot(insts, {"Getting", "Attack"}, 0, seed=1) == []
+
+
+@given(
+    frames=st.lists(st.sampled_from(["A", "B", "C", "D"]), min_size=0, max_size=30),
+    chosen=st.sets(st.sampled_from(["A", "B", "C", "D"])),
+)
+def test_keep_drop_partition(frames, chosen):
+    insts = [AnnotatedInstance((f"w{i}",), 1, f, ()) for i, f in enumerate(frames)]
+    kept = [i for i in sample_k_shot(insts, chosen, len(insts), seed=1) if i.frame in chosen]
+    dropped = sample_k_shot(insts, chosen, 0, seed=1)
+    assert sorted(kept + dropped, key=insts.index) == insts
+    assert not set(map(id, kept)) & set(map(id, dropped))
+
+
 @given(
     frames=st.lists(st.sampled_from(["A", "B", "C", "D"]), min_size=0, max_size=30),
     chosen=st.sets(st.sampled_from(["A", "B", "C", "D"])),
 )
 @example(frames=["Getting"] * 5 + ["Attack"] * 3, chosen={"Getting"})
-@example(frames=["Getting"] * 2 + ["Attack"] * 3, chosen=set())
 def test_sample_k_shot_zero_equals_drop(frames, chosen):
     insts = [AnnotatedInstance((f"w{i}",), 1, f, ()) for i, f in enumerate(frames)]
     assert sample_k_shot(insts, chosen, 0, seed=1) == [i for i in insts if i.frame not in chosen]
