@@ -277,11 +277,11 @@ def cmd_ingest(cfg: dict, force: bool) -> int:
 
 
 def cmd_template(cfg: dict, force: bool) -> int:
-    write_manifest("template", cfg, [cfg["frames"]], None)
-    store = load_ontology(cfg["frames"])
     mode = TemplateMode(cfg["mode"])
     if mode is not TemplateMode.FRAME_DEF and not cfg["fe"]:
         raise UsageError(f"--fe is required for mode '{mode.value}'")
+    write_manifest("template", cfg, [cfg["frames"]], None)
+    store = load_ontology(cfg["frames"])
     template = build_template(store.frame(cfg["frame"]), mode, cfg["fe"] or None, _markers(cfg))
     print(render_surface(template))
     return EXIT_OK
@@ -293,17 +293,17 @@ def cmd_train(cfg: dict, force: bool) -> int:
     report_path = checkpoint_path + ".report.json"
     for path in (checkpoint_path, vocab_path, report_path):
         _check_output(path, force)
+    encoder_config, train_config = _encoder_config(cfg), _train_config(cfg, checkpoint_path)
     inputs = [cfg["frames"], cfg["train"]] + ([cfg["dev"]] if cfg["dev"] else [])
     write_manifest("train", cfg, inputs, checkpoint_path)
 
     store = load_ontology(cfg["frames"])
     train_instances = load_instances(cfg["train"], store)
     dev_instances = load_instances(cfg["dev"], store) if cfg["dev"] else None
-    train_config = _train_config(cfg, checkpoint_path)
     if dev_instances is not None and train_config.eval_every == 0:
         train_config.eval_every = 1
     _, vocab, report = fit(
-        train_instances, store, _encoder_config(cfg), train_config, dev=dev_instances
+        train_instances, store, encoder_config, train_config, dev=dev_instances
     )
     vocab.save(vocab_path)
     report.save(report_path)
@@ -329,6 +329,11 @@ def cmd_predict(cfg: dict, force: bool) -> int:
     instances = load_instances(cfg["instances"], store)
     model = load_checkpoint(cfg["checkpoint"])
     vocab = Vocabulary.load(vocab_path)
+    if len(vocab) != model.config.vocab_size:
+        raise UsageError(
+            f"vocabulary '{vocab_path}' has {len(vocab)} tokens but checkpoint "
+            f"'{cfg['checkpoint']}' was trained with vocab_size {model.config.vocab_size}"
+        )
     predictions = predict_all(
         instances, store, model, vocab,
         mode=TemplateMode(cfg["mode"]), markers=_markers(cfg),
@@ -421,10 +426,6 @@ def cmd_eval(cfg: dict, force: bool) -> int:
 def cmd_experiment(cfg: dict, force: bool) -> int:
     out_path = cfg["out"]
     _check_output(out_path, force)
-    write_manifest("experiment", cfg, [cfg["frames"], cfg["train"], cfg["test"]], out_path)
-    store = load_ontology(cfg["frames"])
-    train_instances = load_instances(cfg["train"], store)
-    test_instances = load_instances(cfg["test"], store)
     k_raw = str(cfg["k"]).strip().lower()
     if k_raw == "full":
         k = None
@@ -432,10 +433,15 @@ def cmd_experiment(cfg: dict, force: bool) -> int:
         k = int(k_raw)
     else:
         raise UsageError(f"--k must be an integer >= 0 or 'full', got {cfg['k']!r}")
+    encoder_config, train_config = _encoder_config(cfg), _train_config(cfg, None)
+    write_manifest("experiment", cfg, [cfg["frames"], cfg["train"], cfg["test"]], out_path)
+    store = load_ontology(cfg["frames"])
+    train_instances = load_instances(cfg["train"], store)
+    test_instances = load_instances(cfg["test"], store)
     frames = {name.strip() for name in str(cfg["holdout"]).split(",") if name.strip()}
     report = run_holdout_experiment(
         train_instances, test_instances, store, frames, k,
-        _encoder_config(cfg), _train_config(cfg, None),
+        encoder_config, train_config,
     )
     report.save(out_path)
     print(json.dumps({

@@ -57,11 +57,6 @@ class MarkedText:
 
     segments: tuple[Segment, ...]
 
-    def surface(self) -> str:
-        return "".join(
-            s.text if isinstance(s, TextSegment) else s.surface for s in self.segments
-        )
-
     def mentioned_fes(self) -> tuple[str, ...]:
         """Distinct mentioned FE names, in first-mention order."""
         seen: list[str] = []
@@ -89,12 +84,6 @@ class MarkedText:
             else:
                 raise CorpusError(f"segment keys must be {{text}} or {{fe, surface}}, got {sorted(seg)}")
         return MarkedText(tuple(segments))
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"text": s.text} if isinstance(s, TextSegment) else {"fe": s.fe, "surface": s.surface}
-            for s in self.segments
-        ]
 
 
 class CoreType(str, Enum):
@@ -140,13 +129,6 @@ class FrameStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._frames
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FrameStore) and self._frames == other._frames
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._frames)
 
     def frame(self, name: str) -> Frame:
         if name not in self._frames:
@@ -236,21 +218,6 @@ def load_ontology(path: str | Path) -> FrameStore:
     return store
 
 
-def save_ontology(store: FrameStore, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for frame in store:
-            rec = {
-                "name": frame.name,
-                "definition": frame.definition.to_json(),
-                "fe_order": list(frame.fe_order),
-                "fes": {
-                    fe.name: {"core_type": fe.core_type.value, "definition": fe.definition.to_json()}
-                    for fe in frame.fes.values()
-                },
-            }
-            f.write(json.dumps(rec) + "\n")
-
-
 def _parse_instance(rec: object, store: FrameStore) -> tuple[AnnotatedInstance, int]:
     """Returns the instance plus the number of collapsed duplicate-FE spans."""
     if not isinstance(rec, dict):
@@ -308,18 +275,6 @@ def load_instances(path: str | Path, store: FrameStore) -> list[AnnotatedInstanc
     if collapsed:
         logger.warning("kept leftmost span for %d duplicate FE annotation(s) in %s", collapsed, path)
     return instances
-
-
-def save_instances(instances: Iterable[AnnotatedInstance], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for inst in instances:
-            rec = {
-                "tokens": list(inst.tokens),
-                "target": inst.target,
-                "frame": inst.frame,
-                "arguments": [{"fe": a.fe, "start": a.start, "end": a.end} for a in inst.arguments],
-            }
-            f.write(json.dumps(rec) + "\n")
 
 
 def sample_k_shot(

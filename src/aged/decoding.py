@@ -14,16 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import AnnotatedInstance, FrameStore
-from .encoder import Checkpoint, ContextualEncoding, forward_batch
+from .encoder import Checkpoint, forward_batch
 from .encoding import Vocabulary, assemble
-from .pointer import PointerDistribution, make_queries, pointer_distributions
-from .templates import (
-    DEFAULT_MARKERS,
-    MarkerOptions,
-    TemplateMode,
-    build_frame_template,
-    build_question_template,
-)
+from .pointer import PointerDistribution, score_batch
+from .templates import DEFAULT_MARKERS, MarkerOptions, TemplateMode, query_templates
 
 
 @dataclass(frozen=True)
@@ -55,6 +49,7 @@ def decode_slot(start_probs: np.ndarray, end_probs: np.ndarray) -> tuple[tuple[i
 
 
 def decode(distributions: list[PointerDistribution]) -> list[SpanPrediction]:
+    """`decode_slot` of each slot, in order; the per-layer benchmark tracer times it by name."""
     out = []
     for dist in distributions:
         span, score = decode_slot(dist.start_probs, dist.end_probs)
@@ -73,29 +68,20 @@ def predict_instance(
 ) -> list[SpanPrediction]:
     """One prediction per FE of the instance's frame.
 
-    Frame-definition mode extracts every argument from a single pair;
-    question mode runs one single-slot pair per FE, all in one padded
-    encoder batch. FE-definition templates query one FE each and are only
-    an augmentation of training, so `mode` fe-def raises ValueError.
+    The instance is paired with `query_templates` of its frame: one
+    frame-definition template that extracts every argument, or in question
+    mode one single-slot question per FE. The pairs run as one padded
+    `forward_batch`, and one `score_batch` call scores all of their slots
+    before each slot is decoded. `mode` fe-def raises ValueError.
     """
-    if mode is TemplateMode.FE_DEF:
-        raise ValueError("fe-def is an augmentation mode, not a prediction mode")
     frame = store.frame(instance.frame)
-    if mode is TemplateMode.QUESTION:
-        templates = [build_question_template(frame, fe, markers) for fe in frame.fe_order]
-    else:
-        templates = [build_frame_template(frame, markers)]
     pairs = [
         assemble(instance, template, vocab, markers, model.config.max_len)
-        for template in templates
+        for template in query_templates(frame, mode, markers)
     ]
     reps, _ = forward_batch(model.params, model.config, pairs)
-    predictions: list[SpanPrediction] = []
-    for pair, pair_reps in zip(pairs, reps):
-        encoding = ContextualEncoding(pair_reps[: len(pair.ids)])
-        queries = make_queries(encoding, pair)
-        predictions.extend(decode(pointer_distributions(model.params, encoding, pair, queries)))
-    return predictions
+    distributions, _ = score_batch(model.params, reps, pairs)
+    return [prediction for dists in distributions for prediction in decode(dists)]
 
 
 def predict_all(

@@ -249,13 +249,16 @@ def forward_cached(
     pair: EncodedPair,
     rng: np.random.Generator | None = None,
 ) -> tuple[ContextualEncoding, dict]:
-    """`forward_batch` of the single pair; reps have shape (len, d_model)."""
+    """`forward_batch` of the single pair; reps have shape (len, d_model).
+
+    Kept for the tests and the per-layer benchmark tracer.
+    """
     reps, cache = forward_batch(params, config, [pair], rng)
     return ContextualEncoding(reps[0]), cache
 
 
 def forward(params: ParameterSet, config: EncoderConfig, pair: EncodedPair) -> ContextualEncoding:
-    """Contextual representations for every assembled position."""
+    """Contextual representations for every assembled position; the per-pair reference."""
     encoding, _ = forward_cached(params, config, pair)
     return encoding
 

@@ -73,10 +73,12 @@ class Vocabulary:
         return tuple(self.id_of(t) for t in tokens)
 
     def save(self, path: str | Path) -> None:
+        """Write the `.vocab.json` sidecar that `aged predict` reads: tokens in id order."""
         Path(path).write_text(json.dumps(self.tokens), encoding="utf-8")
 
     @staticmethod
     def load(path: str | Path) -> "Vocabulary":
+        """Read a sidecar written by `save`."""
         return Vocabulary(json.loads(Path(path).read_text(encoding="utf-8")))
 
 

@@ -6,6 +6,10 @@ the [CLS] row plus the n sentence rows, giving softmax distributions over
 the n+1 candidate start and end positions. Position 0 means "no argument".
 Cross-entropy on gold starts and ends, equally weighted, is the training
 loss.
+
+`score_batch` scores every slot of a padded batch at once; training and
+prediction both call it. `make_queries`, `pointer_distributions` and
+`slot_loss` are its per-pair reference in the tests.
 """
 
 from __future__ import annotations
@@ -52,13 +56,11 @@ class LossBreakdown:
         return LossBreakdown(loss_start, loss_end, 0.5 * loss_start + 0.5 * loss_end)
 
 
-def candidate_rows(encoding: ContextualEncoding, pair: EncodedPair) -> np.ndarray:
-    """The (n+1, d) matrix of [CLS] plus sentence-token representations."""
-    return encoding.reps[np.asarray(pair.candidate_positions())]
-
-
 def make_queries(encoding: ContextualEncoding, pair: EncodedPair) -> list[QueryVector]:
-    """Maxpool each slot's contextual rows (mention tokens only, no markers)."""
+    """Maxpool each slot's contextual rows (mention tokens only, no markers).
+
+    Per-slot reference for `score_batch`, kept for the tests and the tracer.
+    """
     queries = []
     for fe, (start, end) in zip(pair.slot_fes, pair.slot_pos):
         q = encoding.reps[start : end + 1].max(axis=0)
@@ -72,8 +74,11 @@ def pointer_distributions(
     pair: EncodedPair,
     queries: list[QueryVector],
 ) -> list[PointerDistribution]:
-    """Score every candidate position for every query, softmax-normalized."""
-    rows = candidate_rows(encoding, pair)
+    """Score every candidate position for every query, softmax-normalized.
+
+    Per-slot reference for `score_batch`, kept for the tests and the tracer.
+    """
+    rows = encoding.reps[np.asarray(pair.candidate_positions())]  # [CLS] + sentence
     w_start, w_end = params["pointer.w_start"], params["pointer.w_end"]
     out = []
     for query in queries:
@@ -84,7 +89,10 @@ def pointer_distributions(
 
 
 def slot_loss(distributions: list[PointerDistribution], labels: list[SlotLabel]) -> LossBreakdown:
-    """Cross entropy summed over slots: 0.5 * sum(-log p_start) + 0.5 * sum(-log p_end)."""
+    """Cross entropy summed over slots: 0.5 * sum(-log p_start) + 0.5 * sum(-log p_end).
+
+    Per-pair reference for the loss of `batch_loss_and_gradients`.
+    """
     if len(distributions) != len(labels):
         raise ValueError(f"{len(distributions)} distributions vs {len(labels)} labels")
     loss_start = 0.0
@@ -98,6 +106,58 @@ def slot_loss(distributions: list[PointerDistribution], labels: list[SlotLabel])
     return LossBreakdown.combine(loss_start, loss_end)
 
 
+def score_batch(
+    params: ParameterSet,
+    reps: np.ndarray,
+    pairs: list[EncodedPair],
+) -> tuple[list[list[PointerDistribution]], dict]:
+    """Pointer distributions for every slot of every pair of a padded batch.
+
+    `reps` is the (B, L, d) output of `forward_batch` on `pairs`. Slots are
+    padded to the batch's most slots (M) and candidates to its most (C).
+    Returns each pair's distributions over its own n+1 candidates, and the
+    cache for the backward pass, whose "probs" holds the padded (B, M, C)
+    start and end probabilities; padded candidates get probability 0.
+    """
+    batch = len(pairs)
+    n_cands = [len(pair.sentence_pos) + 1 for pair in pairs]
+    n_slots = [len(pair.slot_pos) for pair in pairs]
+    n_cand, n_slot = max(n_cands), max(n_slots)
+    cand = np.zeros((batch, n_cand), dtype=np.intp)
+    span_lo = np.zeros((batch, n_slot), dtype=np.intp)
+    span_hi = np.zeros((batch, n_slot), dtype=np.intp)
+    for b, pair in enumerate(pairs):
+        cand[b, : n_cands[b]] = pair.candidate_positions()
+        if n_slots[b]:
+            span_lo[b, : n_slots[b]], span_hi[b, : n_slots[b]] = zip(*pair.slot_pos)
+    cand_ok = np.arange(n_cand) < np.array(n_cands)[:, None]
+    batch_idx = np.arange(batch)[:, None]
+
+    rows = reps[batch_idx, cand]  # (B, C, d); padded candidates repeat [CLS]
+    # maxpool over each slot span, padded to the widest span by repeating
+    # its last row
+    width = int((span_hi - span_lo).max(initial=0)) + 1
+    span_rows = np.minimum(span_lo[..., None] + np.arange(width), span_hi[..., None])
+    pooled = reps[batch_idx[..., None], span_rows]  # (B, M, W, d)
+    queries = pooled.max(axis=2)
+
+    cand_bias = np.where(cand_ok, 0.0, -np.inf).astype(reps.dtype)[:, None, :]
+    z, probs = [], []
+    for name in ("pointer.w_start", "pointer.w_end"):
+        z.append(queries @ params[name].T)  # (B, M, d): w @ q for every slot
+        probs.append(_softmax(z[-1] @ rows.transpose(0, 2, 1) + cand_bias))  # (B, M, C)
+    distributions = [
+        [
+            PointerDistribution(fe, probs[0][b, m, : n_cands[b]], probs[1][b, m, : n_cands[b]])
+            for m, fe in enumerate(pair.slot_fes)
+        ]
+        for b, pair in enumerate(pairs)
+    ]
+    cache = {"cand": cand, "n_cands": n_cands, "n_slots": n_slots, "rows": rows,
+             "span_lo": span_lo, "pooled": pooled, "queries": queries, "z": z, "probs": probs}
+    return distributions, cache
+
+
 def batch_loss_and_gradients(
     params: ParameterSet,
     config: EncoderConfig,
@@ -105,61 +165,44 @@ def batch_loss_and_gradients(
     labels: list[list[SlotLabel]],
     rng: np.random.Generator | None = None,
 ) -> tuple[list[LossBreakdown], list[list[PointerDistribution]], ParameterGradients]:
-    """Forward and backward for a mini-batch in one padded encoder pass.
+    """Forward and backward for a mini-batch: `forward_batch`, `score_batch`, backward.
 
     Returns each pair's loss and pointer distributions, and exact gradients
     of the summed loss for every parameter (encoder, embeddings, and both
-    pointer matrices). Slots are padded to the batch's most slots (M) and
-    candidates to its most candidates (C); padded candidates get zero
-    probability and padded slots zero loss.
+    pointer matrices). Padded slots get zero loss.
     """
     if len(pairs) != len(labels):
         raise ValueError(f"{len(pairs)} pairs vs {len(labels)} label lists")
     reps, cache = forward_batch(params, config, pairs, rng)
+    distributions, scores = score_batch(params, reps, pairs)
     batch, _, d = reps.shape
-    n_cands = [len(pair.sentence_pos) + 1 for pair in pairs]
-    n_slots = [len(pair.slot_pos) for pair in pairs]
-    n_cand, n_slot = max(n_cands), max(n_slots)
-    cand = np.zeros((batch, n_cand), dtype=np.intp)
-    span_lo = np.zeros((batch, n_slot), dtype=np.intp)
-    span_hi = np.zeros((batch, n_slot), dtype=np.intp)
+    n_cands, n_slots = scores["n_cands"], scores["n_slots"]
+    rows, queries, cand = scores["rows"], scores["queries"], scores["cand"]
+    n_cand, n_slot = rows.shape[1], queries.shape[1]
     gold = np.zeros((2, batch, n_slot), dtype=np.intp)
-    for b, (pair, pair_labels) in enumerate(zip(pairs, labels)):
+    for b, pair_labels in enumerate(labels):
         if len(pair_labels) != n_slots[b]:
             raise ValueError(f"{n_slots[b]} distributions vs {len(pair_labels)} labels")
         for s, e in pair_labels:
             if not (0 <= s < n_cands[b] and 0 <= e < n_cands[b]):
                 raise ValueError(f"label ({s}, {e}) outside 0..{n_cands[b] - 1}")
-        cand[b, : n_cands[b]] = pair.candidate_positions()
         if n_slots[b]:
-            span_lo[b, : n_slots[b]], span_hi[b, : n_slots[b]] = zip(*pair.slot_pos)
             gold[:, b, : n_slots[b]] = np.array(pair_labels).T
-    cand_ok = np.arange(n_cand) < np.array(n_cands)[:, None]
     slot_ok = np.arange(n_slot) < np.array(n_slots)[:, None]
     batch_idx = np.arange(batch)[:, None]
+    # the maxpool subgradient flows to the first row attaining the maximum
+    winners = scores["span_lo"][..., None] + scores["pooled"].argmax(axis=2)  # (B, M, d)
 
-    rows = reps[batch_idx, cand]  # (B, C, d); padded candidates repeat [CLS]
-    # maxpool over each slot span, padded to the widest span by repeating
-    # its last row; argmax keeps the first row attaining the maximum, which
-    # is where the subgradient flows
-    width = int((span_hi - span_lo).max(initial=0)) + 1
-    span_rows = np.minimum(span_lo[..., None] + np.arange(width), span_hi[..., None])
-    pooled = reps[batch_idx[..., None], span_rows]  # (B, M, W, d)
-    queries = pooled.max(axis=2)
-    winners = span_lo[..., None] + pooled.argmax(axis=2)  # (B, M, d) positions
-
-    cand_bias = np.where(cand_ok, 0.0, -np.inf).astype(reps.dtype)[:, None, :]
     d_rows = np.zeros_like(rows)
     d_queries = np.zeros_like(queries)
     dw = {}
-    probs, nll = [], []
-    for name, head_gold in zip(("pointer.w_start", "pointer.w_end"), gold):
+    nll = []
+    for name, head_gold, z, head_probs in zip(
+        ("pointer.w_start", "pointer.w_end"), gold, scores["z"], scores["probs"]
+    ):
         w = params[name]
-        z = queries @ w.T  # (B, M, d): w @ q for every slot
-        head_probs = _softmax(z @ rows.transpose(0, 2, 1) + cand_bias)  # (B, M, C)
         p_gold = np.take_along_axis(head_probs, head_gold[..., None], axis=2)[..., 0]
         nll.append(-np.log(np.where(slot_ok, p_gold, 1.0)).astype(np.float64))
-        probs.append(head_probs)
         # loss contribution 0.5 * -log softmax(rows @ (w @ q))[gold]
         dlogits = 0.5 * (head_probs - (np.arange(n_cand) == head_gold[..., None]))
         dlogits *= slot_ok[..., None]
@@ -178,13 +221,6 @@ def batch_loss_and_gradients(
         LossBreakdown.combine(float(nll[0][b].sum()), float(nll[1][b].sum()))
         for b in range(batch)
     ]
-    distributions = [
-        [
-            PointerDistribution(fe, probs[0][b, m, : n_cands[b]], probs[1][b, m, : n_cands[b]])
-            for m, fe in enumerate(pair.slot_fes)
-        ]
-        for b, pair in enumerate(pairs)
-    ]
     return breakdowns, distributions, grads
 
 
@@ -195,7 +231,7 @@ def loss_and_gradients(
     labels: list[SlotLabel],
     rng: np.random.Generator | None = None,
 ) -> tuple[LossBreakdown, list[PointerDistribution], ParameterGradients]:
-    """`batch_loss_and_gradients` of the single pair."""
+    """`batch_loss_and_gradients` of the single pair, kept for the tests and the tracer."""
     [breakdown], [distributions], grads = batch_loss_and_gradients(
         params, config, [pair], [labels], rng
     )

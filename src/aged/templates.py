@@ -179,5 +179,22 @@ def build_template(
     return build_question_template(frame, fe, opts)
 
 
+def query_templates(
+    frame: Frame, mode: TemplateMode, opts: MarkerOptions = DEFAULT_MARKERS
+) -> list[DefinitionTemplate]:
+    """The templates that query all of a frame's FEs, for training and prediction.
+
+    Frame-def mode gives one template with a slot per FE; question mode one
+    single-slot question per FE in `fe_order`. FE-definition templates query
+    one FE each and serve only to augment training, so fe-def raises
+    ValueError.
+    """
+    if mode is TemplateMode.FRAME_DEF:
+        return [build_frame_template(frame, opts)]
+    if mode is TemplateMode.QUESTION:
+        return [build_question_template(frame, fe, opts) for fe in frame.fe_order]
+    raise ValueError("fe-def is an augmentation mode, not a query mode")
+
+
 def render_surface(template: DefinitionTemplate) -> str:
     return " ".join(template.tokens)

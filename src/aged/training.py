@@ -35,8 +35,7 @@ from .templates import (
     MarkerOptions,
     TemplateMode,
     build_fe_template,
-    build_frame_template,
-    build_question_template,
+    query_templates,
 )
 
 logger = logging.getLogger(__name__)
@@ -91,40 +90,32 @@ def build_training_stream(
     vocab: Vocabulary,
     config: TrainConfig,
 ) -> list[TrainingExample]:
-    """Deterministic stream: instance order, then the frame's FE order."""
+    """Deterministic stream: instance order, then the frame's FE order.
+
+    Each instance is paired with the `query_templates` of its frame, as in
+    prediction; in frame-def mode FE augmentation then adds one FE-definition
+    pair per gold argument.
+    """
     opts = config.marker_options
     stream: list[TrainingExample] = []
     frame_templates = {
-        frame.name: build_frame_template(frame, opts) for frame in store
+        frame.name: query_templates(frame, config.template_mode, opts) for frame in store
     }
+    augment = config.augment_fe_defs and config.template_mode is TemplateMode.FRAME_DEF
     for inst in instances:
         frame = store.frame(inst.frame)
-        if config.template_mode is TemplateMode.QUESTION:
-            for fe in frame.fe_order:
-                tpl = build_question_template(frame, fe, opts)
-                stream.append(TrainingExample(
-                    assemble(inst, tpl, vocab, opts, config.max_len),
-                    gold_labels(inst, tpl),
-                    Provenance(TemplateMode.QUESTION, fe),
-                ))
-            continue
-        tpl = frame_templates[inst.frame]
-        stream.append(TrainingExample(
-            assemble(inst, tpl, vocab, opts, config.max_len),
-            gold_labels(inst, tpl),
-            Provenance(TemplateMode.FRAME_DEF),
-        ))
-        if config.augment_fe_defs:
+        templates = frame_templates[inst.frame]
+        if augment:
             gold_fes = {a.fe for a in inst.arguments}
-            for fe in frame.fe_order:
-                if fe not in gold_fes:
-                    continue
-                fe_tpl = build_fe_template(frame, fe, opts)
-                stream.append(TrainingExample(
-                    assemble(inst, fe_tpl, vocab, opts, config.max_len),
-                    gold_labels(inst, fe_tpl),
-                    Provenance(TemplateMode.FE_DEF, fe),
-                ))
+            templates = templates + [
+                build_fe_template(frame, fe, opts) for fe in frame.fe_order if fe in gold_fes
+            ]
+        for tpl in templates:
+            stream.append(TrainingExample(
+                assemble(inst, tpl, vocab, opts, config.max_len),
+                gold_labels(inst, tpl),
+                Provenance(tpl.mode, tpl.focus_fe),
+            ))
     return stream
 
 

@@ -58,6 +58,7 @@ def test_template_fe_def_requires_fe(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "template", "--mode", "fe-def")
     assert code == 1
     assert "--fe" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
 
 
 def test_template_no_label_markers(capsys, tmp_path, monkeypatch):
@@ -245,6 +246,21 @@ def test_predict_rejects_fe_def_mode(capsys, trained, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_predict_rejects_vocabulary_of_another_size(capsys, trained, tmp_path, monkeypatch):
+    workdir, ckpt = trained
+    monkeypatch.chdir(tmp_path)
+    tokens = json.loads((workdir / "model.json.vocab.json").read_text())
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(tokens[:40]))
+    out = tmp_path / "pred.jsonl"
+    code, _, err = run(capsys, "predict", "--checkpoint", str(ckpt), "--vocab", str(small),
+                       "--out", str(out))
+    assert code == 1
+    assert str(small) in err
+    assert "40" in err and str(len(tokens)) in err
+    assert not out.exists()
+
+
 def test_experiment_equals_train_predict_eval(capsys, trained, tmp_path, monkeypatch):
     # same flags and seed as the `trained` fixture, no frame held out
     workdir, ckpt = trained
@@ -337,3 +353,4 @@ def test_experiment_rejects_bad_k(capsys, tmp_path, monkeypatch, k):
     assert code == 1
     assert "--k must be an integer >= 0 or 'full'" in err
     assert repr(k) in err
+    assert list(tmp_path.glob("*manifest.json")) == []

@@ -11,8 +11,6 @@ from aged.corpus import (
     load_instances,
     load_ontology,
     sample_k_shot,
-    save_instances,
-    save_ontology,
 )
 
 ATTACK_RECORD = {
@@ -149,16 +147,6 @@ def test_duplicate_fe_keeps_leftmost_span_and_warns(tmp_path, attack_store, capl
         [inst] = load_instances(path, attack_store)
     assert inst.arguments == (Argument("Victim", 2, 2),)
     assert "duplicate FE" in caplog.text
-
-
-def test_ontology_round_trip(mini, tmp_path):
-    store, train, _ = mini
-    out = tmp_path / "frames.jsonl"
-    save_ontology(store, out)
-    assert load_ontology(out) == store
-    inst_out = tmp_path / "inst.jsonl"
-    save_instances(train, inst_out)
-    assert load_instances(inst_out, store) == train
 
 
 def make_instances(frames_counts):

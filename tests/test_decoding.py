@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aged.decoding import SpanPrediction, decode, decode_slot, predict_instance
-from aged.encoder import Checkpoint, EncoderConfig, init_parameters
-from aged.pointer import PointerDistribution
+from aged.encoder import Checkpoint, EncoderConfig, forward, init_parameters
+from aged.encoding import assemble
+from aged.pointer import PointerDistribution, make_queries, pointer_distributions
+from aged.templates import TemplateMode, build_frame_template, build_question_template
 
 
 def brute_force_decode(start_probs, end_probs):
@@ -116,6 +118,38 @@ def test_predict_instance_is_structurally_total(store, vocab, test_instances):
             if p.span is not None:
                 s, e = p.span
                 assert 1 <= s <= e <= len(inst.tokens)
+
+
+def reference_predict(inst, store, model, vocab, mode):
+    """Per pair, per slot: forward, make_queries, pointer_distributions, decode."""
+    frame = store.frame(inst.frame)
+    if mode is TemplateMode.QUESTION:
+        templates = [build_question_template(frame, fe) for fe in frame.fe_order]
+    else:
+        templates = [build_frame_template(frame)]
+    predictions = []
+    for template in templates:
+        pair = assemble(inst, template, vocab, max_len=model.config.max_len)
+        encoding = forward(model.params, model.config, pair)
+        queries = make_queries(encoding, pair)
+        predictions.extend(decode(pointer_distributions(model.params, encoding, pair, queries)))
+    return predictions
+
+
+@pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
+def test_predict_instance_matches_per_pair_reference(store, vocab, test_instances, mode):
+    config = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2, seed=3,
+                           dtype="f64")
+    model = Checkpoint(config, init_parameters(config))
+    spans = 0
+    for inst in test_instances:
+        predictions = predict_instance(inst, store, model, vocab, mode=mode)
+        reference = reference_predict(inst, store, model, vocab, mode)
+        assert [(p.fe, p.span) for p in predictions] == [(r.fe, r.span) for r in reference]
+        for p, r in zip(predictions, reference):
+            assert p.score == pytest.approx(r.score, rel=1e-9)
+        spans += sum(p.span is not None for p in predictions)
+    assert spans > 0
 
 
 def test_decode_matches_oracle_on_long_distributions():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aged.encoder import ContextualEncoding, EncoderConfig, init_parameters
+from aged.encoder import ContextualEncoding, EncoderConfig, forward, forward_batch, init_parameters
 from aged.encoding import CLS_ID, EncodedPair, assemble, gold_labels
 from aged.pointer import (
     LossBreakdown,
@@ -15,6 +15,7 @@ from aged.pointer import (
     loss_and_gradients,
     make_queries,
     pointer_distributions,
+    score_batch,
     slot_loss,
 )
 from aged.templates import build_frame_template
@@ -230,6 +231,27 @@ def mixed_batch(store, vocab, train_instances):
         vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, max_len=128, seed=4, dtype="f64"
     )
     return config, init_parameters(config), pairs, labels
+
+
+def test_score_batch_equals_per_pair_reference(store, vocab, train_instances):
+    config, params, pairs, _ = mixed_batch(store, vocab, train_instances)
+    reps, _ = forward_batch(params, config, pairs)
+    distributions, cache = score_batch(params, reps, pairs)
+    assert len(distributions) == len(pairs)
+    for pair, dists in zip(pairs, distributions):
+        encoding = forward(params, config, pair)
+        reference = pointer_distributions(params, encoding, pair, make_queries(encoding, pair))
+        assert [d.fe for d in dists] == [r.fe for r in reference]
+        for d, r in zip(dists, reference):
+            assert len(d.start_probs) == len(r.start_probs) == len(pair.sentence_pos) + 1
+            np.testing.assert_allclose(d.start_probs, r.start_probs, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(d.end_probs, r.end_probs, rtol=1e-9, atol=0)
+    n_cands = np.array([len(pair.sentence_pos) + 1 for pair in pairs])
+    padded = np.arange(n_cands.max()) >= n_cands[:, None]  # (B, C)
+    assert padded.any()
+    for head_probs in cache["probs"]:
+        assert head_probs.shape[::2] == padded.shape
+        assert (head_probs * padded[:, None, :] == 0).all()
 
 
 def test_batched_loss_and_gradients_equal_sum_of_single_pairs(store, vocab, train_instances):

@@ -5,7 +5,9 @@ import pytest
 
 from aged.corpus import mini_framenet_path
 
-GENERATOR = Path(__file__).resolve().parents[1] / "scripts" / "make_mini_framenet.py"
+ROOT = Path(__file__).resolve().parents[1]
+GENERATOR = ROOT / "scripts" / "make_mini_framenet.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -22,3 +24,19 @@ def generator():
 def test_generator_reproduces_bundled_corpus(generator, name, records):
     expected = mini_framenet_path(name).read_bytes()
     assert generator.to_jsonl(getattr(generator, records)).encode("utf-8") == expected
+
+
+def test_benchmark_tracer_finds_every_function_it_needs():
+    # the per-layer metrics look functions up by name; a renamed or deleted
+    # function makes a metric absent and fails the benchmark's self-test
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        metrics, absent = tracing.layer_metrics(tracer, 1)
+    finally:
+        tracer.uninstall()
+    assert absent == []
+    assert len(metrics) == len(tracing.LAYER_METRICS)
