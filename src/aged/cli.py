@@ -4,14 +4,16 @@ Configuration resolution is flags > config file > built-in defaults; the
 config file is flat ``key = value`` text whose keys mirror flag names with
 dashes replaced by underscores. Every run writes a RunManifest JSON (command,
 resolved configuration, input digests, seed, version, timestamp) beside its
-primary output before any long-running work starts. Existing outputs are
-never overwritten unless --force is given. AGED_LOG in {error, info, debug}
-controls stderr log verbosity.
+primary output before any long-running work starts. `predict` checks its
+mode, checkpoint and vocabulary first, so a run rejected for those leaves no
+manifest. Existing outputs are never overwritten unless --force is given.
+AGED_LOG in {error, info, debug} controls stderr log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import datetime
 import functools
 import hashlib
@@ -321,12 +323,10 @@ def cmd_train(cfg: dict, force: bool) -> int:
 def cmd_predict(cfg: dict, force: bool) -> int:
     out_path = cfg["out"]
     _check_output(out_path, force)
+    mode = TemplateMode(cfg["mode"])
+    if mode is TemplateMode.FE_DEF:
+        raise UsageError("fe-def is an augmentation mode, not a query mode")
     vocab_path = cfg["vocab"] or cfg["checkpoint"] + ".vocab.json"
-    write_manifest(
-        "predict", cfg, [cfg["frames"], cfg["instances"], cfg["checkpoint"], vocab_path], out_path
-    )
-    store = load_ontology(cfg["frames"])
-    instances = load_instances(cfg["instances"], store)
     model = load_checkpoint(cfg["checkpoint"])
     vocab = Vocabulary.load(vocab_path)
     if len(vocab) != model.config.vocab_size:
@@ -334,10 +334,12 @@ def cmd_predict(cfg: dict, force: bool) -> int:
             f"vocabulary '{vocab_path}' has {len(vocab)} tokens but checkpoint "
             f"'{cfg['checkpoint']}' was trained with vocab_size {model.config.vocab_size}"
         )
-    predictions = predict_all(
-        instances, store, model, vocab,
-        mode=TemplateMode(cfg["mode"]), markers=_markers(cfg),
+    write_manifest(
+        "predict", cfg, [cfg["frames"], cfg["instances"], cfg["checkpoint"], vocab_path], out_path
     )
+    store = load_ontology(cfg["frames"])
+    instances = load_instances(cfg["instances"], store)
+    predictions = predict_all(instances, store, model, vocab, mode=mode, markers=_markers(cfg))
     with open(out_path, "w", encoding="utf-8") as f:
         for inst, preds in zip(instances, predictions):
             rec = {
@@ -471,7 +473,32 @@ def _setup_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+# glibc's mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process instead of returning it to the OS.
+
+    By default glibc trims the freed top of the heap after each training
+    batch's large temporaries and serves blocks over 128 KiB with fresh
+    mmaps, so every batch faults the same pages back in. Raising both
+    thresholds keeps those pages mapped; the results are unchanged. Outside
+    glibc there is no `mallopt` and this does nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+
+
 def dispatch(argv: list[str]) -> int:
+    _keep_freed_heap()
     _setup_logging()
     parser = build_parser()
     try:

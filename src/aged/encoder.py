@@ -72,6 +72,24 @@ class EncoderConfig:
         return EncoderConfig(**doc)
 
 
+class FlatGradients(dict):
+    """Parameter gradients, zeroed, as views in `params` order of one array `flat`.
+
+    Scaling `flat` scales every gradient at once. Write a gradient into its
+    view (`out=`, `+=`); assigning a new array would detach it from `flat`.
+    """
+
+    def __init__(self, params: ParameterSet):
+        super().__init__()
+        self.flat = np.zeros(
+            sum(p.size for p in params.values()), np.result_type(*params.values())
+        )
+        offset = 0
+        for name, p in params.items():
+            self[name] = self.flat[offset : offset + p.size].reshape(p.shape)
+            offset += p.size
+
+
 @dataclass
 class ContextualEncoding:
     """Per-position representations for one assembled pair, shape (len, d_model)."""
@@ -122,39 +140,102 @@ def init_parameters(config: EncoderConfig) -> ParameterSet:
     return params
 
 
+def _mean_last(x):
+    """`x.mean(axis=-1, keepdims=True)`, bitwise, without numpy's Python wrapper.
+
+    np.mean divides the sum by an np.intp count with unsafe casting, so an
+    f32 sum is divided in f64 and rounded back; this does the same.
+    """
+    s = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(s, np.intp(x.shape[-1]), out=s, casting="unsafe")
+
+
+# The kernels below run the plain formula of their comment or docstring op
+# for op, in the same order, on as few buffers as they can; the tests check
+# them bitwise against those formulas.
+
+
 def _layer_norm(x, gain, bias):
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
-    xhat = xc * inv
-    return xhat * gain + bias, (xhat, inv)
+    # xc = x - mean(x); inv = 1 / sqrt(mean(xc * xc) + eps); xhat = xc * inv
+    # y = xhat * gain + bias
+    xhat = x - _mean_last(x)
+    y = xhat * xhat
+    inv = _mean_last(y)
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=y)
+    y += bias
+    return y, (xhat, inv)
 
 
-def _layer_norm_backward(dy, cache, gain):
+def _layer_norm_backward(dy, cache, gain, dgain, dbias):
+    """dx of the layer norm; writes d gain and d bias into `dgain` and `dbias`.
+
+    dgain = sum_rows(dy * xhat); dbias = sum_rows(dy); dxhat = dy * gain
+    dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+    """
     xhat, inv = cache
-    dgain = (dy * xhat).sum(axis=0)
-    dbias = dy.sum(axis=0)
-    dxhat = dy * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dgain, dbias
+    tmp = dy * xhat
+    np.add.reduce(tmp, axis=0, out=dgain)
+    np.add.reduce(dy, axis=0, out=dbias)
+    dx = dy * gain
+    m1 = _mean_last(dx)
+    np.multiply(dx, xhat, out=tmp)
+    m2 = _mean_last(tmp)
+    dx -= m1
+    np.multiply(xhat, m2, out=tmp)
+    dx -= tmp
+    dx *= inv
+    return dx
 
 
 def _gelu(x):
+    # t = tanh(C * (x + A * (x * x * x))); y = 0.5 * x * (1 + t)
     # products, not x**3: numpy's pow is far slower on negative entries
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = np.multiply(x, 0.5)
+    y *= np.add(t, 1.0)
+    return y, t
 
 
 def _gelu_backward(dy, x, t):
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    """d gelu(x) given dy, written into `dy`:
+
+    du = C * (1 + 3A * (x * x))
+    dx = dy * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du)
+    """
+    a = t * t
+    np.subtract(1.0, a, out=a)
+    b = np.multiply(x, 0.5)
+    b *= a
+    np.multiply(x, x, out=a)
+    a *= 3.0 * _GELU_A
+    a += 1.0
+    a *= _GELU_C
+    b *= a
+    np.add(t, 1.0, out=a)
+    a *= 0.5
+    a += b
+    dy *= a
+    return dy
 
 
 def _softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, computed in `x` (callers pass fresh logits).
+
+    e = exp(x - max(x)); e / sum(e)
+    """
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
+    return x
 
 
 def _split_heads(x: np.ndarray, batch: int, n_heads: int) -> np.ndarray:
@@ -199,7 +280,9 @@ def forward_batch(
     p_drop = config.dropout if rng is not None else 0.0
     d = config.d_model
 
-    x = params["tok_emb"][ids] + params["pos_emb"][:length] + params["seg_emb"][segments]
+    x = params["tok_emb"][ids]
+    x += params["pos_emb"][:length]
+    x += params["seg_emb"][segments]
     x = x.reshape(batch * length, d)
     key_bias = None
     if not valid.all():
@@ -213,9 +296,11 @@ def forward_batch(
         p = f"layer{i}."
         lc: dict = {}
         a, lc["ln1"] = _layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        q = a @ params[p + "attn.w_q"] + params[p + "attn.b_q"]
+        q = a @ params[p + "attn.w_q"]
+        q += params[p + "attn.b_q"]
         k = a @ params[p + "attn.w_k"]
-        v = a @ params[p + "attn.w_v"] + params[p + "attn.b_v"]
+        v = a @ params[p + "attn.w_v"]
+        v += params[p + "attn.b_v"]
         qh, kh, vh = (_split_heads(m, batch, config.n_heads) for m in (q, k, v))
         scores = qh @ kh.transpose(0, 1, 3, 2)
         scores *= inv_sqrt_dh
@@ -223,21 +308,24 @@ def forward_batch(
             scores += key_bias
         probs = _softmax(scores)
         ctx = _merge_heads(probs @ vh)
-        o = ctx @ params[p + "attn.w_o"] + params[p + "attn.b_o"]
+        x1 = ctx @ params[p + "attn.w_o"]
+        x1 += params[p + "attn.b_o"]
         if p_drop > 0.0:
-            lc["mask_o"] = ((rng.random(o.shape) >= p_drop) / (1.0 - p_drop)).astype(o.dtype)
-            o = o * lc["mask_o"]
-        x1 = x + o
+            lc["mask_o"] = ((rng.random(x1.shape) >= p_drop) / (1.0 - p_drop)).astype(x1.dtype)
+            x1 *= lc["mask_o"]
+        x1 += x  # x1 = x + o
         a2, lc["ln2"] = _layer_norm(x1, params[p + "ln2.gain"], params[p + "ln2.bias"])
-        h1 = a2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
+        h1 = a2 @ params[p + "ffn.w1"]
+        h1 += params[p + "ffn.b1"]
         g, t = _gelu(h1)
-        f = g @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+        x = g @ params[p + "ffn.w2"]
+        x += params[p + "ffn.b2"]
         if p_drop > 0.0:
-            lc["mask_f"] = ((rng.random(f.shape) >= p_drop) / (1.0 - p_drop)).astype(f.dtype)
-            f = f * lc["mask_f"]
+            lc["mask_f"] = ((rng.random(x.shape) >= p_drop) / (1.0 - p_drop)).astype(x.dtype)
+            x *= lc["mask_f"]
+        x += x1  # x = x1 + f
         lc.update(a=a, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx, a2=a2, h1=h1, t=t, g=g)
         cache["layers"].append(lc)
-        x = x1 + f
 
     reps, cache["final_ln"] = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     return reps.reshape(batch, length, d), cache
@@ -268,7 +356,7 @@ def backward_from_cache(
     config: EncoderConfig,
     cache: dict,
     d_reps: np.ndarray,
-) -> ParameterGradients:
+) -> FlatGradients:
     """Exact gradients of every parameter given d(loss)/d(reps), summed over the batch.
 
     `d_reps` has the (B, L, d_model) shape of the batch's reps; a
@@ -283,13 +371,14 @@ def backward_from_cache(
             f"upstream gradient shape {d_reps.shape} does not match "
             f"output shape {(batch, length, d)}"
         )
-    grads: ParameterGradients = {k: np.zeros_like(v) for k, v in params.items()}
+    grads = FlatGradients(params)
     dh = d // config.n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
     d_reps = d_reps.reshape(batch, length, d) * cache["valid"][..., None]
 
-    dx, grads["final_ln.gain"], grads["final_ln.bias"] = _layer_norm_backward(
-        d_reps.reshape(batch * length, d), cache["final_ln"], params["final_ln.gain"]
+    dx = _layer_norm_backward(
+        d_reps.reshape(batch * length, d), cache["final_ln"], params["final_ln.gain"],
+        grads["final_ln.gain"], grads["final_ln.bias"],
     )
 
     for i in reversed(range(config.n_layers)):
@@ -299,48 +388,47 @@ def backward_from_cache(
         df = dx
         if cache["p_drop"] > 0.0:
             df = df * lc["mask_f"]
-        grads[p + "ffn.w2"] = lc["g"].T @ df
-        grads[p + "ffn.b2"] = df.sum(axis=0)
-        dg = df @ params[p + "ffn.w2"].T
-        dh1 = _gelu_backward(dg, lc["h1"], lc["t"])
-        grads[p + "ffn.w1"] = lc["a2"].T @ dh1
-        grads[p + "ffn.b1"] = dh1.sum(axis=0)
-        da2 = dh1 @ params[p + "ffn.w1"].T
-        dx1_ln, grads[p + "ln2.gain"], grads[p + "ln2.bias"] = _layer_norm_backward(
-            da2, lc["ln2"], params[p + "ln2.gain"]
+        np.matmul(lc["g"].T, df, out=grads[p + "ffn.w2"])
+        np.add.reduce(df, axis=0, out=grads[p + "ffn.b2"])
+        dh1 = _gelu_backward(df @ params[p + "ffn.w2"].T, lc["h1"], lc["t"])
+        np.matmul(lc["a2"].T, dh1, out=grads[p + "ffn.w1"])
+        np.add.reduce(dh1, axis=0, out=grads[p + "ffn.b1"])
+        dx1 = _layer_norm_backward(
+            dh1 @ params[p + "ffn.w1"].T, lc["ln2"], params[p + "ln2.gain"],
+            grads[p + "ln2.gain"], grads[p + "ln2.bias"],
         )
-        dx1 = dx + dx1_ln
+        dx1 += dx  # dx1 = dx + d LN2
         # x1 = x_in + o, o = merge(softmax(qk/sqrt + key_bias) v) @ w_o + b_o
         do = dx1
         if cache["p_drop"] > 0.0:
             do = do * lc["mask_o"]
-        grads[p + "attn.w_o"] = lc["ctx"].T @ do
-        grads[p + "attn.b_o"] = do.sum(axis=0)
+        np.matmul(lc["ctx"].T, do, out=grads[p + "attn.w_o"])
+        np.add.reduce(do, axis=0, out=grads[p + "attn.b_o"])
         dctx = _split_heads(do @ params[p + "attn.w_o"].T, batch, config.n_heads)
         probs = lc["probs"]
         dvh = probs.transpose(0, 1, 3, 2) @ dctx
         # softmax backward, in place: dscores = probs * (dprobs - sum(dprobs * probs))
         dscores = dctx @ lc["vh"].transpose(0, 1, 3, 2)
-        dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+        dscores -= np.add.reduce(dscores * probs, axis=-1, keepdims=True)
         dscores *= probs
-        dqh = dscores @ lc["kh"] * inv_sqrt_dh
-        dkh = dscores.transpose(0, 1, 3, 2) @ lc["qh"] * inv_sqrt_dh
+        dqh = dscores @ lc["kh"]
+        dqh *= inv_sqrt_dh
+        dkh = dscores.transpose(0, 1, 3, 2) @ lc["qh"]
+        dkh *= inv_sqrt_dh
         dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
         a = lc["a"]
-        grads[p + "attn.w_q"] = a.T @ dq
-        grads[p + "attn.b_q"] = dq.sum(axis=0)
-        grads[p + "attn.w_k"] = a.T @ dk
-        grads[p + "attn.w_v"] = a.T @ dv
-        grads[p + "attn.b_v"] = dv.sum(axis=0)
-        da = (
-            dq @ params[p + "attn.w_q"].T
-            + dk @ params[p + "attn.w_k"].T
-            + dv @ params[p + "attn.w_v"].T
+        np.matmul(a.T, dq, out=grads[p + "attn.w_q"])
+        np.add.reduce(dq, axis=0, out=grads[p + "attn.b_q"])
+        np.matmul(a.T, dk, out=grads[p + "attn.w_k"])
+        np.matmul(a.T, dv, out=grads[p + "attn.w_v"])
+        np.add.reduce(dv, axis=0, out=grads[p + "attn.b_v"])
+        da = dq @ params[p + "attn.w_q"].T
+        da += dk @ params[p + "attn.w_k"].T
+        da += dv @ params[p + "attn.w_v"].T
+        dx = _layer_norm_backward(
+            da, lc["ln1"], params[p + "ln1.gain"], grads[p + "ln1.gain"], grads[p + "ln1.bias"]
         )
-        dx_ln, grads[p + "ln1.gain"], grads[p + "ln1.bias"] = _layer_norm_backward(
-            da, lc["ln1"], params[p + "ln1.gain"]
-        )
-        dx = dx1 + dx_ln
+        dx += dx1  # dx = dx1 + d LN1
 
     np.add.at(grads["tok_emb"], cache["ids"].ravel(), dx)
     grads["pos_emb"][:length] += dx.reshape(batch, length, d).sum(axis=0)

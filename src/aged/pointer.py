@@ -21,6 +21,7 @@ import numpy as np
 from .encoder import (
     ContextualEncoding,
     EncoderConfig,
+    FlatGradients,
     ParameterGradients,
     ParameterSet,
     backward_from_cache,
@@ -164,12 +165,13 @@ def batch_loss_and_gradients(
     pairs: list[EncodedPair],
     labels: list[list[SlotLabel]],
     rng: np.random.Generator | None = None,
-) -> tuple[list[LossBreakdown], list[list[PointerDistribution]], ParameterGradients]:
+) -> tuple[list[LossBreakdown], list[list[PointerDistribution]], FlatGradients]:
     """Forward and backward for a mini-batch: `forward_batch`, `score_batch`, backward.
 
     Returns each pair's loss and pointer distributions, and exact gradients
     of the summed loss for every parameter (encoder, embeddings, and both
-    pointer matrices). Padded slots get zero loss.
+    pointer matrices) as the `FlatGradients` of `backward_from_cache`.
+    Padded slots get zero loss.
     """
     if len(pairs) != len(labels):
         raise ValueError(f"{len(pairs)} pairs vs {len(labels)} label lists")
@@ -195,27 +197,26 @@ def batch_loss_and_gradients(
 
     d_rows = np.zeros_like(rows)
     d_queries = np.zeros_like(queries)
-    dw = {}
+    dz = {}
     nll = []
     for name, head_gold, z, head_probs in zip(
         ("pointer.w_start", "pointer.w_end"), gold, scores["z"], scores["probs"]
     ):
-        w = params[name]
         p_gold = np.take_along_axis(head_probs, head_gold[..., None], axis=2)[..., 0]
         nll.append(-np.log(np.where(slot_ok, p_gold, 1.0)).astype(np.float64))
         # loss contribution 0.5 * -log softmax(rows @ (w @ q))[gold]
         dlogits = 0.5 * (head_probs - (np.arange(n_cand) == head_gold[..., None]))
         dlogits *= slot_ok[..., None]
         d_rows += dlogits.transpose(0, 2, 1) @ z
-        dz = dlogits @ rows
-        dw[name] = dz.reshape(-1, d).T @ queries.reshape(-1, d)
-        d_queries += dz @ w
+        dz[name] = dlogits @ rows
+        d_queries += dz[name] @ params[name]
 
     d_reps = np.zeros_like(reps)
     np.add.at(d_reps, (batch_idx, cand), d_rows)
     np.add.at(d_reps, (batch_idx[..., None], winners, np.arange(d)), d_queries)
     grads = backward_from_cache(params, config, cache, d_reps)
-    grads.update(dw)
+    for name, head_dz in dz.items():
+        np.matmul(head_dz.reshape(-1, d).T, queries.reshape(-1, d), out=grads[name])
 
     breakdowns = [
         LossBreakdown.combine(float(nll[0][b].sum()), float(nll[1][b].sum()))

@@ -23,6 +23,7 @@ from .corpus import AnnotatedInstance, FrameStore
 from .encoder import (
     Checkpoint,
     EncoderConfig,
+    FlatGradients,
     ParameterGradients,
     ParameterSet,
     init_parameters,
@@ -125,7 +126,8 @@ class Adam:
     The moments live in flat buffers over all parameters, and a step runs
     the per-tensor elementwise formula in place on two preallocated scratch
     buffers, op for op in the same order, so its updates are bitwise those
-    of the per-tensor form.
+    of the per-tensor form. `FlatGradients` are read in place; any other
+    dict of gradients is first copied into a flat buffer.
     """
 
     def __init__(self, params: ParameterSet, lr: float):
@@ -147,8 +149,11 @@ class Adam:
         b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        m, v, g, tmp = self.m, self.v, self._g, self._tmp
-        np.concatenate([grads[k].ravel() for k in self.slices], out=g)
+        m, v, tmp = self.m, self.v, self._tmp
+        if isinstance(grads, FlatGradients):
+            g = grads.flat
+        else:
+            g = np.concatenate([grads[k].ravel() for k in self.slices], out=self._g)
         # m = b1 * m + (1 - b1) * g
         m *= b1
         np.multiply(g, 1.0 - b1, out=tmp)
@@ -158,24 +163,28 @@ class Adam:
         np.multiply(g, 1.0 - b2, out=tmp)
         tmp *= g
         v += tmp
-        # update = lr * (m / c1) / (sqrt(v / c2) + eps), built in g
+        # update = lr * (m / c1) / (sqrt(v / c2) + eps), built in self._g
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
-        np.divide(m, c1, out=g)
-        g *= self.lr
-        g /= tmp
+        update = np.divide(m, c1, out=self._g)
+        update *= self.lr
+        update /= tmp
         for k, flat in self.slices.items():
             p = params[k]
-            p -= g[flat].reshape(p.shape)
+            p -= update[flat].reshape(p.shape)
 
 
 def clip_gradients(grads: ParameterGradients, max_norm: float) -> float:
-    """Scale gradients in place to a global-norm cap; returns the pre-clip norm."""
+    """Scale gradients in place to a global-norm cap; returns the pre-clip norm.
+
+    The norm sums per-tensor squared norms in `grads` order; `FlatGradients`
+    are scaled through their one flat buffer.
+    """
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
-        for g in grads.values():
+        for g in [grads.flat] if isinstance(grads, FlatGradients) else grads.values():
             g *= scale
     return total
 
@@ -262,9 +271,7 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {batch_no} "
                     f"(examples {[int(i) for i in batch]})"
                 )
-            inv = 1.0 / len(batch)
-            for g in grads.values():  # each gradient owns its array
-                g *= inv
+            grads.flat *= 1.0 / len(batch)
             norms.append(clip_gradients(grads, config.grad_clip))
             optimizer.step(params, grads)
             epoch_loss += batch_loss

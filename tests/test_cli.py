@@ -1,8 +1,10 @@
 import hashlib
 import json
+import types
 
 import pytest
 
+import aged.cli
 from aged.cli import build_parser, dispatch
 from aged.corpus import load_instances, load_ontology, mini_framenet_path
 
@@ -59,6 +61,29 @@ def test_template_fe_def_requires_fe(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert "--fe" in err
     assert list(tmp_path.glob("*manifest.json")) == []
+
+
+@pytest.mark.parametrize("has_mallopt", [True, False])
+def test_dispatch_keeps_freed_heap_where_mallopt_exists(capsys, tmp_path, monkeypatch,
+                                                        has_mallopt):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    libc = types.SimpleNamespace(**({"mallopt": mallopt} if has_mallopt else {}))
+    monkeypatch.setattr(aged.cli.ctypes, "CDLL", lambda name: libc)
+    aged.cli._keep_freed_heap.cache_clear()
+    try:
+        code, out, _ = run(capsys, "template", "--frame", "Attack")
+        run(capsys, "template", "--frame", "Attack")  # once per process
+    finally:
+        aged.cli._keep_freed_heap.cache_clear()
+    assert code == 0 and "Attack" in out
+    # M_TRIM_THRESHOLD = 64 MiB, M_MMAP_THRESHOLD = 16 MiB
+    assert calls == ([(-1, 64 << 20), (-3, 16 << 20)] if has_mallopt else [])
 
 
 def test_template_no_label_markers(capsys, tmp_path, monkeypatch):
@@ -233,6 +258,7 @@ def test_predict_rejects_bad_checkpoint(capsys, trained, tmp_path, monkeypatch, 
     assert code == 1
     assert message in err
     assert "'layer0.ffn.w1'" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
 
 
 def test_predict_rejects_fe_def_mode(capsys, trained, tmp_path, monkeypatch):
@@ -244,6 +270,7 @@ def test_predict_rejects_fe_def_mode(capsys, trained, tmp_path, monkeypatch):
     assert code == 1
     assert "fe-def" in err
     assert not out.exists()
+    assert list(tmp_path.glob("*manifest.json")) == []
 
 
 def test_predict_rejects_vocabulary_of_another_size(capsys, trained, tmp_path, monkeypatch):
@@ -259,6 +286,7 @@ def test_predict_rejects_vocabulary_of_another_size(capsys, trained, tmp_path, m
     assert str(small) in err
     assert "40" in err and str(len(tokens)) in err
     assert not out.exists()
+    assert list(tmp_path.glob("*manifest.json")) == []
 
 
 def test_experiment_equals_train_predict_eval(capsys, trained, tmp_path, monkeypatch):

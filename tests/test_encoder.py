@@ -4,8 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aged.encoder import (
+    LN_EPS,
+    _GELU_A,
+    _GELU_C,
     Checkpoint,
     EncoderConfig,
+    _gelu,
+    _gelu_backward,
+    _layer_norm,
+    _layer_norm_backward,
+    _softmax,
     backward_from_cache,
     forward,
     forward_batch,
@@ -291,3 +299,86 @@ def test_padded_rows_get_no_gradient(vocab, pair):
     long = backward(params, config, pair, upstream[1])
     for name in grads:
         np.testing.assert_allclose(grads[name], alone[name] + long[name], rtol=1e-9, atol=1e-12)
+
+
+# The plain formulas the in-place kernels must reproduce bitwise.
+def ref_layer_norm(x, gain, bias):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat = xc * inv
+    return xhat * gain + bias, (xhat, inv)
+
+
+def ref_layer_norm_backward(dy, cache, gain):
+    xhat, inv = cache
+    dgain = (dy * xhat).sum(axis=0)
+    dbias = dy.sum(axis=0)
+    dxhat = dy * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), dgain, dbias
+
+
+def ref_gelu(x):
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def ref_gelu_backward(dy, x, t):
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+def ref_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def wide(rng, shape, dtype):
+    """Normal entries scaled by 10**k for k in [-6, 3], a quarter of them also by
+    the dtype's smallest normal number, so rounding and underflow differences show."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4, size=shape)
+    x[rng.random(size=shape) < 0.25] *= np.finfo(dtype).tiny
+    return x.astype(dtype)
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_kernels_equal_plain_formulas_bitwise(dtype):
+    rng = np.random.default_rng(11)
+    rows, d = 37, 24
+    x, dy = wide(rng, (rows, d), dtype), wide(rng, (rows, d), dtype)
+    gain, bias = wide(rng, d, dtype), wide(rng, d, dtype)
+
+    y, (xhat, inv) = _layer_norm(x, gain, bias)
+    ref_y, (ref_xhat, ref_inv) = ref_layer_norm(x, gain, bias)
+    for actual, expected in ((y, ref_y), (xhat, ref_xhat), (inv, ref_inv)):
+        assert_bitwise(actual, expected)
+    dgain, dbias = np.full(d, np.nan, dtype), np.full(d, np.nan, dtype)
+    dx = _layer_norm_backward(dy, (xhat, inv), gain, dgain, dbias)
+    for actual, expected in zip((dx, dgain, dbias),
+                                ref_layer_norm_backward(dy, (ref_xhat, ref_inv), gain)):
+        assert_bitwise(actual, expected)
+
+    # GELU over its whole range: tanh saturates at both ends
+    h = wide(rng, (rows, 4 * d), dtype)
+    g, t = _gelu(h)
+    ref_g, ref_t = ref_gelu(h)
+    assert_bitwise(g, ref_g)
+    assert_bitwise(t, ref_t)
+    dg = wide(rng, h.shape, dtype)
+    expected = ref_gelu_backward(dg, h, t)
+    assert_bitwise(_gelu_backward(dg.copy(), h, t), expected)
+
+    # attention logits with key-padding -inf entries, as forward_batch builds them
+    logits = wide(rng, (3, 2, 9, 9), dtype)
+    logits[0, :, :, 6:] = -np.inf
+    logits[2, :, :, 1:] = -np.inf  # rows left with a single finite entry
+    expected = ref_softmax(logits)
+    assert_bitwise(_softmax(logits.copy()), expected)
+    assert (expected[0, :, :, 6:] == 0).all() and (expected[2, :, :, 0] == 1).all()

@@ -239,6 +239,28 @@ def test_gradients_own_their_arrays(store, vocab, train_instances):
             assert not np.shares_memory(a, b)
 
 
+def test_gradients_are_views_of_one_flat_buffer(store, vocab, train_instances):
+    model = small_model(vocab, n_layers=2)
+    stream = build_training_stream(train_instances[:3], store, vocab, TrainConfig(epochs=1))
+    _, _, grads = batch_loss_and_gradients(
+        model.params, model.config, [ex.pair for ex in stream], [ex.labels for ex in stream]
+    )
+    flat = grads.flat
+    assert flat.ndim == 1 and flat.flags.c_contiguous
+    assert list(grads) == list(model.params)
+    offset = 0
+    for name, g in grads.items():  # consecutive, so pairwise disjoint
+        assert g.shape == model.params[name].shape and g.base is flat
+        assert g.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
+        offset += g.size
+    assert offset == flat.size
+    # clipping scales the flat buffer once, bitwise as it scales each tensor
+    plain = {k: g.copy() for k, g in grads.items()}
+    assert clip_gradients(grads, 1e-3) == clip_gradients(plain, 1e-3) > 1e-3
+    for name, g in plain.items():
+        assert grads[name].tobytes() == g.tobytes(), name
+
+
 def test_report_records_gradient_norms_per_epoch(store, vocab, train_instances, monkeypatch):
     import aged.training
 
