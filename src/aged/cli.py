@@ -5,7 +5,8 @@ config file is flat ``key = value`` text whose keys mirror flag names with
 dashes replaced by underscores. Every run writes a RunManifest JSON (command,
 resolved configuration, input digests, seed, version, timestamp) beside its
 primary output before any long-running work starts. `predict` checks its
-mode, checkpoint and vocabulary first, so a run rejected for those leaves no
+mode, checkpoint and vocabulary first, and `ingest` and `eval` read and
+validate their inputs first, so a run rejected for those leaves no
 manifest. Existing outputs are never overwritten unless --force is given.
 AGED_LOG in {error, info, debug} controls stderr log verbosity.
 """
@@ -265,9 +266,9 @@ def _train_config(cfg: dict, checkpoint_path: str | None) -> TrainConfig:
 
 
 def cmd_ingest(cfg: dict, force: bool) -> int:
-    write_manifest("ingest", cfg, [cfg["frames"], cfg["instances"]], None)
     store = load_ontology(cfg["frames"])
     instances = load_instances(cfg["instances"], store)
+    write_manifest("ingest", cfg, [cfg["frames"], cfg["instances"]], None)
     counts = {
         "frames": len(store),
         "frame_elements": sum(len(f.fes) for f in store),
@@ -413,10 +414,10 @@ def cmd_eval(cfg: dict, force: bool) -> int:
     out_path = cfg["out"] or None
     if out_path:
         _check_output(out_path, force)
-    write_manifest("eval", cfg, [cfg["frames"], cfg["gold"], cfg["pred"]], out_path)
     store = load_ontology(cfg["frames"])
     gold = load_instances(cfg["gold"], store)
     predictions = _load_prediction_file(cfg["pred"], gold, store)
+    write_manifest("eval", cfg, [cfg["frames"], cfg["gold"], cfg["pred"]], out_path)
     metrics = evaluate(predictions, gold)
     line = json.dumps(metrics.to_json())
     print(line)

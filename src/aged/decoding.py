@@ -9,6 +9,7 @@ no-argument. Among equal-product pairs the lexicographically smallest
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,14 @@ class SpanPrediction:
     score: float
 
 
+@functools.cache
+def _below_diagonal(size: int) -> np.ndarray:
+    """Read-only (size, size) mask of the entries s > e, made once per size."""
+    mask = np.tri(size, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def decode_slot(start_probs: np.ndarray, end_probs: np.ndarray) -> tuple[tuple[int, int] | None, float]:
     """Best valid span versus the no-argument product for one slot."""
     start = np.asarray(start_probs, dtype=np.float64)
@@ -40,7 +49,9 @@ def decode_slot(start_probs: np.ndarray, end_probs: np.ndarray) -> tuple[tuple[i
     # products[s-1, e-1] = start[s] * end[e], with s > e masked out; the
     # row-major argmax is the first maximum, i.e. the smallest (s, e)
     products = np.outer(start[1:], end[1:])
-    products[np.tri(n, k=-1, dtype=bool)] = -np.inf
+    # the leading (n, n) block of a power-of-two mask: a few masks in all, not
+    # one per sentence length
+    np.copyto(products, -np.inf, where=_below_diagonal(1 << (n - 1).bit_length())[:n, :n])
     s_idx, e_idx = divmod(int(np.argmax(products)), n)
     best = float(products[s_idx, e_idx])
     if best <= null_score:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -140,27 +141,47 @@ def init_parameters(config: EncoderConfig) -> ParameterSet:
     return params
 
 
-def _mean_last(x):
-    """`x.mean(axis=-1, keepdims=True)`, bitwise, without numpy's Python wrapper.
+@functools.cache
+def _column(n: int, dtype: np.dtype, value: float = 1.0) -> np.ndarray:
+    """A read-only (n, 1) column filled with `value`, made once per (n, dtype, value).
 
-    np.mean divides the sum by an np.intp count with unsafe casting, so an
-    f32 sum is divided in f64 and rounded back; this does the same.
+    Row sums and means are matmuls with it (`x @ column`), and column sums
+    matmuls with its transpose: one BLAS call instead of a ufunc reduction
+    that pays numpy's per-row overhead on these short rows.
     """
-    s = np.add.reduce(x, axis=-1, keepdims=True)
-    return np.true_divide(s, np.intp(x.shape[-1]), out=s, casting="unsafe")
+    col = np.full((n, 1), value, dtype)
+    col.flags.writeable = False
+    return col
+
+
+def _row_sums(x):
+    """Sums over the last axis, keeping it: `x @ ones`."""
+    return x @ _column(x.shape[-1], x.dtype)
+
+
+def _column_sums(x, out):
+    """Sums of a 2-D `x` over its rows, written into the 1-D `out`: `ones.T @ x`."""
+    np.matmul(_column(x.shape[0], x.dtype).T, x, out=out[None])
+
+
+def _row_means(x):
+    """Means over the last axis, keeping it: `x @ (ones / d)`."""
+    d = x.shape[-1]
+    return x @ _column(d, x.dtype, 1.0 / d)
 
 
 # The kernels below run the plain formula of their comment or docstring op
-# for op, in the same order, on as few buffers as they can; the tests check
-# them bitwise against those formulas.
+# for op, in the same order, on as few buffers as they can, with every sum and
+# mean taken by the helpers above; the tests check them bitwise against those
+# formulas.
 
 
 def _layer_norm(x, gain, bias):
     # xc = x - mean(x); inv = 1 / sqrt(mean(xc * xc) + eps); xhat = xc * inv
     # y = xhat * gain + bias
-    xhat = x - _mean_last(x)
+    xhat = x - _row_means(x)
     y = xhat * xhat
-    inv = _mean_last(y)
+    inv = _row_means(y)
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -178,12 +199,12 @@ def _layer_norm_backward(dy, cache, gain, dgain, dbias):
     """
     xhat, inv = cache
     tmp = dy * xhat
-    np.add.reduce(tmp, axis=0, out=dgain)
-    np.add.reduce(dy, axis=0, out=dbias)
+    _column_sums(tmp, dgain)
+    _column_sums(dy, dbias)
     dx = dy * gain
-    m1 = _mean_last(dx)
+    m1 = _row_means(dx)
     np.multiply(dx, xhat, out=tmp)
-    m2 = _mean_last(tmp)
+    m2 = _row_means(tmp)
     dx -= m1
     np.multiply(xhat, m2, out=tmp)
     dx -= tmp
@@ -234,8 +255,59 @@ def _softmax(x):
     """
     x -= np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(x, out=x)
-    x /= np.add.reduce(x, axis=-1, keepdims=True)
+    x /= _row_sums(x)
     return x
+
+
+def _attention(qh, kh, vh, key_bias):
+    """Context of softmax(qh kh^T + key_bias) vh, normalized after the product.
+
+    e = exp(s - max(s)) for the scores s = qh @ kh^T + key_bias, and
+    ctx = (e @ vh) * inv_sum with inv_sum = 1 / sum(e): the (L, dh) context
+    is scaled instead of the (L, L) probabilities. Queries come pre-scaled
+    by 1/sqrt(dh). Returns ctx, e and inv_sum, the last two for
+    `_attention_backward`.
+
+    The scores are laid out key-major, as the transpose of kh @ qh^T, so the
+    row max runs across whole memory rows: numpy's maximum reduction is
+    about twice as fast that way as along each short row.
+    """
+    e = (kh @ qh.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    if key_bias is not None:
+        e += key_bias
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    inv_sum = _row_sums(e)
+    np.divide(1.0, inv_sum, out=inv_sum)
+    ctx = e @ vh
+    ctx *= inv_sum
+    return ctx, e, inv_sum
+
+
+def _attention_backward(dctx, qh, kh, vh, e, inv_sum):
+    """d qh, d kh and d vh of `_attention`, given d ctx (scaled in place).
+
+    With p = e * inv_sum and x = (dctx * inv_sum) @ vh^T = inv_sum * (dctx @ vh^T),
+    d scores = p * (dctx @ vh^T - sum(dctx @ vh^T * p)) = e * (x - sum(x * e) * inv_sum).
+    """
+    dctx *= inv_sum
+    dvh = e.transpose(0, 1, 3, 2) @ dctx
+    dscores = (vh @ dctx.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)  # e's layout
+    dscores -= _row_sums(dscores * e) * inv_sum
+    dscores *= e
+    return dscores @ kh, dscores.transpose(0, 1, 3, 2) @ qh, dvh
+
+
+def _embedding_grad(index, dx, out):
+    """Writes into the zeroed (V, d) `out` the sums of the rows of `dx` by `index`:
+    a one-hot matmul over the ids that occur, not all V of them."""
+    present = np.zeros(len(out), bool)
+    present[index] = True
+    used = np.flatnonzero(present)
+    rank = np.cumsum(present) - 1
+    one_hot = np.zeros((len(used), len(index)), dx.dtype)
+    one_hot[rank[index], np.arange(len(index))] = 1
+    out[used] = one_hot @ dx
 
 
 def _split_heads(x: np.ndarray, batch: int, n_heads: int) -> np.ndarray:
@@ -298,16 +370,13 @@ def forward_batch(
         a, lc["ln1"] = _layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
         q = a @ params[p + "attn.w_q"]
         q += params[p + "attn.b_q"]
+        q *= inv_sqrt_dh
         k = a @ params[p + "attn.w_k"]
         v = a @ params[p + "attn.w_v"]
         v += params[p + "attn.b_v"]
         qh, kh, vh = (_split_heads(m, batch, config.n_heads) for m in (q, k, v))
-        scores = qh @ kh.transpose(0, 1, 3, 2)
-        scores *= inv_sqrt_dh
-        if key_bias is not None:
-            scores += key_bias
-        probs = _softmax(scores)
-        ctx = _merge_heads(probs @ vh)
+        ctx, e, inv_sum = _attention(qh, kh, vh, key_bias)
+        ctx = _merge_heads(ctx)
         x1 = ctx @ params[p + "attn.w_o"]
         x1 += params[p + "attn.b_o"]
         if p_drop > 0.0:
@@ -324,7 +393,8 @@ def forward_batch(
             lc["mask_f"] = ((rng.random(x.shape) >= p_drop) / (1.0 - p_drop)).astype(x.dtype)
             x *= lc["mask_f"]
         x += x1  # x = x1 + f
-        lc.update(a=a, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx, a2=a2, h1=h1, t=t, g=g)
+        lc.update(a=a, qh=qh, kh=kh, vh=vh, e=e, inv_sum=inv_sum, ctx=ctx, a2=a2, h1=h1, t=t,
+                  g=g)
         cache["layers"].append(lc)
 
     reps, cache["final_ln"] = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
@@ -389,39 +459,33 @@ def backward_from_cache(
         if cache["p_drop"] > 0.0:
             df = df * lc["mask_f"]
         np.matmul(lc["g"].T, df, out=grads[p + "ffn.w2"])
-        np.add.reduce(df, axis=0, out=grads[p + "ffn.b2"])
+        _column_sums(df, grads[p + "ffn.b2"])
         dh1 = _gelu_backward(df @ params[p + "ffn.w2"].T, lc["h1"], lc["t"])
         np.matmul(lc["a2"].T, dh1, out=grads[p + "ffn.w1"])
-        np.add.reduce(dh1, axis=0, out=grads[p + "ffn.b1"])
+        _column_sums(dh1, grads[p + "ffn.b1"])
         dx1 = _layer_norm_backward(
             dh1 @ params[p + "ffn.w1"].T, lc["ln2"], params[p + "ln2.gain"],
             grads[p + "ln2.gain"], grads[p + "ln2.bias"],
         )
         dx1 += dx  # dx1 = dx + d LN2
-        # x1 = x_in + o, o = merge(softmax(qk/sqrt + key_bias) v) @ w_o + b_o
+        # x1 = x_in + o, o = merge(softmax(q k^T / sqrt(dh) + key_bias) v) @ w_o + b_o
         do = dx1
         if cache["p_drop"] > 0.0:
             do = do * lc["mask_o"]
         np.matmul(lc["ctx"].T, do, out=grads[p + "attn.w_o"])
-        np.add.reduce(do, axis=0, out=grads[p + "attn.b_o"])
+        _column_sums(do, grads[p + "attn.b_o"])
         dctx = _split_heads(do @ params[p + "attn.w_o"].T, batch, config.n_heads)
-        probs = lc["probs"]
-        dvh = probs.transpose(0, 1, 3, 2) @ dctx
-        # softmax backward, in place: dscores = probs * (dprobs - sum(dprobs * probs))
-        dscores = dctx @ lc["vh"].transpose(0, 1, 3, 2)
-        dscores -= np.add.reduce(dscores * probs, axis=-1, keepdims=True)
-        dscores *= probs
-        dqh = dscores @ lc["kh"]
-        dqh *= inv_sqrt_dh
-        dkh = dscores.transpose(0, 1, 3, 2) @ lc["qh"]
-        dkh *= inv_sqrt_dh
+        dqh, dkh, dvh = _attention_backward(
+            dctx, lc["qh"], lc["kh"], lc["vh"], lc["e"], lc["inv_sum"]
+        )
         dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
+        dq *= inv_sqrt_dh  # the queries were scaled by 1/sqrt(dh) before the scores
         a = lc["a"]
         np.matmul(a.T, dq, out=grads[p + "attn.w_q"])
-        np.add.reduce(dq, axis=0, out=grads[p + "attn.b_q"])
+        _column_sums(dq, grads[p + "attn.b_q"])
         np.matmul(a.T, dk, out=grads[p + "attn.w_k"])
         np.matmul(a.T, dv, out=grads[p + "attn.w_v"])
-        np.add.reduce(dv, axis=0, out=grads[p + "attn.b_v"])
+        _column_sums(dv, grads[p + "attn.b_v"])
         da = dq @ params[p + "attn.w_q"].T
         da += dk @ params[p + "attn.w_k"].T
         da += dv @ params[p + "attn.w_v"].T
@@ -430,9 +494,9 @@ def backward_from_cache(
         )
         dx += dx1  # dx = dx1 + d LN1
 
-    np.add.at(grads["tok_emb"], cache["ids"].ravel(), dx)
+    _embedding_grad(cache["ids"].ravel(), dx, grads["tok_emb"])
     grads["pos_emb"][:length] += dx.reshape(batch, length, d).sum(axis=0)
-    np.add.at(grads["seg_emb"], cache["segments"].ravel(), dx)
+    _embedding_grad(cache["segments"].ravel(), dx, grads["seg_emb"])
     return grads
 
 

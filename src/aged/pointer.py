@@ -155,7 +155,8 @@ def score_batch(
         for b, pair in enumerate(pairs)
     ]
     cache = {"cand": cand, "n_cands": n_cands, "n_slots": n_slots, "rows": rows,
-             "span_lo": span_lo, "pooled": pooled, "queries": queries, "z": z, "probs": probs}
+             "span_rows": span_rows, "pooled": pooled, "queries": queries, "z": z,
+             "probs": probs}
     return distributions, cache
 
 
@@ -179,7 +180,7 @@ def batch_loss_and_gradients(
     distributions, scores = score_batch(params, reps, pairs)
     batch, _, d = reps.shape
     n_cands, n_slots = scores["n_cands"], scores["n_slots"]
-    rows, queries, cand = scores["rows"], scores["queries"], scores["cand"]
+    rows, queries = scores["rows"], scores["queries"]
     n_cand, n_slot = rows.shape[1], queries.shape[1]
     gold = np.zeros((2, batch, n_slot), dtype=np.intp)
     for b, pair_labels in enumerate(labels):
@@ -191,9 +192,6 @@ def batch_loss_and_gradients(
         if n_slots[b]:
             gold[:, b, : n_slots[b]] = np.array(pair_labels).T
     slot_ok = np.arange(n_slot) < np.array(n_slots)[:, None]
-    batch_idx = np.arange(batch)[:, None]
-    # the maxpool subgradient flows to the first row attaining the maximum
-    winners = scores["span_lo"][..., None] + scores["pooled"].argmax(axis=2)  # (B, M, d)
 
     d_rows = np.zeros_like(rows)
     d_queries = np.zeros_like(queries)
@@ -211,10 +209,9 @@ def batch_loss_and_gradients(
         dz[name] = dlogits @ rows
         d_queries += dz[name] @ params[name]
 
-    d_reps = np.zeros_like(reps)
-    np.add.at(d_reps, (batch_idx, cand), d_rows)
-    np.add.at(d_reps, (batch_idx[..., None], winners, np.arange(d)), d_queries)
-    grads = backward_from_cache(params, config, cache, d_reps)
+    grads = backward_from_cache(
+        params, config, cache, _reps_grad(scores, d_rows, d_queries, reps.shape[1])
+    )
     for name, head_dz in dz.items():
         np.matmul(head_dz.reshape(-1, d).T, queries.reshape(-1, d), out=grads[name])
 
@@ -223,6 +220,24 @@ def batch_loss_and_gradients(
         for b in range(batch)
     ]
     return breakdowns, distributions, grads
+
+
+def _reps_grad(scores: dict, d_rows: np.ndarray, d_queries: np.ndarray, length: int):
+    """d loss / d reps (B, length, d) from the gradients of the gathered rows.
+
+    Each candidate row's gradient, and each slot query's gradient at the first
+    span row attaining the maxpool maximum, go to the row of reps they were
+    gathered from: `np.add.at` of both into zeros, done as one batched matmul
+    of a one-hot (B, length, K) matrix with the K gathered rows of each pair.
+    """
+    pooled = scores["pooled"]  # (B, M, W, d)
+    batch, d = pooled.shape[0], pooled.shape[3]
+    first_max = pooled.argmax(axis=2)[:, :, None] == np.arange(pooled.shape[2])[:, None]
+    d_pooled = first_max * d_queries[:, :, None]
+    index = np.concatenate([scores["cand"], scores["span_rows"].reshape(batch, -1)], axis=1)
+    values = np.concatenate([d_rows, d_pooled.reshape(batch, -1, d)], axis=1)
+    one_hot = (np.arange(length)[:, None] == index[:, None, :]).astype(values.dtype)
+    return one_hot @ values
 
 
 def loss_and_gradients(

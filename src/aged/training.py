@@ -5,7 +5,7 @@ Every instance contributes a (sentence, frame-definition) pair. With FE
 augmentation on, each gold argument additionally contributes a (sentence,
 FE-definition) pair for its role, so stream size is exactly
 |instances| + total gold arguments. The question baseline instead builds
-one single-slot pair per FE of the frame.
+one single-slot pair per FE of the frame, and takes no FE augmentation.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.template_mode is TemplateMode.FE_DEF:
             raise ValueError("fe-def is an augmentation mode, not a training template_mode")
+        if self.augment_fe_defs and self.template_mode is not TemplateMode.FRAME_DEF:
+            raise ValueError(
+                "--augment-fe-defs augments frame-def training only; "
+                f"it cannot be combined with --mode {self.template_mode.value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -102,11 +107,10 @@ def build_training_stream(
     frame_templates = {
         frame.name: query_templates(frame, config.template_mode, opts) for frame in store
     }
-    augment = config.augment_fe_defs and config.template_mode is TemplateMode.FRAME_DEF
     for inst in instances:
         frame = store.frame(inst.frame)
         templates = frame_templates[inst.frame]
-        if augment:
+        if config.augment_fe_defs:
             gold_fes = {a.fe for a in inst.arguments}
             templates = templates + [
                 build_fe_template(frame, fe, opts) for fe in frame.fe_order if fe in gold_fes
@@ -178,13 +182,14 @@ class Adam:
 def clip_gradients(grads: ParameterGradients, max_norm: float) -> float:
     """Scale gradients in place to a global-norm cap; returns the pre-clip norm.
 
-    The norm sums per-tensor squared norms in `grads` order; `FlatGradients`
-    are scaled through their one flat buffer.
+    `FlatGradients` take the norm (one dot product) and the scale on their
+    one flat buffer; plain dicts sum per-tensor squared norms in `grads` order.
     """
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    tensors = [grads.flat] if isinstance(grads, FlatGradients) else list(grads.values())
+    total = math.sqrt(sum(float(np.vdot(g, g)) for g in tensors))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
-        for g in [grads.flat] if isinstance(grads, FlatGradients) else grads.values():
+        for g in tensors:
             g *= scale
     return total
 

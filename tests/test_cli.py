@@ -1,6 +1,7 @@
 import hashlib
 import json
 import types
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,19 @@ def test_ingest_missing_file(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "ingest", "--frames", "nope.jsonl")
     assert code == 1
     assert "nope.jsonl" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
+
+
+def test_ingest_rejects_malformed_corpus_before_manifest(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = Path(mini_framenet_path("train")).read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:2] + ['{"tokens": '] + lines[2:]) + "\n")
+    code, out, err = run(capsys, "ingest", "--instances", str(bad))
+    assert code == 1
+    assert out == ""
+    assert "bad.jsonl:3" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -222,6 +236,7 @@ def test_eval_rejects_invalid_predictions(capsys, tmp_path, monkeypatch, edit, m
     assert out == ""
     assert message in err
     assert f"bad.jsonl:{line}:" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
 
 
 @pytest.mark.parametrize("line, message", [
@@ -232,9 +247,10 @@ def test_eval_malformed_record_names_line(capsys, tmp_path, monkeypatch, line, m
     monkeypatch.chdir(tmp_path)
     pred_path = tmp_path / "bad.jsonl"
     pred_path.write_text('{"frame": "Attack", "predictions": []}\n\n' + line + "\n")
-    code, _, err = run(capsys, "eval", "--pred", str(pred_path))
+    code, _, err = run(capsys, "eval", "--pred", str(pred_path), "--out", "m.json")
     assert code == 1
     assert f"bad.jsonl:3: {message}" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
 
 
 def _corrupt_checkpoint(src, dst, data):
@@ -372,6 +388,17 @@ def test_experiment_k_full(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert json.loads(out.read_text())["k"] is None
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_fe_augmentation_rejected_in_question_mode(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "--mode", "question", "--augment-fe-defs",
+                         "--epochs", "1")
+    assert code == 1
+    assert out == ""
+    assert "--augment-fe-defs" in err and "--mode question" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("k", ["abc", "-1", "1.5", ""])

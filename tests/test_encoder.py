@@ -9,6 +9,8 @@ from aged.encoder import (
     _GELU_C,
     Checkpoint,
     EncoderConfig,
+    _attention,
+    _attention_backward,
     _gelu,
     _gelu_backward,
     _layer_norm,
@@ -91,7 +93,7 @@ def test_attention_rows_are_probability_vectors(vocab, pair):
     params = init_parameters(config)
     _, cache = forward_cached(params, config, pair)
     for layer in cache["layers"]:
-        probs = layer["probs"]
+        probs = layer["e"] * layer["inv_sum"]
         assert probs.min() >= 0
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -284,8 +286,9 @@ def test_padded_reps_equal_unpadded(vocab, pair):
                                    rtol=0, atol=1e-12)
     for layer in cache["layers"]:
         # padded keys get exactly zero attention
-        assert not layer["probs"][0, :, :, len(short.ids):].any()
-        assert not layer["probs"][2, :, :, 1:].any()
+        probs = layer["e"] * layer["inv_sum"]
+        assert not probs[0, :, :, len(short.ids):].any()
+        assert not probs[2, :, :, 1:].any()
 
 
 def test_padded_rows_get_no_gradient(vocab, pair):
@@ -301,21 +304,34 @@ def test_padded_rows_get_no_gradient(vocab, pair):
         np.testing.assert_allclose(grads[name], alone[name] + long[name], rtol=1e-9, atol=1e-12)
 
 
-# The plain formulas the in-place kernels must reproduce bitwise.
+# The plain formulas the in-place kernels must reproduce bitwise. Sums and
+# means are matmuls with a ones or 1/d column, as in the kernels.
+def ones(n, dtype, value=1.0):
+    return np.full((n, 1), value, dtype)
+
+
+def ref_mean(x):
+    return x @ ones(x.shape[-1], x.dtype, 1.0 / x.shape[-1])
+
+
+def ref_column_sums(x):
+    return (ones(x.shape[0], x.dtype).T @ x)[0]
+
+
 def ref_layer_norm(x, gain, bias):
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    xc = x - ref_mean(x)
+    inv = 1.0 / np.sqrt(ref_mean(xc * xc) + LN_EPS)
     xhat = xc * inv
     return xhat * gain + bias, (xhat, inv)
 
 
 def ref_layer_norm_backward(dy, cache, gain):
     xhat, inv = cache
-    dgain = (dy * xhat).sum(axis=0)
-    dbias = dy.sum(axis=0)
+    dgain = ref_column_sums(dy * xhat)
+    dbias = ref_column_sums(dy)
     dxhat = dy * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = ref_mean(dxhat)
+    m2 = ref_mean(dxhat * xhat)
     return inv * (dxhat - m1 - xhat * m2), dgain, dbias
 
 
@@ -331,8 +347,23 @@ def ref_gelu_backward(dy, x, t):
 
 def ref_softmax(x):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    return e / (e @ ones(x.shape[-1], x.dtype))
+
+
+def ref_attention(qh, kh, vh, key_bias):
+    """Deferred normalization: exp(s - max s) @ vh, then times 1 / rowsum; the
+    scores key-major, as in the kernel."""
+    s = (kh @ qh.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2) + key_bias
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    inv_sum = 1.0 / (e @ ones(s.shape[-1], s.dtype))
+    return (e @ vh) * inv_sum, e, inv_sum
+
+
+def ref_attention_backward(dctx, qh, kh, vh, e, inv_sum):
+    dctx = dctx * inv_sum
+    x = (vh @ dctx.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    dscores = (x - ((x * e) @ ones(x.shape[-1], x.dtype)) * inv_sum) * e
+    return dscores @ kh, dscores.transpose(0, 1, 3, 2) @ qh, e.transpose(0, 1, 3, 2) @ dctx
 
 
 def wide(rng, shape, dtype):
@@ -382,3 +413,43 @@ def test_in_place_kernels_equal_plain_formulas_bitwise(dtype):
     expected = ref_softmax(logits)
     assert_bitwise(_softmax(logits.copy()), expected)
     assert (expected[0, :, :, 6:] == 0).all() and (expected[2, :, :, 0] == 1).all()
+
+    # attention, with the same key padding as a bias
+    qh, kh, vh = (wide(rng, (3, 2, 9, 4), dtype) for _ in range(3))
+    key_bias = np.zeros((3, 1, 1, 9), dtype)
+    key_bias[0, ..., 6:] = key_bias[2, ..., 1:] = -np.inf
+    expected = ref_attention(qh, kh, vh, key_bias)
+    ctx, e, inv_sum = _attention(qh, kh, vh, key_bias)
+    for actual, want in zip((ctx, e, inv_sum), expected):
+        assert_bitwise(actual, want)
+    dctx = wide(rng, ctx.shape, dtype)
+    expected = ref_attention_backward(dctx, qh, kh, vh, e, inv_sum)
+    for actual, want in zip(_attention_backward(dctx.copy(), qh, kh, vh, e, inv_sum), expected):
+        assert_bitwise(actual, want)
+
+
+def explicit_softmax_attention(qh, kh, vh, key_bias):
+    """softmax(qh kh^T + key_bias) @ vh, with the probabilities formed first."""
+    s = qh @ kh.transpose(0, 1, 3, 2) + key_bias
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return p @ vh, p
+
+
+def test_deferred_normalization_equals_explicit_softmax():
+    rng = np.random.default_rng(5)
+    qh, kh, vh = (rng.normal(size=(3, 2, 11, 4)) for _ in range(3))
+    key_bias = np.zeros((3, 1, 1, 11))
+    key_bias[0, ..., 7:] = key_bias[2, ..., 1:] = -np.inf
+    ctx, e, inv_sum = _attention(qh, kh, vh, key_bias)
+    expected, p = explicit_softmax_attention(qh, kh, vh, key_bias)
+    np.testing.assert_allclose(ctx, expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(e * inv_sum, p, rtol=1e-12, atol=0)
+
+    # backward against the explicit softmax gradient
+    dctx = rng.normal(size=ctx.shape)
+    dp = dctx @ vh.transpose(0, 1, 3, 2)
+    dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    expected = (dscores @ kh, dscores.transpose(0, 1, 3, 2) @ qh, p.transpose(0, 1, 3, 2) @ dctx)
+    for actual, want in zip(_attention_backward(dctx, qh, kh, vh, e, inv_sum), expected):
+        np.testing.assert_allclose(actual, want, rtol=1e-12, atol=1e-14)

@@ -6,13 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aged.encoder import ContextualEncoding, EncoderConfig, forward, forward_batch, init_parameters
+from aged.encoder import (
+    ContextualEncoding,
+    EncoderConfig,
+    _embedding_grad,
+    forward,
+    forward_batch,
+    init_parameters,
+)
 from aged.encoding import CLS_ID, EncodedPair, assemble, gold_labels
 from aged.pointer import (
     LossBreakdown,
     PointerDistribution,
     batch_loss_and_gradients,
     loss_and_gradients,
+    _reps_grad,
     make_queries,
     pointer_distributions,
     score_batch,
@@ -311,3 +319,42 @@ def test_batch_label_count_mismatch_rejected(store, vocab, train_instances):
         batch_loss_and_gradients(params, config, pairs, [labels[0][:-1]] + labels[1:])
     with pytest.raises(ValueError, match="outside"):
         batch_loss_and_gradients(params, config, pairs[:1], [[(0, 999)] * len(labels[0])])
+
+
+def test_one_hot_scatters_equal_add_at_exactly():
+    # repeated token ids, overlapping slot spans, ties inside a span, and a
+    # batch padded in length, candidates and slots
+    pairs = [
+        EncodedPair(ids=(2, 5, 5, 7, 5, 3, 9, 9, 9, 3), sentence_pos=(1, 2, 3, 4),
+                    slot_pos=((6, 8), (7, 9), (8, 8)), slot_fes=("A", "B", "C"),
+                    segment=(0, 0, 0, 0, 0, 0, 1, 1, 1, 1), n=4),
+        EncodedPair(ids=(2, 4, 4, 3, 6, 6, 3), sentence_pos=(1, 2),
+                    slot_pos=((4, 5),), slot_fes=("A",), segment=(0, 0, 0, 0, 1, 1, 1), n=2),
+    ]
+    config = EncoderConfig(vocab_size=12, d_model=8, n_layers=1, n_heads=2, max_len=16,
+                           seed=1, dtype="f64")
+    params = init_parameters(config)
+    reps, cache = forward_batch(params, config, pairs)
+    reps[0, 7] = reps[0, 8]  # a maxpool tie: the gradient goes to the first row
+    _, scores = score_batch(params, reps, pairs)
+    rng = np.random.default_rng(4)
+    d_rows = rng.normal(size=scores["rows"].shape)
+    d_rows[1, 3:] = 0.0  # padded candidates get no gradient
+    d_queries = rng.normal(size=scores["queries"].shape)
+    d_queries[1, 1:] = 0.0  # nor do padded slots
+
+    expected = np.zeros_like(reps)
+    batch_idx = np.arange(len(pairs))[:, None]
+    np.add.at(expected, (batch_idx, scores["cand"]), d_rows)
+    span_lo = scores["span_rows"][..., 0]
+    winners = span_lo[..., None] + scores["pooled"].argmax(axis=2)
+    np.add.at(expected, (batch_idx[..., None], winners, np.arange(reps.shape[2])), d_queries)
+    assert _reps_grad(scores, d_rows, d_queries, reps.shape[1]).tobytes() == expected.tobytes()
+
+    dx = rng.normal(size=(reps.shape[0] * reps.shape[1], reps.shape[2]))
+    for name, index in (("tok_emb", cache["ids"]), ("seg_emb", cache["segments"])):
+        expected = np.zeros_like(params[name])
+        np.add.at(expected, index.ravel(), dx)
+        actual = np.zeros_like(params[name])
+        _embedding_grad(index.ravel(), dx, actual)
+        assert actual.tobytes() == expected.tobytes(), name

@@ -254,10 +254,16 @@ def test_gradients_are_views_of_one_flat_buffer(store, vocab, train_instances):
         assert g.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
         offset += g.size
     assert offset == flat.size
-    # clipping scales the flat buffer once, bitwise as it scales each tensor
+    # clipping takes the norm of the flat buffer in one call, equal to the
+    # per-tensor norm up to summation order, and scales the flat buffer once,
+    # bitwise as the same scale applied to each tensor
     plain = {k: g.copy() for k, g in grads.items()}
-    assert clip_gradients(grads, 1e-3) == clip_gradients(plain, 1e-3) > 1e-3
+    norm = clip_gradients(grads, 1e-3)
+    assert norm == pytest.approx(clip_gradients({k: g.copy() for k, g in plain.items()}, 1e-3),
+                                 rel=1e-5)
+    assert norm > 1e-3
     for name, g in plain.items():
+        g *= 1e-3 / norm
         assert grads[name].tobytes() == g.tobytes(), name
 
 
