@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -360,8 +361,8 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
 
     Rejects, naming the 1-based line, malformed JSON, a record or prediction
     that is not an object, a frame that differs from the gold instance's,
-    an FE outside that frame or predicted twice, and a span that is not
-    1 <= start <= end <= len(tokens).
+    an FE outside that frame or predicted twice, a span that is not
+    1 <= start <= end <= len(tokens), and a score that is not a finite number.
     """
     records = []
     with open(path, encoding="utf-8") as f:
@@ -405,7 +406,10 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
                     )
                 if not (1 <= span[0] and span[1] <= n):
                     raise CorpusError(f"{where}: span {list(span)} for FE '{fe}' outside 1..{n}")
-            preds.append(SpanPrediction(fe, span, float(p.get("score", 0.0))))
+            score = p.get("score", 0.0)
+            if not isinstance(score, (int, float)) or not math.isfinite(score):
+                raise CorpusError(f"{where}: score {score!r} for FE '{fe}' is not a finite number")
+            preds.append(SpanPrediction(fe, span, float(score)))
         prediction_lists.append(preds)
     return prediction_lists
 

@@ -5,11 +5,13 @@ pairs 1 <= s <= e <= n and emits the span only if that product strictly
 beats the no-argument product start_prob[0] * end_prob[0]; ties go to
 no-argument. Among equal-product pairs the lexicographically smallest
 (s, e) wins, so results are reproducible even on degenerate distributions.
+The search is linear in n: rounding a product of non-negative numbers is
+monotone, so the best product of a start s is start[s] times the largest
+end from s on, and no (n, n) product matrix is formed.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +32,6 @@ class SpanPrediction:
     score: float
 
 
-@functools.cache
-def _below_diagonal(size: int) -> np.ndarray:
-    """Read-only (size, size) mask of the entries s > e, made once per size."""
-    mask = np.tri(size, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def decode_slot(start_probs: np.ndarray, end_probs: np.ndarray) -> tuple[tuple[int, int] | None, float]:
     """Best valid span versus the no-argument product for one slot."""
     start = np.asarray(start_probs, dtype=np.float64)
@@ -46,17 +40,16 @@ def decode_slot(start_probs: np.ndarray, end_probs: np.ndarray) -> tuple[tuple[i
     null_score = float(start[0] * end[0])
     if n < 1:
         return None, null_score
-    # products[s-1, e-1] = start[s] * end[e], with s > e masked out; the
-    # row-major argmax is the first maximum, i.e. the smallest (s, e)
-    products = np.outer(start[1:], end[1:])
-    # the leading (n, n) block of a power-of-two mask: a few masks in all, not
-    # one per sentence length
-    np.copyto(products, -np.inf, where=_below_diagonal(1 << (n - 1).bit_length())[:n, :n])
-    s_idx, e_idx = divmod(int(np.argmax(products)), n)
-    best = float(products[s_idx, e_idx])
-    if best <= null_score:
+    # best[s-1] = start[s] * max(end[s:]), the largest product of start s; the
+    # first argmax is the smallest start that reaches the overall best
+    best = start[1:] * np.maximum.accumulate(end[:0:-1])[::-1]
+    s = int(np.argmax(best))
+    score = float(best[s])
+    if score <= null_score:
         return None, null_score
-    return (s_idx + 1, e_idx + 1), best
+    # the smallest end with that product: a smaller end can round to it too
+    e = s + int(np.argmax(start[s + 1] * end[s + 1 :] == score))
+    return (s + 1, e + 1), score
 
 
 def decode(distributions: list[PointerDistribution]) -> list[SpanPrediction]:

@@ -28,6 +28,13 @@ LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
+# `_attention` skips the row max while no score exceeds _MAX_UNSHIFTED_SCORE
+# (exp(30) times a row of max_len keys stays far below the f32 maximum, and
+# 1 / rowsum stays a normal number) and no row sum of exp(s) falls below
+# _MIN_UNSHIFTED_SUM
+_MAX_UNSHIFTED_SCORE = 30.0
+_MIN_UNSHIFTED_SUM = 1e-20
+
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
 ParameterSet = dict[str, np.ndarray]
@@ -253,31 +260,53 @@ def _softmax(x):
 
     e = exp(x - max(x)); e / sum(e)
     """
-    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= _row_sums(x)
+    x /= _exp_rows(x, True)
     return x
+
+
+def _scores(qh, kh, key_bias):
+    """The attention scores qh @ kh^T + key_bias, laid out key-major.
+
+    They are computed as the transpose of kh @ qh^T, so a row max runs
+    across whole memory rows: numpy's maximum reduction is about twice as
+    fast that way as along each short row.
+    """
+    s = (kh @ qh.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    if key_bias is not None:
+        s += key_bias
+    return s
+
+
+def _exp_rows(s, shift):
+    """exp(s - max(s)) over each row if `shift`, else exp(s), in `s`; returns the row sums."""
+    if shift:
+        s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    return _row_sums(s)
 
 
 def _attention(qh, kh, vh, key_bias):
     """Context of softmax(qh kh^T + key_bias) vh, normalized after the product.
 
-    e = exp(s - max(s)) for the scores s = qh @ kh^T + key_bias, and
+    e = exp(s) for the scores s = qh @ kh^T + key_bias, and
     ctx = (e @ vh) * inv_sum with inv_sum = 1 / sum(e): the (L, dh) context
     is scaled instead of the (L, L) probabilities. Queries come pre-scaled
     by 1/sqrt(dh). Returns ctx, e and inv_sum, the last two for
     `_attention_backward`.
 
-    The scores are laid out key-major, as the transpose of kh @ qh^T, so the
-    row max runs across whole memory rows: numpy's maximum reduction is
-    about twice as fast that way as along each short row.
+    Softmax does not change when a row is shifted, so the exact row max is
+    subtracted only when it is needed. If any score exceeds
+    `_MAX_UNSHIFTED_SCORE`, e = exp(s - max(s)) row by row. Otherwise
+    e = exp(s) cannot overflow, and if a row sum falls below
+    `_MIN_UNSHIFTED_SUM` (exp underflow would cost precision, or give
+    1 / 0), the scores are computed again and shifted.
     """
-    e = (kh @ qh.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
-    if key_bias is not None:
-        e += key_bias
-    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    inv_sum = _row_sums(e)
+    e = _scores(qh, kh, key_bias)
+    shift = bool(e.max() > _MAX_UNSHIFTED_SCORE)
+    inv_sum = _exp_rows(e, shift)
+    if not shift and inv_sum.min() < _MIN_UNSHIFTED_SUM:
+        e = _scores(qh, kh, key_bias)
+        inv_sum = _exp_rows(e, True)
     np.divide(1.0, inv_sum, out=inv_sum)
     ctx = e @ vh
     ctx *= inv_sum
@@ -529,7 +558,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a `save_checkpoint` file; a malformed tensor raises ValueError naming it."""
+    """Read a `save_checkpoint` file; a malformed or non-finite tensor raises ValueError naming it."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     config = EncoderConfig.from_json(doc["config"])
     dtype = _wire_dtype(config)
@@ -555,6 +584,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             )
         # astype copies, so the parameters are writable and in native byte order
         params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(config.np_dtype)
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"checkpoint tensor '{name}': holds NaN or infinite values")
     return Checkpoint(config, params)
 
 

@@ -70,7 +70,8 @@ class Vocabulary:
         return self.index.get(token, UNK_ID)
 
     def encode(self, tokens: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.id_of(t) for t in tokens)
+        index = self.index
+        return tuple([index.get(t, UNK_ID) for t in tokens])
 
     def save(self, path: str | Path) -> None:
         """Write the `.vocab.json` sidecar that `aged predict` reads: tokens in id order."""
@@ -150,15 +151,14 @@ def assemble(
         raise ValueError(
             f"instance evokes '{instance.frame}' but template is for '{template.frame}'"
         )
-    toks: list[str] = [CLS_TOKEN]
-    sentence_pos: list[int] = []
-    for i, w in enumerate(instance.tokens, start=1):
-        if opts.target_markers and i == instance.target:
-            toks.append(TARGET_OPEN)
-        sentence_pos.append(len(toks))
-        toks.append(w)
-        if opts.target_markers and i == instance.target:
-            toks.append(TARGET_CLOSE)
+    words, n = instance.tokens, len(instance.tokens)
+    if opts.target_markers:
+        t = instance.target
+        toks = [CLS_TOKEN, *words[: t - 1], TARGET_OPEN, words[t - 1], TARGET_CLOSE, *words[t:]]
+        sentence_pos = (*range(1, t), t + 1, *range(t + 3, n + 3))
+    else:
+        toks = [CLS_TOKEN, *words]
+        sentence_pos = tuple(range(1, n + 1))
     toks.append(SEP_TOKEN)
     text_len = len(toks)
     slot_pos = tuple((text_len + s.start, text_len + s.end) for s in template.slots)
@@ -168,16 +168,14 @@ def assemble(
         raise PairTooLongError(
             f"assembled pair has {len(toks)} tokens, max_len is {max_len}"
         )
-    segment = tuple(
-        TEXT_SEGMENT if p < text_len else DEFINITION_SEGMENT for p in range(len(toks))
-    )
+    segment = (TEXT_SEGMENT,) * text_len + (DEFINITION_SEGMENT,) * (len(toks) - text_len)
     return EncodedPair(
         ids=vocab.encode(toks),
-        sentence_pos=tuple(sentence_pos),
+        sentence_pos=sentence_pos,
         slot_pos=slot_pos,
         slot_fes=template.slot_fes,
         segment=segment,
-        n=len(instance.tokens),
+        n=n,
     )
 
 

@@ -1,8 +1,10 @@
+import base64
 import hashlib
 import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aged.cli
@@ -225,8 +227,11 @@ def _gold_as_predictions(path, edit):
     (lambda preds, inst: preds[0].update(span=[0, 1]), "outside 1.."),
     (lambda preds, inst: preds[0].update(span=[2, 1]), "start <= end"),
     (lambda preds, inst: preds.append([1, 2]), "must be a JSON object"),
+    (lambda preds, inst: preds[0].update(score=float("nan")), "not a finite number"),
+    (lambda preds, inst: preds[0].update(score=float("inf")), "not a finite number"),
+    (lambda preds, inst: preds[0].update(score="0.5"), "not a finite number"),
 ], ids=["duplicate-fe", "unknown-fe", "span-past-end", "span-before-start", "start-after-end",
-        "not-an-object"])
+        "not-an-object", "nan-score", "infinite-score", "string-score"])
 def test_eval_rejects_invalid_predictions(capsys, tmp_path, monkeypatch, edit, message):
     monkeypatch.chdir(tmp_path)
     pred_path = tmp_path / "bad.jsonl"
@@ -259,10 +264,21 @@ def _corrupt_checkpoint(src, dst, data):
     dst.write_text(json.dumps(doc))
 
 
+def _last_f32_set_to(value):
+    """Base64 data edit: the tensor's last f32 entry becomes `value`."""
+    def edit(data):
+        tensor = np.frombuffer(base64.b64decode(data), "<f4").copy()
+        tensor[-1] = value
+        return base64.b64encode(tensor.tobytes()).decode("ascii")
+    return edit
+
+
 @pytest.mark.parametrize("data, message", [
     (lambda d: d[: len(d) // 2], "bytes, expected"),
     (lambda d: [0.25] * 16, "base64 string"),
-], ids=["truncated", "decimal-list"])
+    (_last_f32_set_to(np.nan), "NaN or infinite"),
+    (_last_f32_set_to(-np.inf), "NaN or infinite"),
+], ids=["truncated", "decimal-list", "nan", "infinite"])
 def test_predict_rejects_bad_checkpoint(capsys, trained, tmp_path, monkeypatch, data, message):
     workdir, ckpt = trained
     monkeypatch.chdir(tmp_path)

@@ -160,6 +160,23 @@ def test_decode_matches_oracle_on_long_distributions():
             end = rng.dirichlet(np.full(n + 1, 0.3))
             assert decode_slot(start, end) == brute_force_decode(start, end)
 
+    # repeated start values and runs of ends one or a few ulps apart, so many
+    # (s, e) products round to the same float and a larger end ties a smaller one
+    ties = 0
+    for n in (60, 150, 250):
+        for _ in range(20):
+            start = rng.choice([0.1, 0.3, 0.7, rng.random()], size=n + 1)
+            end = rng.choice([0.4, rng.random()], size=n + 1)
+            for _ in range(3):
+                bumped = rng.random(n + 1) < 0.5
+                end[bumped] = np.nextafter(end[bumped], 1.0)
+            span, score = decode_slot(start, end)
+            assert (span, score) == brute_force_decode(start, end)
+            if span is not None:
+                s, e = span
+                ties += any(end[x] > end[e] and start[s] * end[x] == score for x in range(e, n + 1))
+    assert ties > 0
+
 
 def test_decode_rounding_tie_keeps_smallest_end():
     # end[2] > end[1], yet start[1] * end[1] == start[1] * end[2] after rounding:

@@ -436,20 +436,94 @@ def explicit_softmax_attention(qh, kh, vh, key_bias):
     return p @ vh, p
 
 
+def explicit_softmax_gradients(dctx, p, qh, kh, vh):
+    """d qh, d kh and d vh of `explicit_softmax_attention` with probabilities p."""
+    dp = dctx @ vh.transpose(0, 1, 3, 2)
+    dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    return dscores @ kh, dscores.transpose(0, 1, 3, 2) @ qh, p.transpose(0, 1, 3, 2) @ dctx
+
+
 def test_deferred_normalization_equals_explicit_softmax():
     rng = np.random.default_rng(5)
     qh, kh, vh = (rng.normal(size=(3, 2, 11, 4)) for _ in range(3))
     key_bias = np.zeros((3, 1, 1, 11))
     key_bias[0, ..., 7:] = key_bias[2, ..., 1:] = -np.inf
     ctx, e, inv_sum = _attention(qh, kh, vh, key_bias)
+    assert not (e.max(axis=-1) == 1.0).any()  # small scores: exp(s), not shifted
     expected, p = explicit_softmax_attention(qh, kh, vh, key_bias)
     np.testing.assert_allclose(ctx, expected, rtol=1e-12, atol=0)
     np.testing.assert_allclose(e * inv_sum, p, rtol=1e-12, atol=0)
 
     # backward against the explicit softmax gradient
     dctx = rng.normal(size=ctx.shape)
-    dp = dctx @ vh.transpose(0, 1, 3, 2)
-    dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-    expected = (dscores @ kh, dscores.transpose(0, 1, 3, 2) @ qh, p.transpose(0, 1, 3, 2) @ dctx)
+    expected = explicit_softmax_gradients(dctx, p, qh, kh, vh)
+    for actual, want in zip(_attention_backward(dctx, qh, kh, vh, e, inv_sum), expected):
+        np.testing.assert_allclose(actual, want, rtol=1e-12, atol=1e-14)
+
+
+def key_major_scores(qh, kh, key_bias):
+    return (kh @ qh.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2) + key_bias
+
+
+def plain_unshifted_attention(qh, kh, vh, key_bias):
+    """exp(s) @ vh * 1/rowsum, no row max; the scores key-major, as in the kernel."""
+    s = key_major_scores(qh, kh, key_bias)
+    e = np.exp(s)
+    inv_sum = 1.0 / (e @ ones(s.shape[-1], s.dtype))
+    return (e @ vh) * inv_sum, e, inv_sum
+
+
+def attention_inputs(rng, dtype, lift=0.0, low_row=False):
+    """qh, kh, vh and a key-padding bias. `lift` 45 adds about 45-50 to every
+    score, past the no-shift bound; `low_row` puts every score of one query
+    row below -200."""
+    qh, kh, vh = (rng.normal(size=(3, 2, 11, 4)) for _ in range(3))
+    if lift or low_row:
+        kh[..., 0] = 10.0 + rng.random(kh.shape[:-1])
+        qh[..., 0] = lift / 10.0
+    if low_row:
+        qh[1, 0, 5, 0] = -25.0
+    key_bias = np.zeros((3, 1, 1, 11))
+    key_bias[0, ..., 7:] = key_bias[2, ..., 1:] = -np.inf
+    return (*(m.astype(dtype) for m in (qh, kh, vh)), key_bias.astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_on_small_scores_skips_the_row_max_bitwise(dtype):
+    qh, kh, vh, key_bias = attention_inputs(np.random.default_rng(17), dtype)
+    expected = plain_unshifted_attention(qh, kh, vh, key_bias)
+    ctx, e, inv_sum = _attention(qh, kh, vh, key_bias)
+    for actual, want in zip((ctx, e, inv_sum), expected):
+        assert_bitwise(actual, want)
+    # not the shifted form: no row holds an exact 1
+    assert (e.max(axis=-1) != 1.0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_falls_back_to_the_row_max_on_tiny_row_sums(dtype):
+    qh, kh, vh, key_bias = attention_inputs(np.random.default_rng(19), dtype, low_row=True)
+    s = key_major_scores(qh, kh, key_bias)
+    assert s[1, 0, 5].max() <= -200 and s.max() <= 30
+    ctx, e, inv_sum = _attention(qh, kh, vh, key_bias)
+    assert np.isfinite(ctx).all() and np.isfinite(inv_sum).all()
+    # the whole call takes the exact row-max path
+    for actual, want in zip((ctx, e, inv_sum), ref_attention(qh, kh, vh, key_bias)):
+        assert_bitwise(actual, want)
+
+
+@pytest.mark.parametrize("lift, low_row", [(45.0, False), (0.0, True)], ids=["shift", "fallback"])
+def test_shifted_attention_branches_match_explicit_softmax(lift, low_row):
+    # the no-shift branch is test_deferred_normalization_equals_explicit_softmax
+    rng = np.random.default_rng(23)
+    qh, kh, vh, key_bias = attention_inputs(rng, np.float64, lift, low_row)
+    ctx, e, inv_sum = _attention(qh, kh, vh, key_bias)
+    assert (e.max(axis=-1) == 1.0).all()  # every row shifted by its exact max
+    if lift:  # every row has a score past the bound: the shift comes from it, not the floor
+        assert (key_major_scores(qh, kh, key_bias).max(axis=-1) > 30).all()
+    expected, p = explicit_softmax_attention(qh, kh, vh, key_bias)
+    np.testing.assert_allclose(ctx, expected, rtol=1e-12, atol=0)
+
+    dctx = rng.normal(size=ctx.shape)
+    expected = explicit_softmax_gradients(dctx, p, qh, kh, vh)
     for actual, want in zip(_attention_backward(dctx, qh, kh, vh, e, inv_sum), expected):
         np.testing.assert_allclose(actual, want, rtol=1e-12, atol=1e-14)

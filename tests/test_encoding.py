@@ -70,6 +70,19 @@ def test_assemble_layout_without_target_markers(store, vocab):
     assert pair.sentence_pos == (1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("target", [1, 2, 4])
+def test_assemble_target_at_either_end(store, vocab, target):
+    inst = AnnotatedInstance(("he", "was", "invading", "iraq"), target, "Attack", ())
+    template = build_frame_template(store.frame("Attack"))
+    pair = assemble(inst, template, vocab)
+    words = [vocab.tokens[pair.ids[p]] for p in pair.sentence_pos]
+    assert words == list(inst.tokens)
+    text = [vocab.tokens[i] for i in pair.ids[: len(inst.tokens) + 4]]
+    assert text[pair.sentence_pos[target - 1] - 1 : pair.sentence_pos[target - 1] + 2] == [
+        "<t>", inst.tokens[target - 1], "</t>"]
+    assert pair.segment == (TEXT_SEGMENT,) * 8 + (DEFINITION_SEGMENT,) * (len(pair.ids) - 8)
+
+
 def test_assemble_single_token_sentence(store, vocab):
     inst = AnnotatedInstance(("attack",), 1, "Attack", ())
     pair = assemble(inst, build_frame_template(store.frame("Attack")), vocab)
