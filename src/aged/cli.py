@@ -5,9 +5,10 @@ config file is flat ``key = value`` text whose keys mirror flag names with
 dashes replaced by underscores. Every run writes a RunManifest JSON (command,
 resolved configuration, input digests, seed, version, timestamp) beside its
 primary output before any long-running work starts. `predict` checks its
-mode, checkpoint and vocabulary first, and `ingest` and `eval` read and
-validate their inputs first, so a run rejected for those leaves no
-manifest. Existing outputs are never overwritten unless --force is given.
+mode, checkpoint and vocabulary and assembles every input pair first, and
+`ingest` and `eval` read and validate their inputs first, so a run rejected
+for those leaves no manifest. Existing outputs are never overwritten unless
+--force is given.
 AGED_LOG in {error, info, debug} controls stderr log verbosity.
 """
 
@@ -18,6 +19,7 @@ import ctypes
 import datetime
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -32,9 +34,9 @@ from .corpus import (
     load_ontology,
     mini_framenet_path,
 )
-from .decoding import SpanPrediction, predict_all
+from .decoding import SpanPrediction, predict_pairs, query_pairs
 from .encoder import EncoderConfig, load_checkpoint
-from .encoding import Vocabulary
+from .encoding import PairTooLongError, Vocabulary
 from .evaluation import evaluate
 from .experiments import run_holdout_experiment
 from .templates import MarkerOptions, TemplateMode, build_template, render_surface
@@ -336,12 +338,18 @@ def cmd_predict(cfg: dict, force: bool) -> int:
             f"vocabulary '{vocab_path}' has {len(vocab)} tokens but checkpoint "
             f"'{cfg['checkpoint']}' was trained with vocab_size {model.config.vocab_size}"
         )
+    store = load_ontology(cfg["frames"])
+    instances = load_instances(cfg["instances"], store)
+    try:
+        pairs = query_pairs(instances, store, vocab, mode=mode, markers=_markers(cfg),
+                            max_len=model.config.max_len)
+    except PairTooLongError as e:
+        line = _record_line(cfg["instances"], e.instance)
+        raise CorpusError(f"{cfg['instances']}:{line}: {e}") from None
     write_manifest(
         "predict", cfg, [cfg["frames"], cfg["instances"], cfg["checkpoint"], vocab_path], out_path
     )
-    store = load_ontology(cfg["frames"])
-    instances = load_instances(cfg["instances"], store)
-    predictions = predict_all(instances, store, model, vocab, mode=mode, markers=_markers(cfg))
+    predictions = predict_pairs(model, pairs)
     with open(out_path, "w", encoding="utf-8") as f:
         for inst, preds in zip(instances, predictions):
             rec = {
@@ -356,13 +364,22 @@ def cmd_predict(cfg: dict, force: bool) -> int:
     return EXIT_OK
 
 
+def _record_line(path: str, index: int) -> int:
+    """The 1-based line of the record at 0-based `index` of a JSONL file; blank lines hold none."""
+    with open(path, encoding="utf-8") as f:
+        lines = (lineno for lineno, line in enumerate(f, start=1) if line.strip())
+        return next(itertools.islice(lines, index, None))
+
+
 def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPrediction]]:
     """Read `aged predict` output aligned with the gold file, one record per line.
 
     Rejects, naming the 1-based line, malformed JSON, a record or prediction
-    that is not an object, a frame that differs from the gold instance's,
-    an FE outside that frame or predicted twice, a span that is not
-    1 <= start <= end <= len(tokens), and a score that is not a finite number.
+    that is not an object, a `predictions` that is not a list, a frame that
+    differs from the gold instance's, an FE outside that frame or predicted
+    twice, a span that is neither null nor a list of two integers
+    1 <= start <= end <= len(tokens), and a score that is not a finite
+    number. A boolean is not a number here.
     """
     records = []
     with open(path, encoding="utf-8") as f:
@@ -375,6 +392,8 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
                 raise CorpusError(f"{path}:{lineno}: malformed JSON ({e.msg})") from None
             if not isinstance(rec, dict):
                 raise CorpusError(f"{path}:{lineno}: a prediction record must be a JSON object")
+            if not isinstance(rec.get("predictions", []), list):
+                raise CorpusError(f"{path}:{lineno}: 'predictions' must be a list")
             records.append((lineno, rec))
     if len(records) != len(gold_instances):
         raise CorpusError(
@@ -398,16 +417,21 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
                 raise CorpusError(f"{where}: FE {fe!r} is not in frame '{inst.frame}'")
             if any(prev.fe == fe for prev in preds):
                 raise CorpusError(f"{where}: FE '{fe}' is predicted more than once")
-            span = tuple(p["span"]) if p.get("span") else None
+            span = p.get("span")
             if span is not None:
-                if len(span) != 2 or not all(isinstance(x, int) for x in span) or span[0] > span[1]:
+                if (
+                    not isinstance(span, list) or len(span) != 2
+                    or {type(x) for x in span} != {int} or span[0] > span[1]
+                ):
                     raise CorpusError(
-                        f"{where}: bad span {list(span)} for FE '{fe}': need start <= end"
+                        f"{where}: bad span {json.dumps(span)} for FE '{fe}': "
+                        "need [start, end] with integers start <= end"
                     )
                 if not (1 <= span[0] and span[1] <= n):
-                    raise CorpusError(f"{where}: span {list(span)} for FE '{fe}' outside 1..{n}")
+                    raise CorpusError(f"{where}: span {span} for FE '{fe}' outside 1..{n}")
+                span = tuple(span)
             score = p.get("score", 0.0)
-            if not isinstance(score, (int, float)) or not math.isfinite(score):
+            if type(score) not in (int, float) or not math.isfinite(score):
                 raise CorpusError(f"{where}: score {score!r} for FE '{fe}' is not a finite number")
             preds.append(SpanPrediction(fe, span, float(score)))
         prediction_lists.append(preds)

@@ -18,9 +18,14 @@ import numpy as np
 
 from .corpus import AnnotatedInstance, FrameStore
 from .encoder import Checkpoint, forward_batch
-from .encoding import Vocabulary, assemble
+from .encoding import EncodedPair, PairTooLongError, Vocabulary, assemble
 from .pointer import PointerDistribution, score_batch
 from .templates import DEFAULT_MARKERS, MarkerOptions, TemplateMode, query_templates
+
+# Padded tokens (pairs x longest pair) one prediction batch may hold. Short
+# pairs share a batch to save per-call overhead; a pair longer than half of
+# it runs alone, since attention at that length is bound by compute.
+PREDICT_BATCH_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -61,31 +66,56 @@ def decode(distributions: list[PointerDistribution]) -> list[SpanPrediction]:
     return out
 
 
-def predict_instance(
-    instance: AnnotatedInstance,
+def query_pairs(
+    instances: list[AnnotatedInstance],
     store: FrameStore,
-    model: Checkpoint,
     vocab: Vocabulary,
     *,
     mode: TemplateMode = TemplateMode.FRAME_DEF,
     markers: MarkerOptions = DEFAULT_MARKERS,
-) -> list[SpanPrediction]:
-    """One prediction per FE of the instance's frame.
+    max_len: int,
+) -> list[list[EncodedPair]]:
+    """Each instance assembled with every `query_templates` template of its frame.
 
-    The instance is paired with `query_templates` of its frame: one
-    frame-definition template that extracts every argument, or in question
-    mode one single-slot question per FE. The pairs run as one padded
-    `forward_batch`, and one `score_batch` call scores all of their slots
-    before each slot is decoded. `mode` fe-def raises ValueError.
+    Frame-def mode gives one pair per instance, question mode one per FE in
+    `fe_order`. A pair over `max_len` raises PairTooLongError whose
+    `instance` is the 0-based position of its instance; fe-def raises
+    ValueError.
     """
-    frame = store.frame(instance.frame)
-    pairs = [
-        assemble(instance, template, vocab, markers, model.config.max_len)
-        for template in query_templates(frame, mode, markers)
-    ]
-    reps, _ = forward_batch(model.params, model.config, pairs)
-    distributions, _ = score_batch(model.params, reps, pairs)
-    return [prediction for dists in distributions for prediction in decode(dists)]
+    pairs = []
+    for i, inst in enumerate(instances):
+        templates = query_templates(store.frame(inst.frame), mode, markers)
+        try:
+            pairs.append([assemble(inst, t, vocab, markers, max_len) for t in templates])
+        except PairTooLongError as e:
+            raise PairTooLongError(str(e), instance=i) from None
+    return pairs
+
+
+def predict_pairs(model: Checkpoint, pairs: list[list[EncodedPair]]) -> list[list[SpanPrediction]]:
+    """Predictions for each instance's `query_pairs`, in instance and slot order.
+
+    The pairs of all instances are sorted by length (stably) and consecutive
+    runs are cut into batches whose padded size, pairs x longest pair, stays
+    within PREDICT_BATCH_TOKENS; a pair over half of it runs alone. Each
+    batch runs `forward_batch`, one `score_batch` and `decode`.
+    """
+    flat = [pair for instance_pairs in pairs for pair in instance_pairs]
+    order = sorted(range(len(flat)), key=lambda i: len(flat[i].ids))
+    decoded = [None] * len(flat)
+    lo = 0
+    while lo < len(order):
+        hi = lo + 1
+        while hi < len(order) and (hi - lo + 1) * len(flat[order[hi]].ids) <= PREDICT_BATCH_TOKENS:
+            hi += 1
+        batch = [flat[i] for i in order[lo:hi]]
+        reps, _ = forward_batch(model.params, model.config, batch)
+        distributions, _ = score_batch(model.params, reps, batch)
+        for i, dists in zip(order[lo:hi], distributions):
+            decoded[i] = decode(dists)
+        lo = hi
+    spans = iter(decoded)
+    return [[p for _ in instance_pairs for p in next(spans)] for instance_pairs in pairs]
 
 
 def predict_all(
@@ -97,8 +127,24 @@ def predict_all(
     mode: TemplateMode = TemplateMode.FRAME_DEF,
     markers: MarkerOptions = DEFAULT_MARKERS,
 ) -> list[list[SpanPrediction]]:
-    """Predict a whole set, one instance at a time."""
-    return [
-        predict_instance(inst, store, model, vocab, mode=mode, markers=markers)
-        for inst in instances
-    ]
+    """One prediction per FE of each instance's frame, in `fe_order`.
+
+    `query_pairs` of the whole set, then `predict_pairs` in length-sorted
+    padded batches. `mode` fe-def raises ValueError.
+    """
+    pairs = query_pairs(instances, store, vocab, mode=mode, markers=markers,
+                        max_len=model.config.max_len)
+    return predict_pairs(model, pairs)
+
+
+def predict_instance(
+    instance: AnnotatedInstance,
+    store: FrameStore,
+    model: Checkpoint,
+    vocab: Vocabulary,
+    *,
+    mode: TemplateMode = TemplateMode.FRAME_DEF,
+    markers: MarkerOptions = DEFAULT_MARKERS,
+) -> list[SpanPrediction]:
+    """`predict_all` of the one instance."""
+    return predict_all([instance], store, model, vocab, mode=mode, markers=markers)[0]

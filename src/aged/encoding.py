@@ -109,7 +109,14 @@ def build_vocabulary(instances: Iterable[AnnotatedInstance], store: FrameStore) 
 
 
 class PairTooLongError(ValueError):
-    """The assembled pair exceeds the configured maximum length."""
+    """The assembled pair exceeds the configured maximum length.
+
+    `instance` is the 0-based position of the pair's instance in a set, when known.
+    """
+
+    def __init__(self, message: str, instance: int | None = None):
+        super().__init__(message)
+        self.instance = instance
 
 
 @dataclass(frozen=True)

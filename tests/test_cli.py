@@ -230,8 +230,13 @@ def _gold_as_predictions(path, edit):
     (lambda preds, inst: preds[0].update(score=float("nan")), "not a finite number"),
     (lambda preds, inst: preds[0].update(score=float("inf")), "not a finite number"),
     (lambda preds, inst: preds[0].update(score="0.5"), "not a finite number"),
+    (lambda preds, inst: preds[0].update(score=True), "not a finite number"),
+    (lambda preds, inst: preds[0].update(span=5), "bad span 5"),
+    (lambda preds, inst: preds[0].update(span=True), "bad span true"),
+    (lambda preds, inst: preds[0].update(span=[True, True]), "bad span [true, true]"),
 ], ids=["duplicate-fe", "unknown-fe", "span-past-end", "span-before-start", "start-after-end",
-        "not-an-object", "nan-score", "infinite-score", "string-score"])
+        "not-an-object", "nan-score", "infinite-score", "string-score", "bool-score", "int-span",
+        "bool-span", "bool-pair-span"])
 def test_eval_rejects_invalid_predictions(capsys, tmp_path, monkeypatch, edit, message):
     monkeypatch.chdir(tmp_path)
     pred_path = tmp_path / "bad.jsonl"
@@ -247,7 +252,8 @@ def test_eval_rejects_invalid_predictions(capsys, tmp_path, monkeypatch, edit, m
 @pytest.mark.parametrize("line, message", [
     ('{"frame": ', "malformed JSON"),
     ("[1, 2]", "a prediction record must be a JSON object"),
-], ids=["truncated-json", "not-an-object"])
+    ('{"frame": "Attack", "predictions": 5}', "'predictions' must be a list"),
+], ids=["truncated-json", "not-an-object", "predictions-not-a-list"])
 def test_eval_malformed_record_names_line(capsys, tmp_path, monkeypatch, line, message):
     monkeypatch.chdir(tmp_path)
     pred_path = tmp_path / "bad.jsonl"
@@ -317,6 +323,25 @@ def test_predict_rejects_vocabulary_of_another_size(capsys, trained, tmp_path, m
     assert code == 1
     assert str(small) in err
     assert "40" in err and str(len(tokens)) in err
+    assert not out.exists()
+    assert list(tmp_path.glob("*manifest.json")) == []
+
+
+def test_predict_rejects_over_long_instance(capsys, trained, tmp_path, monkeypatch):
+    workdir, ckpt = trained
+    monkeypatch.chdir(tmp_path)
+    lines = mini_framenet_path("test").read_text().splitlines()
+    long = json.loads(lines[0])
+    long["tokens"] = long["tokens"] + ["filler"] * 300
+    lines[3:3] = ["", json.dumps(long)]  # a blank line, then the long instance on line 5
+    instances = tmp_path / "long.jsonl"
+    instances.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "pred.jsonl"
+    code, stdout, err = run(capsys, "predict", "--checkpoint", str(ckpt), "--instances",
+                            str(instances), "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert f"{instances}:5: " in err and "max_len is 256" in err
     assert not out.exists()
     assert list(tmp_path.glob("*manifest.json")) == []
 

@@ -134,6 +134,23 @@ def test_invalid_instances_rejected(tmp_path, attack_store, record, message):
         load_instances(path, attack_store)
 
 
+@pytest.mark.parametrize("tokens", [
+    ["w"] * 100 + [5] + ["w"] * 99,
+    ["w"] * 100 + [""] + ["w"] * 99,
+    ["w"] * 100 + [None] + ["w"] * 99,
+    ["w"] * 100 + [["w"]] + ["w"] * 99,
+    [],
+    "a b",
+], ids=["number", "empty-string", "null", "list", "no-tokens", "not-a-list"])
+def test_tokens_must_be_non_empty_strings(tmp_path, attack_store, tokens):
+    path = tmp_path / "inst.jsonl"
+    good = {"tokens": ["a"], "target": 1, "frame": "Attack", "arguments": []}
+    write_lines(path, [good, dict(good, tokens=tokens)])
+    with pytest.raises(CorpusError, match=r"inst.jsonl:2: instance needs a non-empty 'tokens' list "
+                                          r"of non-empty strings"):
+        load_instances(path, attack_store)
+
+
 def test_duplicate_fe_keeps_leftmost_span_and_warns(tmp_path, attack_store, caplog):
     path = tmp_path / "inst.jsonl"
     write_lines(path, [{

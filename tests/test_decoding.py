@@ -1,10 +1,21 @@
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aged.decoding import SpanPrediction, decode, decode_slot, predict_instance
-from aged.encoder import Checkpoint, EncoderConfig, forward, init_parameters
+import aged.decoding
+from aged.decoding import (
+    PREDICT_BATCH_TOKENS,
+    SpanPrediction,
+    decode,
+    decode_slot,
+    predict_all,
+    predict_instance,
+)
+from aged.encoder import Checkpoint, EncoderConfig, forward, forward_batch, init_parameters
 from aged.encoding import assemble
 from aged.pointer import PointerDistribution, make_queries, pointer_distributions
 from aged.templates import TemplateMode, build_frame_template, build_question_template
@@ -136,20 +147,62 @@ def reference_predict(inst, store, model, vocab, mode):
     return predictions
 
 
-@pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
-def test_predict_instance_matches_per_pair_reference(store, vocab, test_instances, mode):
+def _f64_model(vocab):
     config = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2, seed=3,
                            dtype="f64")
-    model = Checkpoint(config, init_parameters(config))
-    spans = 0
-    for inst in test_instances:
-        predictions = predict_instance(inst, store, model, vocab, mode=mode)
+    return Checkpoint(config, init_parameters(config))
+
+
+def _assert_matches_reference(predictions, instances, store, model, vocab, mode):
+    assert len(predictions) == len(instances)
+    for inst, preds in zip(instances, predictions):
         reference = reference_predict(inst, store, model, vocab, mode)
-        assert [(p.fe, p.span) for p in predictions] == [(r.fe, r.span) for r in reference]
-        for p, r in zip(predictions, reference):
+        assert [(p.fe, p.span) for p in preds] == [(r.fe, r.span) for r in reference]
+        for p, r in zip(preds, reference):
             assert p.score == pytest.approx(r.score, rel=1e-9)
-        spans += sum(p.span is not None for p in predictions)
-    assert spans > 0
+
+
+@pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
+def test_predict_instance_matches_per_pair_reference(store, vocab, test_instances, mode):
+    model = _f64_model(vocab)
+    predictions = [predict_instance(inst, store, model, vocab, mode=mode) for inst in test_instances]
+    _assert_matches_reference(predictions, test_instances, store, model, vocab, mode)
+    assert any(p.span is not None for preds in predictions for p in preds)
+
+
+@pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
+def test_predict_all_shuffled_matches_per_pair_reference(store, vocab, test_instances, mode):
+    model = _f64_model(vocab)
+    instances = list(test_instances)
+    random.Random(5).shuffle(instances)
+    predictions = predict_all(instances, store, model, vocab, mode=mode)
+    _assert_matches_reference(predictions, instances, store, model, vocab, mode)
+    assert any(p.span is not None for preds in predictions for p in preds)
+
+
+@pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
+def test_predict_all_batches_within_the_token_budget(store, vocab, test_instances, monkeypatch,
+                                                     mode):
+    model = _f64_model(vocab)
+    # pairs of 150+ tokens: longer than half the budget, so each must run alone
+    long = replace(test_instances[0], tokens=test_instances[0].tokens + ("filler",) * 140)
+    instances = [long, *test_instances, long]
+    batches = []
+
+    def counting_forward_batch(params, config, pairs, rng=None):
+        batches.append([len(pair.ids) for pair in pairs])
+        return forward_batch(params, config, pairs, rng)
+
+    monkeypatch.setattr(aged.decoding, "forward_batch", counting_forward_batch)
+    predictions = predict_all(instances, store, model, vocab, mode=mode)
+    assert all(len(lengths) * max(lengths) <= PREDICT_BATCH_TOKENS for lengths in batches)
+    assert max(len(lengths) for lengths in batches) > 1
+    long_batches = [lengths for lengths in batches if max(lengths) > PREDICT_BATCH_TOKENS // 2]
+    assert long_batches and all(len(lengths) == 1 for lengths in long_batches)
+    n_pairs = len(instances) if mode is TemplateMode.FRAME_DEF else sum(
+        len(store.frame(inst.frame).fe_order) for inst in instances)
+    assert sum(map(len, batches)) == n_pairs
+    _assert_matches_reference(predictions, instances, store, model, vocab, mode)
 
 
 def test_decode_matches_oracle_on_long_distributions():
