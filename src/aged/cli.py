@@ -308,9 +308,13 @@ def cmd_train(cfg: dict, force: bool) -> int:
     dev_instances = load_instances(cfg["dev"], store) if cfg["dev"] else None
     if dev_instances is not None and train_config.eval_every == 0:
         train_config.eval_every = 1
-    _, vocab, report = fit(
-        train_instances, store, encoder_config, train_config, dev=dev_instances
-    )
+    try:
+        _, vocab, report = fit(
+            train_instances, store, encoder_config, train_config, dev=dev_instances
+        )
+    except PairTooLongError as e:
+        line = _record_line(cfg["train"], e.instance)
+        raise CorpusError(f"{cfg['train']}:{line}: {e}") from None
     vocab.save(vocab_path)
     report.save(report_path)
     summary = {
@@ -539,13 +543,7 @@ def dispatch(argv: list[str]) -> int:
         return COMMANDS[args.command](cfg, args.force)
     except SystemExit as e:  # --help / --version
         return int(e.code or 0)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (CorpusError, FileNotFoundError, IsADirectoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as e:
+    except (UsageError, ValueError, FileNotFoundError, IsADirectoryError) as e:  # CorpusError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except NonFiniteLossError as e:

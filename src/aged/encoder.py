@@ -17,7 +17,7 @@ import binascii
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ _MIN_UNSHIFTED_SUM = 1e-20
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
 ParameterSet = dict[str, np.ndarray]
-ParameterGradients = dict[str, np.ndarray]
 
 
 @dataclass
@@ -51,22 +50,20 @@ class EncoderConfig:
     max_len: int = 256
     seed: int = 0
     dtype: str = "f32"
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a bool is not a size
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
-        if self.dtype not in DTYPES:
-            raise ValueError(f"dtype must be one of {sorted(DTYPES)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        if type(self.dtype) is not str or self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {sorted(DTYPES)}, got {self.dtype!r}")
 
     @property
     def np_dtype(self):
@@ -77,6 +74,15 @@ class EncoderConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "EncoderConfig":
+        """The inverse of `to_json`; an unknown or missing key raises ValueError naming it."""
+        names = [f.name for f in fields(EncoderConfig)]
+        for key in doc:
+            if key not in names:
+                raise ValueError(f"checkpoint config key '{key}' is unknown: the checkpoint was "
+                                 "saved by another version of aged; retrain the model")
+        for name in names:
+            if name not in doc:
+                raise ValueError(f"checkpoint config is missing key '{name}'")
         return EncoderConfig(**doc)
 
 
@@ -105,46 +111,49 @@ class ContextualEncoding:
     reps: np.ndarray
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every tensor, in parameter order.
 
-
-def init_parameters(config: EncoderConfig) -> ParameterSet:
-    """Allocate all tensors, deterministically in the config seed.
-
-    Weight matrices are Glorot-uniform, embeddings uniform in +-1/sqrt(d),
-    normalization gains 1 and all biases 0. The pointer matrices live here
-    too so one parameter set covers the whole trainable model.
+    The pointer matrices live here too so one parameter set covers the whole
+    trainable model.
     """
-    rng = np.random.default_rng(config.seed)
-    dt = config.np_dtype
     d, ff = config.d_model, config.d_ff
-    scale = 1.0 / math.sqrt(d)
-    params: ParameterSet = {}
-    params["tok_emb"] = rng.uniform(-scale, scale, (config.vocab_size, d)).astype(dt)
-    params["pos_emb"] = rng.uniform(-scale, scale, (config.max_len, d)).astype(dt)
-    params["seg_emb"] = rng.uniform(-scale, scale, (2, d)).astype(dt)
+    shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_len, d), "seg_emb": (2, d)}
     for i in range(config.n_layers):
         p = f"layer{i}."
-        params[p + "ln1.gain"] = np.ones(d, dt)
-        params[p + "ln1.bias"] = np.zeros(d, dt)
+        shapes[p + "ln1.gain"] = shapes[p + "ln1.bias"] = (d,)
         for nm in ("w_q", "w_k", "w_v", "w_o"):
-            params[p + "attn." + nm] = _glorot(rng, d, d, dt)
+            shapes[p + "attn." + nm] = (d, d)
         # no key bias: it shifts every score in a softmax row equally, so its
         # gradient is identically zero
         for nm in ("b_q", "b_v", "b_o"):
-            params[p + "attn." + nm] = np.zeros(d, dt)
-        params[p + "ln2.gain"] = np.ones(d, dt)
-        params[p + "ln2.bias"] = np.zeros(d, dt)
-        params[p + "ffn.w1"] = _glorot(rng, d, ff, dt)
-        params[p + "ffn.b1"] = np.zeros(ff, dt)
-        params[p + "ffn.w2"] = _glorot(rng, ff, d, dt)
-        params[p + "ffn.b2"] = np.zeros(d, dt)
-    params["final_ln.gain"] = np.ones(d, dt)
-    params["final_ln.bias"] = np.zeros(d, dt)
-    params["pointer.w_start"] = _glorot(rng, d, d, dt)
-    params["pointer.w_end"] = _glorot(rng, d, d, dt)
+            shapes[p + "attn." + nm] = (d,)
+        shapes[p + "ln2.gain"] = shapes[p + "ln2.bias"] = (d,)
+        shapes[p + "ffn.w1"], shapes[p + "ffn.b1"] = (d, ff), (ff,)
+        shapes[p + "ffn.w2"], shapes[p + "ffn.b2"] = (ff, d), (d,)
+    shapes["final_ln.gain"] = shapes["final_ln.bias"] = (d,)
+    shapes["pointer.w_start"] = shapes["pointer.w_end"] = (d, d)
+    return shapes
+
+
+def init_parameters(config: EncoderConfig) -> ParameterSet:
+    """Allocate the `parameter_shapes` tensors, deterministically in the config seed.
+
+    Embeddings are uniform in +-1/sqrt(d), weight matrices Glorot-uniform,
+    normalization gains 1 and all biases 0, drawn in parameter order.
+    """
+    rng = np.random.default_rng(config.seed)
+    scale = 1.0 / math.sqrt(config.d_model)
+    params: ParameterSet = {}
+    for name, shape in parameter_shapes(config).items():
+        if name.endswith("_emb"):
+            tensor = rng.uniform(-scale, scale, shape)
+        elif len(shape) == 2:
+            limit = math.sqrt(6.0 / sum(shape))  # fan_in + fan_out
+            tensor = rng.uniform(-limit, limit, shape)
+        else:
+            tensor = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
+        params[name] = tensor.astype(config.np_dtype)
     return params
 
 
@@ -355,16 +364,14 @@ def forward_batch(
     params: ParameterSet,
     config: EncoderConfig,
     pairs: list[EncodedPair],
-    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
     """One forward pass over a mini-batch padded to its longest pair.
 
     Returns reps of shape (B, L, d_model) and the cache for
     `backward_from_cache`. A key-padding mask gives padded positions zero
     attention probability, so each pair's rows equal its unpadded encoding;
-    rows past a pair's length are padding and carry no meaning. Dropout is
-    applied only when `rng` is given (training mode) and config.dropout > 0;
-    prediction always runs deterministically.
+    rows past a pair's length are padding and carry no meaning. Training and
+    prediction run this same pass.
     """
     lengths = np.array([len(pair.ids) for pair in pairs])
     batch, length = len(pairs), int(lengths.max())
@@ -378,7 +385,6 @@ def forward_batch(
     if ids.max() >= config.vocab_size:
         raise ValueError(f"token id {int(ids.max())} out of range for vocab_size {config.vocab_size}")
     valid = np.arange(length) < lengths[:, None]
-    p_drop = config.dropout if rng is not None else 0.0
     d = config.d_model
 
     x = params["tok_emb"][ids]
@@ -389,7 +395,7 @@ def forward_batch(
     if not valid.all():
         key_bias = np.where(valid, 0.0, -np.inf).astype(x.dtype)[:, None, None, :]
     cache: dict = {"ids": ids, "segments": segments, "valid": valid,
-                   "shape": (batch, length, d), "layers": [], "p_drop": p_drop}
+                   "shape": (batch, length, d), "layers": []}
     dh = d // config.n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
 
@@ -408,9 +414,6 @@ def forward_batch(
         ctx = _merge_heads(ctx)
         x1 = ctx @ params[p + "attn.w_o"]
         x1 += params[p + "attn.b_o"]
-        if p_drop > 0.0:
-            lc["mask_o"] = ((rng.random(x1.shape) >= p_drop) / (1.0 - p_drop)).astype(x1.dtype)
-            x1 *= lc["mask_o"]
         x1 += x  # x1 = x + o
         a2, lc["ln2"] = _layer_norm(x1, params[p + "ln2.gain"], params[p + "ln2.bias"])
         h1 = a2 @ params[p + "ffn.w1"]
@@ -418,9 +421,6 @@ def forward_batch(
         g, t = _gelu(h1)
         x = g @ params[p + "ffn.w2"]
         x += params[p + "ffn.b2"]
-        if p_drop > 0.0:
-            lc["mask_f"] = ((rng.random(x.shape) >= p_drop) / (1.0 - p_drop)).astype(x.dtype)
-            x *= lc["mask_f"]
         x += x1  # x = x1 + f
         lc.update(a=a, qh=qh, kh=kh, vh=vh, e=e, inv_sum=inv_sum, ctx=ctx, a2=a2, h1=h1, t=t,
                   g=g)
@@ -434,13 +434,12 @@ def forward_cached(
     params: ParameterSet,
     config: EncoderConfig,
     pair: EncodedPair,
-    rng: np.random.Generator | None = None,
 ) -> tuple[ContextualEncoding, dict]:
     """`forward_batch` of the single pair; reps have shape (len, d_model).
 
     Kept for the tests and the per-layer benchmark tracer.
     """
-    reps, cache = forward_batch(params, config, [pair], rng)
+    reps, cache = forward_batch(params, config, [pair])
     return ContextualEncoding(reps[0]), cache
 
 
@@ -458,14 +457,12 @@ def backward_from_cache(
 ) -> FlatGradients:
     """Exact gradients of every parameter given d(loss)/d(reps), summed over the batch.
 
-    `d_reps` has the (B, L, d_model) shape of the batch's reps; a
-    single-pair cache also takes (L, d_model). Any other shape raises
-    ValueError, even one of the same size. Rows past a pair's length are
-    padding and get zero gradient.
+    `d_reps` has the (B, L, d_model) shape of the batch's reps; any other
+    shape raises ValueError, even one of the same size. Rows past a pair's
+    length are padding and get zero gradient.
     """
     batch, length, d = cache["shape"]
-    d_reps = np.asarray(d_reps)
-    if d_reps.shape != (batch, length, d) and not (batch == 1 and d_reps.shape == (length, d)):
+    if d_reps.shape != (batch, length, d):
         raise ValueError(
             f"upstream gradient shape {d_reps.shape} does not match "
             f"output shape {(batch, length, d)}"
@@ -473,7 +470,7 @@ def backward_from_cache(
     grads = FlatGradients(params)
     dh = d // config.n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
-    d_reps = d_reps.reshape(batch, length, d) * cache["valid"][..., None]
+    d_reps = d_reps * cache["valid"][..., None]
 
     dx = _layer_norm_backward(
         d_reps.reshape(batch * length, d), cache["final_ln"], params["final_ln.gain"],
@@ -484,12 +481,9 @@ def backward_from_cache(
         p = f"layer{i}."
         lc = cache["layers"][i]
         # x_out = x1 + f, f = gelu(a2 @ w1 + b1) @ w2 + b2, a2 = LN2(x1)
-        df = dx
-        if cache["p_drop"] > 0.0:
-            df = df * lc["mask_f"]
-        np.matmul(lc["g"].T, df, out=grads[p + "ffn.w2"])
-        _column_sums(df, grads[p + "ffn.b2"])
-        dh1 = _gelu_backward(df @ params[p + "ffn.w2"].T, lc["h1"], lc["t"])
+        np.matmul(lc["g"].T, dx, out=grads[p + "ffn.w2"])
+        _column_sums(dx, grads[p + "ffn.b2"])
+        dh1 = _gelu_backward(dx @ params[p + "ffn.w2"].T, lc["h1"], lc["t"])
         np.matmul(lc["a2"].T, dh1, out=grads[p + "ffn.w1"])
         _column_sums(dh1, grads[p + "ffn.b1"])
         dx1 = _layer_norm_backward(
@@ -498,12 +492,9 @@ def backward_from_cache(
         )
         dx1 += dx  # dx1 = dx + d LN2
         # x1 = x_in + o, o = merge(softmax(q k^T / sqrt(dh) + key_bias) v) @ w_o + b_o
-        do = dx1
-        if cache["p_drop"] > 0.0:
-            do = do * lc["mask_o"]
-        np.matmul(lc["ctx"].T, do, out=grads[p + "attn.w_o"])
-        _column_sums(do, grads[p + "attn.b_o"])
-        dctx = _split_heads(do @ params[p + "attn.w_o"].T, batch, config.n_heads)
+        np.matmul(lc["ctx"].T, dx1, out=grads[p + "attn.w_o"])
+        _column_sums(dx1, grads[p + "attn.b_o"])
+        dctx = _split_heads(dx1 @ params[p + "attn.w_o"].T, batch, config.n_heads)
         dqh, dkh, dvh = _attention_backward(
             dctx, lc["qh"], lc["kh"], lc["vh"], lc["e"], lc["inv_sum"]
         )
@@ -558,13 +549,32 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a `save_checkpoint` file; a malformed or non-finite tensor raises ValueError naming it."""
+    """Read a `save_checkpoint` file.
+
+    A missing or malformed config (see `EncoderConfig.from_json`), a tensor
+    that is not among the config's `parameter_shapes` or is missing from the
+    file, and a misshapen, malformed or non-finite tensor raise ValueError
+    naming the key or tensor.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    for key in ("config", "params"):
+        if not isinstance(doc, dict) or not isinstance(doc.get(key), dict):
+            raise ValueError(f"checkpoint '{key}' is missing or not a JSON object")
     config = EncoderConfig.from_json(doc["config"])
+    shapes, specs = parameter_shapes(config), doc["params"]
+    if specs.keys() != shapes.keys():
+        raise ValueError(f"checkpoint tensors missing: {sorted(shapes.keys() - specs.keys())}; "
+                         f"not in this config: {sorted(specs.keys() - shapes.keys())}")
     dtype = _wire_dtype(config)
     params = {}
-    for name, spec in doc["params"].items():
-        data, shape = spec["data"], tuple(spec["shape"])
+    for name, shape in shapes.items():
+        spec = specs[name] if isinstance(specs[name], dict) else {}
+        if spec.get("shape") != list(shape):
+            raise ValueError(
+                f"checkpoint tensor '{name}': shape {spec.get('shape')}, "
+                f"expected {list(shape)} for this config"
+            )
+        data = spec.get("data")
         if not isinstance(data, str):
             raise ValueError(
                 f"checkpoint tensor '{name}': data must be a base64 string, "

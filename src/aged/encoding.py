@@ -134,7 +134,6 @@ class EncodedPair:
     slot_pos: tuple[tuple[int, int], ...]
     slot_fes: tuple[str, ...]
     segment: tuple[int, ...]
-    n: int
 
     cls_pos = 0
 
@@ -182,7 +181,6 @@ def assemble(
         slot_pos=slot_pos,
         slot_fes=template.slot_fes,
         segment=segment,
-        n=n,
     )
 
 

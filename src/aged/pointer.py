@@ -22,7 +22,6 @@ from .encoder import (
     ContextualEncoding,
     EncoderConfig,
     FlatGradients,
-    ParameterGradients,
     ParameterSet,
     backward_from_cache,
     forward_batch,
@@ -165,7 +164,6 @@ def batch_loss_and_gradients(
     config: EncoderConfig,
     pairs: list[EncodedPair],
     labels: list[list[SlotLabel]],
-    rng: np.random.Generator | None = None,
 ) -> tuple[list[LossBreakdown], list[list[PointerDistribution]], FlatGradients]:
     """Forward and backward for a mini-batch: `forward_batch`, `score_batch`, backward.
 
@@ -176,7 +174,7 @@ def batch_loss_and_gradients(
     """
     if len(pairs) != len(labels):
         raise ValueError(f"{len(pairs)} pairs vs {len(labels)} label lists")
-    reps, cache = forward_batch(params, config, pairs, rng)
+    reps, cache = forward_batch(params, config, pairs)
     distributions, scores = score_batch(params, reps, pairs)
     batch, _, d = reps.shape
     n_cands, n_slots = scores["n_cands"], scores["n_slots"]
@@ -245,10 +243,9 @@ def loss_and_gradients(
     config: EncoderConfig,
     pair: EncodedPair,
     labels: list[SlotLabel],
-    rng: np.random.Generator | None = None,
-) -> tuple[LossBreakdown, list[PointerDistribution], ParameterGradients]:
+) -> tuple[LossBreakdown, list[PointerDistribution], FlatGradients]:
     """`batch_loss_and_gradients` of the single pair, kept for the tests and the tracer."""
     [breakdown], [distributions], grads = batch_loss_and_gradients(
-        params, config, [pair], [labels], rng
+        params, config, [pair], [labels]
     )
     return breakdown, distributions, grads

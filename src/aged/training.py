@@ -24,12 +24,19 @@ from .encoder import (
     Checkpoint,
     EncoderConfig,
     FlatGradients,
-    ParameterGradients,
     ParameterSet,
     init_parameters,
     save_checkpoint,
 )
-from .encoding import EncodedPair, SlotLabel, Vocabulary, assemble, build_vocabulary, gold_labels
+from .encoding import (
+    EncodedPair,
+    PairTooLongError,
+    SlotLabel,
+    Vocabulary,
+    assemble,
+    build_vocabulary,
+    gold_labels,
+)
 from .pointer import batch_loss_and_gradients
 from .templates import (
     DEFAULT_MARKERS,
@@ -100,14 +107,15 @@ def build_training_stream(
 
     Each instance is paired with the `query_templates` of its frame, as in
     prediction; in frame-def mode FE augmentation then adds one FE-definition
-    pair per gold argument.
+    pair per gold argument. A pair over `max_len` raises PairTooLongError
+    whose `instance` is the 0-based position of its instance.
     """
     opts = config.marker_options
     stream: list[TrainingExample] = []
     frame_templates = {
         frame.name: query_templates(frame, config.template_mode, opts) for frame in store
     }
-    for inst in instances:
+    for i, inst in enumerate(instances):
         frame = store.frame(inst.frame)
         templates = frame_templates[inst.frame]
         if config.augment_fe_defs:
@@ -115,49 +123,42 @@ def build_training_stream(
             templates = templates + [
                 build_fe_template(frame, fe, opts) for fe in frame.fe_order if fe in gold_fes
             ]
-        for tpl in templates:
-            stream.append(TrainingExample(
-                assemble(inst, tpl, vocab, opts, config.max_len),
-                gold_labels(inst, tpl),
-                Provenance(tpl.mode, tpl.focus_fe),
-            ))
+        try:
+            for tpl in templates:
+                stream.append(TrainingExample(
+                    assemble(inst, tpl, vocab, opts, config.max_len),
+                    gold_labels(inst, tpl),
+                    Provenance(tpl.mode, tpl.focus_fe),
+                ))
+        except PairTooLongError as e:
+            raise PairTooLongError(str(e), instance=i) from None
     return stream
 
 
 class Adam:
     """Plain Adam with bias correction; no schedule, no weight decay.
 
-    The moments live in flat buffers over all parameters, and a step runs
-    the per-tensor elementwise formula in place on two preallocated scratch
-    buffers, op for op in the same order, so its updates are bitwise those
-    of the per-tensor form. `FlatGradients` are read in place; any other
-    dict of gradients is first copied into a flat buffer.
+    The moments and the update live in flat buffers laid out as
+    `FlatGradients`, whose flat buffer a step reads in place. A step runs the
+    per-tensor elementwise formula in place on preallocated buffers, op for
+    op in the same order, so its updates are bitwise those of the per-tensor
+    form.
     """
 
     def __init__(self, params: ParameterSet, lr: float):
         self.lr = lr
         self.t = 0
-        self.slices: dict[str, slice] = {}
-        size = 0
-        for k, p in params.items():
-            self.slices[k] = slice(size, size + p.size)
-            size += p.size
-        dtype = np.result_type(*params.values())
-        self.m = np.zeros(size, dtype)
-        self.v = np.zeros(size, dtype)
-        self._g = np.empty(size, dtype)
-        self._tmp = np.empty(size, dtype)
+        self._update = FlatGradients(params)  # the update, with a view per parameter
+        self.m = np.zeros_like(self._update.flat)
+        self.v = np.zeros_like(self._update.flat)
+        self._tmp = np.empty_like(self._update.flat)
 
-    def step(self, params: ParameterSet, grads: ParameterGradients) -> None:
+    def step(self, params: ParameterSet, grads: FlatGradients) -> None:
         self.t += 1
         b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        m, v, tmp = self.m, self.v, self._tmp
-        if isinstance(grads, FlatGradients):
-            g = grads.flat
-        else:
-            g = np.concatenate([grads[k].ravel() for k in self.slices], out=self._g)
+        m, v, g, tmp = self.m, self.v, grads.flat, self._tmp
         # m = b1 * m + (1 - b1) * g
         m *= b1
         np.multiply(g, 1.0 - b1, out=tmp)
@@ -167,30 +168,26 @@ class Adam:
         np.multiply(g, 1.0 - b2, out=tmp)
         tmp *= g
         v += tmp
-        # update = lr * (m / c1) / (sqrt(v / c2) + eps), built in self._g
+        # update = lr * (m / c1) / (sqrt(v / c2) + eps)
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
-        update = np.divide(m, c1, out=self._g)
+        update = np.divide(m, c1, out=self._update.flat)
         update *= self.lr
         update /= tmp
-        for k, flat in self.slices.items():
-            p = params[k]
-            p -= update[flat].reshape(p.shape)
+        for k, u in self._update.items():
+            params[k] -= u
 
 
-def clip_gradients(grads: ParameterGradients, max_norm: float) -> float:
+def clip_gradients(grads: FlatGradients, max_norm: float) -> float:
     """Scale gradients in place to a global-norm cap; returns the pre-clip norm.
 
-    `FlatGradients` take the norm (one dot product) and the scale on their
-    one flat buffer; plain dicts sum per-tensor squared norms in `grads` order.
+    The norm is one dot product of the flat buffer, and the scale one
+    multiply of it.
     """
-    tensors = [grads.flat] if isinstance(grads, FlatGradients) else list(grads.values())
-    total = math.sqrt(sum(float(np.vdot(g, g)) for g in tensors))
+    total = math.sqrt(float(np.vdot(grads.flat, grads.flat)))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for g in tensors:
-            g *= scale
+        grads.flat *= max_norm / total
     return total
 
 
@@ -253,10 +250,6 @@ def train(
     params, enc_config = model.params, model.config
     optimizer = Adam(params, config.learning_rate)
     report = TrainingReport(epochs=config.epochs, stream_size=len(stream))
-    dropout_rng = (
-        np.random.default_rng((enc_config.seed, config.seed))
-        if enc_config.dropout > 0 else None
-    )
     started = time.monotonic()
 
     for epoch in range(config.epochs):
@@ -267,8 +260,7 @@ def train(
             batch = order[lo : lo + config.batch_size]
             examples = [stream[idx] for idx in batch]
             breakdowns, _, grads = batch_loss_and_gradients(
-                params, enc_config,
-                [ex.pair for ex in examples], [ex.labels for ex in examples], dropout_rng,
+                params, enc_config, [ex.pair for ex in examples], [ex.labels for ex in examples]
             )
             batch_loss = sum(breakdown.total for breakdown in breakdowns)
             if not math.isfinite(batch_loss):
@@ -337,7 +329,11 @@ def _dev_f1(model, store, vocab, dev, config) -> float:
     from .decoding import predict_all
     from .evaluation import evaluate
 
-    predictions = predict_all(
-        dev, store, model, vocab, mode=config.template_mode, markers=config.marker_options
-    )
+    try:
+        predictions = predict_all(
+            dev, store, model, vocab, mode=config.template_mode, markers=config.marker_options
+        )
+    except PairTooLongError as e:
+        # a plain ValueError, so that no caller reports it against the training instances
+        raise ValueError(f"dev instance {e.instance + 1}: {e}") from None
     return evaluate(predictions, dev).f1

@@ -264,10 +264,12 @@ def test_eval_malformed_record_names_line(capsys, tmp_path, monkeypatch, line, m
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
-def _corrupt_checkpoint(src, dst, data):
-    doc = json.loads(src.read_text())
-    doc["params"]["layer0.ffn.w1"]["data"] = data(doc["params"]["layer0.ffn.w1"]["data"])
-    dst.write_text(json.dumps(doc))
+def _tensor_data(edit):
+    """Checkpoint edit: `edit` maps the base64 data of `layer0.ffn.w1` to its new data."""
+    def apply(doc):
+        spec = doc["params"]["layer0.ffn.w1"]
+        spec["data"] = edit(spec["data"])
+    return apply
 
 
 def _last_f32_set_to(value):
@@ -279,23 +281,45 @@ def _last_f32_set_to(value):
     return edit
 
 
-@pytest.mark.parametrize("data, message", [
-    (lambda d: d[: len(d) // 2], "bytes, expected"),
-    (lambda d: [0.25] * 16, "base64 string"),
-    (_last_f32_set_to(np.nan), "NaN or infinite"),
-    (_last_f32_set_to(-np.inf), "NaN or infinite"),
-], ids=["truncated", "decimal-list", "nan", "infinite"])
-def test_predict_rejects_bad_checkpoint(capsys, trained, tmp_path, monkeypatch, data, message):
+def _misshapen_w_end(doc):
+    doc["params"]["pointer.w_end"] = {
+        "shape": [16, 64],
+        "data": base64.b64encode(np.zeros((16, 64), "<f4").tobytes()).decode("ascii"),
+    }
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_tensor_data(lambda d: d[: len(d) // 2]), "'layer0.ffn.w1': 513 bytes, expected 1024"),
+    (_tensor_data(lambda d: [0.25] * 16), "'layer0.ffn.w1': data must be a base64 string"),
+    (_tensor_data(_last_f32_set_to(np.nan)), "'layer0.ffn.w1': holds NaN or infinite"),
+    (_tensor_data(_last_f32_set_to(-np.inf)), "'layer0.ffn.w1': holds NaN or infinite"),
+    (lambda doc: doc["params"].pop("pointer.w_end"), "tensors missing: ['pointer.w_end']"),
+    (_misshapen_w_end, "'pointer.w_end': shape [16, 64], expected [8, 8]"),
+    (lambda doc: doc["params"].update(extra=doc["params"]["pointer.w_end"]),
+     "not in this config: ['extra']"),
+    (lambda doc: doc.pop("config"), "'config' is missing"),
+    (lambda doc: doc["config"].update(dropout=0.0), "key 'dropout' is unknown"),
+    (lambda doc: doc["config"].pop("max_len"), "missing key 'max_len'"),
+    (lambda doc: doc["config"].update(vocab_size="x"),
+     "vocab_size must be an integer >= 1, got 'x'"),
+    (lambda doc: doc["config"].update(dtype=["f32"]), "dtype must be one of ['f32', 'f64']"),
+], ids=["truncated", "decimal-list", "nan", "infinite", "missing-tensor", "misshapen-tensor",
+        "extra-tensor", "no-config", "old-dropout-config", "missing-config-key",
+        "string-size", "list-dtype"])
+def test_predict_rejects_bad_checkpoint(capsys, trained, tmp_path, monkeypatch, edit, message):
     workdir, ckpt = trained
     monkeypatch.chdir(tmp_path)
+    doc = json.loads(ckpt.read_text())
+    edit(doc)
     bad = tmp_path / "model.json"
-    _corrupt_checkpoint(ckpt, bad, data)
+    bad.write_text(json.dumps(doc))
     code, _, err = run(capsys, "predict", "--checkpoint", str(bad),
                        "--vocab", str(workdir / "model.json.vocab.json"),
                        "--out", str(tmp_path / "pred.jsonl"))
     assert code == 1
     assert message in err
-    assert "'layer0.ffn.w1'" in err
+    if "dropout" in message:
+        assert "retrain" in err
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
@@ -344,6 +368,28 @@ def test_predict_rejects_over_long_instance(capsys, trained, tmp_path, monkeypat
     assert f"{instances}:5: " in err and "max_len is 256" in err
     assert not out.exists()
     assert list(tmp_path.glob("*manifest.json")) == []
+
+
+@pytest.mark.parametrize("flag", ["train", "dev"])
+def test_train_names_over_long_instance(capsys, tmp_path, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    lines = mini_framenet_path("train").read_text().splitlines()
+    long = json.loads(lines[0])
+    long["tokens"] = long["tokens"] + ["filler"] * 300
+    lines[3:3] = ["", json.dumps(long)]  # a blank line, then the long instance on line 5
+    instances = tmp_path / "long.jsonl"
+    instances.write_text("\n".join(lines) + "\n")
+    code, stdout, err = run(capsys, "train", f"--{flag}", str(instances), "--epochs", "1",
+                            "--d-model", "8", "--layers", "1", "--heads", "2",
+                            "--checkpoint", "model.json")
+    assert code == 1
+    assert stdout == ""
+    assert "max_len is 256" in err
+    if flag == "train":
+        assert f"{instances}:5: " in err
+    else:  # a dev instance is not reported against the training file
+        assert "dev instance 4: " in err and str(instances) not in err
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_experiment_equals_train_predict_eval(capsys, trained, tmp_path, monkeypatch):

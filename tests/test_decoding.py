@@ -189,9 +189,9 @@ def test_predict_all_batches_within_the_token_budget(store, vocab, test_instance
     instances = [long, *test_instances, long]
     batches = []
 
-    def counting_forward_batch(params, config, pairs, rng=None):
+    def counting_forward_batch(params, config, pairs):
         batches.append([len(pair.ids) for pair in pairs])
-        return forward_batch(params, config, pairs, rng)
+        return forward_batch(params, config, pairs)
 
     monkeypatch.setattr(aged.decoding, "forward_batch", counting_forward_batch)
     predictions = predict_all(instances, store, model, vocab, mode=mode)

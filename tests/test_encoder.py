@@ -43,14 +43,13 @@ def make_pair(ids, n_text):
         slot_pos=(),
         slot_fes=(),
         segment=tuple(0 if i <= n_text + 1 else 1 for i in range(length)),
-        n=n_text,
     )
 
 
 def backward(params, config, pair, upstream):
-    """Encode one pair and backpropagate `upstream` (d loss / d reps) through it."""
+    """Encode one pair and backpropagate `upstream` (d loss / d reps, (L, d)) through it."""
     _, cache = forward_cached(params, config, pair)
-    return backward_from_cache(params, config, cache, upstream)
+    return backward_from_cache(params, config, cache, upstream[None])
 
 
 @pytest.fixture
@@ -140,8 +139,9 @@ def test_backward_shape_mismatch_rejected(vocab, pair):
     params = init_parameters(config)
     length, d = len(pair.ids), config.d_model
     _, cache = forward_cached(params, config, pair)
-    # a transposed upstream has the right size but not the right shape
-    for shape in ((3, 3), (d, length), (length * d,), (2, length, d)):
+    # a transposed upstream has the right size but not the right shape, and
+    # a batch of one takes no unbatched (L, d) upstream
+    for shape in ((3, 3), (d, length), (length * d,), (2, length, d), (length, d)):
         with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*\(1, {length}, {d}\)"):
             backward_from_cache(params, config, cache, np.zeros(shape))
     short = make_pair([CLS_ID, 11, 12, 3], n_text=2)

@@ -37,7 +37,6 @@ def pair_with_slots(n, slot_pos, total_len):
         slot_pos=tuple(slot_pos),
         slot_fes=tuple(f"FE{i}" for i in range(len(slot_pos))),
         segment=tuple(0 if i <= n + 1 else 1 for i in range(total_len)),
-        n=n,
     )
 
 
@@ -230,7 +229,7 @@ def mixed_batch(store, vocab, train_instances):
     ]
     pairs = [assemble(i, t, vocab) for i, t in templates]
     labels = [gold_labels(i, t) for i, t in templates]
-    cls_only = EncodedPair(ids=(CLS_ID,), sentence_pos=(), slot_pos=(), slot_fes=(), segment=(0,), n=0)
+    cls_only = EncodedPair(ids=(CLS_ID,), sentence_pos=(), slot_pos=(), slot_fes=(), segment=(0,))
     pairs.insert(2, cls_only)
     labels.insert(2, [])
     assert len({len(p.ids) for p in pairs}) == len(pairs)
@@ -327,9 +326,9 @@ def test_one_hot_scatters_equal_add_at_exactly():
     pairs = [
         EncodedPair(ids=(2, 5, 5, 7, 5, 3, 9, 9, 9, 3), sentence_pos=(1, 2, 3, 4),
                     slot_pos=((6, 8), (7, 9), (8, 8)), slot_fes=("A", "B", "C"),
-                    segment=(0, 0, 0, 0, 0, 0, 1, 1, 1, 1), n=4),
+                    segment=(0, 0, 0, 0, 0, 0, 1, 1, 1, 1)),
         EncodedPair(ids=(2, 4, 4, 3, 6, 6, 3), sentence_pos=(1, 2),
-                    slot_pos=((4, 5),), slot_fes=("A",), segment=(0, 0, 0, 0, 1, 1, 1), n=2),
+                    slot_pos=((4, 5),), slot_fes=("A",), segment=(0, 0, 0, 0, 1, 1, 1)),
     ]
     config = EncoderConfig(vocab_size=12, d_model=8, n_layers=1, n_heads=2, max_len=16,
                            seed=1, dtype="f64")

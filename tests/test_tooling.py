@@ -1,9 +1,12 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+import aged.cli
 from aged.corpus import mini_framenet_path
+from aged.encoder import EncoderConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 GENERATOR = ROOT / "scripts" / "make_mini_framenet.py"
@@ -40,3 +43,17 @@ def test_benchmark_tracer_finds_every_function_it_needs():
         tracer.uninstall()
     assert absent == []
     assert len(metrics) == len(tracing.LAYER_METRICS)
+
+
+# EncoderConfig fields that no flag sets: `fit` sizes the vocabulary, and the
+# gradient tests run in f64
+NOT_FROM_FLAGS = {"vocab_size", "dtype"}
+
+
+def test_every_encoder_config_field_is_set_from_flags(monkeypatch):
+    # a config field that no command can set is reachable only from tests
+    set_by_cli = {}
+    monkeypatch.setattr(aged.cli, "EncoderConfig", lambda **fields: set_by_cli.update(fields))
+    aged.cli._encoder_config(aged.cli.DEFAULTS["train"])
+    unreachable = {f.name for f in dataclasses.fields(EncoderConfig)} - set(set_by_cli)
+    assert unreachable <= NOT_FROM_FLAGS
