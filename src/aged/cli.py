@@ -5,10 +5,11 @@ config file is flat ``key = value`` text whose keys mirror flag names with
 dashes replaced by underscores. Every run writes a RunManifest JSON (command,
 resolved configuration, input digests, seed, version, timestamp) beside its
 primary output before any long-running work starts. `predict` checks its
-mode, checkpoint and vocabulary and assembles every input pair first, and
-`ingest` and `eval` read and validate their inputs first, so a run rejected
-for those leaves no manifest. Existing outputs are never overwritten unless
---force is given.
+checkpoint and mode and assembles every input pair first, and every command
+reads and validates its input files first, so a run rejected for those
+leaves no manifest. A checkpoint carries its vocabulary, template mode and
+marker options, so `predict` takes none of them from flags. Existing outputs
+are never overwritten unless --force is given.
 AGED_LOG in {error, info, debug} controls stderr log verbosity.
 """
 
@@ -36,11 +37,11 @@ from .corpus import (
 )
 from .decoding import SpanPrediction, predict_pairs, query_pairs
 from .encoder import EncoderConfig, load_checkpoint
-from .encoding import PairTooLongError, Vocabulary
+from .encoding import PairTooLongError
 from .evaluation import evaluate
 from .experiments import run_holdout_experiment
 from .templates import MarkerOptions, TemplateMode, build_template, render_surface
-from .training import NonFiniteLossError, TrainConfig, fit
+from .training import DevPairTooLongError, NonFiniteLossError, TrainConfig, fit
 
 logger = logging.getLogger(__name__)
 
@@ -106,11 +107,8 @@ DEFAULTS: dict[str, dict] = {
         "frames": _bundled("frames"),
         "instances": _bundled("test"),
         "checkpoint": "checkpoint.json",
-        "vocab": "",
         "out": "predictions.jsonl",
-        "mode": "frame-def",
-        "no_target_markers": False,
-        "no_label_markers": False,
+        "mode": "",  # the checkpoint's; a different mode is rejected
     },
     "eval": {
         "frames": _bundled("frames"),
@@ -233,11 +231,9 @@ def _check_output(path: str, force: bool) -> None:
 
 
 def _markers(cfg: dict) -> MarkerOptions:
-    labels_on = not cfg.get("no_label_markers", False)
     return MarkerOptions(
         target_markers=not cfg.get("no_target_markers", False),
-        frame_markers=labels_on,
-        role_markers=labels_on,
+        label_markers=not cfg.get("no_label_markers", False),
     )
 
 
@@ -295,31 +291,28 @@ def cmd_template(cfg: dict, force: bool) -> int:
 
 def cmd_train(cfg: dict, force: bool) -> int:
     checkpoint_path = cfg["checkpoint"]
-    vocab_path = checkpoint_path + ".vocab.json"
     report_path = checkpoint_path + ".report.json"
-    for path in (checkpoint_path, vocab_path, report_path):
+    outputs = [checkpoint_path, report_path] + ([checkpoint_path + ".best"] if cfg["dev"] else [])
+    for path in outputs:
         _check_output(path, force)
     encoder_config, train_config = _encoder_config(cfg), _train_config(cfg, checkpoint_path)
-    inputs = [cfg["frames"], cfg["train"]] + ([cfg["dev"]] if cfg["dev"] else [])
-    write_manifest("train", cfg, inputs, checkpoint_path)
-
     store = load_ontology(cfg["frames"])
     train_instances = load_instances(cfg["train"], store)
     dev_instances = load_instances(cfg["dev"], store) if cfg["dev"] else None
+    inputs = [cfg["frames"], cfg["train"]] + ([cfg["dev"]] if cfg["dev"] else [])
+    write_manifest("train", cfg, inputs, checkpoint_path)
+
     if dev_instances is not None and train_config.eval_every == 0:
         train_config.eval_every = 1
     try:
-        _, vocab, report = fit(
-            train_instances, store, encoder_config, train_config, dev=dev_instances
-        )
+        _, report = fit(train_instances, store, encoder_config, train_config, dev=dev_instances)
+    except DevPairTooLongError as e:
+        raise _at_line(cfg["dev"], e) from None
     except PairTooLongError as e:
-        line = _record_line(cfg["train"], e.instance)
-        raise CorpusError(f"{cfg['train']}:{line}: {e}") from None
-    vocab.save(vocab_path)
+        raise _at_line(cfg["train"], e) from None
     report.save(report_path)
     summary = {
         "checkpoint": checkpoint_path,
-        "vocab": vocab_path,
         "report": report_path,
         "final_loss": report.epoch_losses[-1],
         "best_dev_f1": report.best_dev_f1,
@@ -331,28 +324,19 @@ def cmd_train(cfg: dict, force: bool) -> int:
 def cmd_predict(cfg: dict, force: bool) -> int:
     out_path = cfg["out"]
     _check_output(out_path, force)
-    mode = TemplateMode(cfg["mode"])
-    if mode is TemplateMode.FE_DEF:
-        raise UsageError("fe-def is an augmentation mode, not a query mode")
-    vocab_path = cfg["vocab"] or cfg["checkpoint"] + ".vocab.json"
     model = load_checkpoint(cfg["checkpoint"])
-    vocab = Vocabulary.load(vocab_path)
-    if len(vocab) != model.config.vocab_size:
+    if cfg["mode"] and cfg["mode"] != model.mode.value:
         raise UsageError(
-            f"vocabulary '{vocab_path}' has {len(vocab)} tokens but checkpoint "
-            f"'{cfg['checkpoint']}' was trained with vocab_size {model.config.vocab_size}"
+            f"--mode {cfg['mode']} does not match checkpoint '{cfg['checkpoint']}', "
+            f"which was trained in mode {model.mode.value}"
         )
     store = load_ontology(cfg["frames"])
     instances = load_instances(cfg["instances"], store)
     try:
-        pairs = query_pairs(instances, store, vocab, mode=mode, markers=_markers(cfg),
-                            max_len=model.config.max_len)
+        pairs = query_pairs(instances, store, model)
     except PairTooLongError as e:
-        line = _record_line(cfg["instances"], e.instance)
-        raise CorpusError(f"{cfg['instances']}:{line}: {e}") from None
-    write_manifest(
-        "predict", cfg, [cfg["frames"], cfg["instances"], cfg["checkpoint"], vocab_path], out_path
-    )
+        raise _at_line(cfg["instances"], e) from None
+    write_manifest("predict", cfg, [cfg["frames"], cfg["instances"], cfg["checkpoint"]], out_path)
     predictions = predict_pairs(model, pairs)
     with open(out_path, "w", encoding="utf-8") as f:
         for inst, preds in zip(instances, predictions):
@@ -368,11 +352,12 @@ def cmd_predict(cfg: dict, force: bool) -> int:
     return EXIT_OK
 
 
-def _record_line(path: str, index: int) -> int:
-    """The 1-based line of the record at 0-based `index` of a JSONL file; blank lines hold none."""
+def _at_line(path: str, e: PairTooLongError) -> CorpusError:
+    """`e` naming `path` and the 1-based line of its instance; blank lines hold no record."""
     with open(path, encoding="utf-8") as f:
         lines = (lineno for lineno, line in enumerate(f, start=1) if line.strip())
-        return next(itertools.islice(lines, index, None))
+        line = next(itertools.islice(lines, e.instance, None))
+    return CorpusError(f"{path}:{line}: {e}")
 
 
 def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPrediction]]:
@@ -469,10 +454,10 @@ def cmd_experiment(cfg: dict, force: bool) -> int:
     else:
         raise UsageError(f"--k must be an integer >= 0 or 'full', got {cfg['k']!r}")
     encoder_config, train_config = _encoder_config(cfg), _train_config(cfg, None)
-    write_manifest("experiment", cfg, [cfg["frames"], cfg["train"], cfg["test"]], out_path)
     store = load_ontology(cfg["frames"])
     train_instances = load_instances(cfg["train"], store)
     test_instances = load_instances(cfg["test"], store)
+    write_manifest("experiment", cfg, [cfg["frames"], cfg["train"], cfg["test"]], out_path)
     frames = {name.strip() for name in str(cfg["holdout"]).split(",") if name.strip()}
     report = run_holdout_experiment(
         train_instances, test_instances, store, frames, k,

@@ -18,9 +18,9 @@ import numpy as np
 
 from .corpus import AnnotatedInstance, FrameStore
 from .encoder import Checkpoint, forward_batch
-from .encoding import EncodedPair, PairTooLongError, Vocabulary, assemble
+from .encoding import EncodedPair, PairTooLongError, assemble
 from .pointer import PointerDistribution, score_batch
-from .templates import DEFAULT_MARKERS, MarkerOptions, TemplateMode, query_templates
+from .templates import query_templates
 
 # Padded tokens (pairs x longest pair) one prediction batch may hold. Short
 # pairs share a batch to save per-call overhead; a pair longer than half of
@@ -67,26 +67,23 @@ def decode(distributions: list[PointerDistribution]) -> list[SpanPrediction]:
 
 
 def query_pairs(
-    instances: list[AnnotatedInstance],
-    store: FrameStore,
-    vocab: Vocabulary,
-    *,
-    mode: TemplateMode = TemplateMode.FRAME_DEF,
-    markers: MarkerOptions = DEFAULT_MARKERS,
-    max_len: int,
+    instances: list[AnnotatedInstance], store: FrameStore, model: Checkpoint
 ) -> list[list[EncodedPair]]:
     """Each instance assembled with every `query_templates` template of its frame.
 
+    The templates, markers, vocabulary and `max_len` are the model's.
     Frame-def mode gives one pair per instance, question mode one per FE in
     `fe_order`. A pair over `max_len` raises PairTooLongError whose
-    `instance` is the 0-based position of its instance; fe-def raises
-    ValueError.
+    `instance` is the 0-based position of its instance.
     """
     pairs = []
     for i, inst in enumerate(instances):
-        templates = query_templates(store.frame(inst.frame), mode, markers)
+        templates = query_templates(store.frame(inst.frame), model.mode, model.markers)
         try:
-            pairs.append([assemble(inst, t, vocab, markers, max_len) for t in templates])
+            pairs.append([
+                assemble(inst, t, model.vocab, model.markers, model.config.max_len)
+                for t in templates
+            ])
         except PairTooLongError as e:
             raise PairTooLongError(str(e), instance=i) from None
     return pairs
@@ -119,32 +116,18 @@ def predict_pairs(model: Checkpoint, pairs: list[list[EncodedPair]]) -> list[lis
 
 
 def predict_all(
-    instances: list[AnnotatedInstance],
-    store: FrameStore,
-    model: Checkpoint,
-    vocab: Vocabulary,
-    *,
-    mode: TemplateMode = TemplateMode.FRAME_DEF,
-    markers: MarkerOptions = DEFAULT_MARKERS,
+    instances: list[AnnotatedInstance], store: FrameStore, model: Checkpoint
 ) -> list[list[SpanPrediction]]:
     """One prediction per FE of each instance's frame, in `fe_order`.
 
     `query_pairs` of the whole set, then `predict_pairs` in length-sorted
-    padded batches. `mode` fe-def raises ValueError.
+    padded batches.
     """
-    pairs = query_pairs(instances, store, vocab, mode=mode, markers=markers,
-                        max_len=model.config.max_len)
-    return predict_pairs(model, pairs)
+    return predict_pairs(model, query_pairs(instances, store, model))
 
 
 def predict_instance(
-    instance: AnnotatedInstance,
-    store: FrameStore,
-    model: Checkpoint,
-    vocab: Vocabulary,
-    *,
-    mode: TemplateMode = TemplateMode.FRAME_DEF,
-    markers: MarkerOptions = DEFAULT_MARKERS,
+    instance: AnnotatedInstance, store: FrameStore, model: Checkpoint
 ) -> list[SpanPrediction]:
     """`predict_all` of the one instance."""
-    return predict_all([instance], store, model, vocab, mode=mode, markers=markers)[0]
+    return predict_all([instance], store, model)[0]

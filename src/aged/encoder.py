@@ -17,12 +17,13 @@ import binascii
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .encoding import EncodedPair
+from .encoding import EncodedPair, Vocabulary
+from .templates import MarkerOptions, TemplateMode
 
 LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -522,13 +523,22 @@ def backward_from_cache(
 
 @dataclass
 class Checkpoint:
-    """Encoder plus pointer-head parameters and the config that shaped them."""
+    """The whole model: encoder and pointer-head parameters, the config that
+    shaped them, and the vocabulary and query templates they were trained on."""
 
     config: EncoderConfig
     params: ParameterSet
+    vocab: Vocabulary
+    mode: TemplateMode
+    markers: MarkerOptions
 
     def copy(self) -> "Checkpoint":
-        return Checkpoint(self.config, {k: v.copy() for k, v in self.params.items()})
+        return replace(self, params={k: v.copy() for k, v in self.params.items()})
+
+
+CHECKPOINT_FORMAT = 1
+_CHECKPOINT_KEYS = ("format", "config", "vocab", "mode", "markers", "params")
+_QUERY_MODES = (TemplateMode.FRAME_DEF.value, TemplateMode.QUESTION.value)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -536,7 +546,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     little-endian bytes in the config dtype, so values round-trip bitwise."""
     dtype = _wire_dtype(ckpt.config)
     doc = {
+        "format": CHECKPOINT_FORMAT,
         "config": ckpt.config.to_json(),
+        "vocab": ckpt.vocab.tokens,
+        "mode": ckpt.mode.value,
+        "markers": asdict(ckpt.markers),
         "params": {
             name: {
                 "shape": list(t.shape),
@@ -551,16 +565,47 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a `save_checkpoint` file.
 
-    A missing or malformed config (see `EncoderConfig.from_json`), a tensor
-    that is not among the config's `parameter_shapes` or is missing from the
-    file, and a misshapen, malformed or non-finite tensor raise ValueError
-    naming the key or tensor.
+    A missing or unknown top-level key, a `format` other than 1, a malformed
+    config (see `EncoderConfig.from_json`), a vocabulary that is not a valid
+    `Vocabulary` of `vocab_size` tokens, a mode that is not a query mode,
+    markers that are not exactly the `MarkerOptions` fields as booleans, a
+    tensor that is not among the config's `parameter_shapes` or is missing
+    from the file, and a misshapen, malformed or non-finite tensor raise
+    ValueError naming the key or tensor.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    for key in ("config", "params"):
-        if not isinstance(doc, dict) or not isinstance(doc.get(key), dict):
-            raise ValueError(f"checkpoint '{key}' is missing or not a JSON object")
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint must be a JSON object")
+    for key in (*_CHECKPOINT_KEYS, *doc):
+        if (key in doc) != (key in _CHECKPOINT_KEYS):
+            state = "unknown" if key in doc else "missing"
+            raise ValueError(f"checkpoint key '{key}' is {state}: the checkpoint was saved by "
+                             "another version of aged; retrain the model")
+    if type(doc["format"]) is not int or doc["format"] != CHECKPOINT_FORMAT:
+        raise ValueError(f"checkpoint 'format' is {doc['format']!r}; this version of aged "
+                         f"reads format {CHECKPOINT_FORMAT}")
+    for key in ("config", "params", "markers"):
+        if not isinstance(doc[key], dict):
+            raise ValueError(f"checkpoint '{key}' is not a JSON object")
     config = EncoderConfig.from_json(doc["config"])
+    tokens = doc["vocab"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError("checkpoint 'vocab' must be a list of strings")
+    try:
+        vocab = Vocabulary(tokens)
+    except ValueError as e:
+        raise ValueError(f"checkpoint 'vocab': {e}") from None
+    if len(vocab) != config.vocab_size:
+        raise ValueError(f"checkpoint 'vocab' has {len(vocab)} tokens, "
+                         f"but config vocab_size is {config.vocab_size}")
+    if doc["mode"] not in _QUERY_MODES:
+        raise ValueError(f"checkpoint 'mode' must be one of {list(_QUERY_MODES)}, "
+                         f"got {doc['mode']!r}")
+    markers = doc["markers"]
+    names = [f.name for f in fields(MarkerOptions)]
+    if set(markers) != set(names) or any(type(v) is not bool for v in markers.values()):
+        raise ValueError(f"checkpoint 'markers' must hold exactly {names} as booleans, "
+                         f"got {json.dumps(markers)}")
     shapes, specs = parameter_shapes(config), doc["params"]
     if specs.keys() != shapes.keys():
         raise ValueError(f"checkpoint tensors missing: {sorted(shapes.keys() - specs.keys())}; "
@@ -596,7 +641,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(config.np_dtype)
         if not np.isfinite(params[name]).all():
             raise ValueError(f"checkpoint tensor '{name}': holds NaN or infinite values")
-    return Checkpoint(config, params)
+    return Checkpoint(config, params, vocab, TemplateMode(doc["mode"]), MarkerOptions(**markers))
 
 
 def _wire_dtype(config: EncoderConfig) -> np.dtype:

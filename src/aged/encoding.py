@@ -74,12 +74,16 @@ class Vocabulary:
         return tuple([index.get(t, UNK_ID) for t in tokens])
 
     def save(self, path: str | Path) -> None:
-        """Write the `.vocab.json` sidecar that `aged predict` reads: tokens in id order."""
+        """Write the tokens in id order as a JSON list.
+
+        Nothing in aged calls this: a checkpoint carries its vocabulary. It is
+        kept only because the benchmark tracer's `encoding.vocab_s` names it.
+        """
         Path(path).write_text(json.dumps(self.tokens), encoding="utf-8")
 
     @staticmethod
     def load(path: str | Path) -> "Vocabulary":
-        """Read a sidecar written by `save`."""
+        """Read a file written by `save`; kept only for the benchmark tracer, like `save`."""
         return Vocabulary(json.loads(Path(path).read_text(encoding="utf-8")))
 
 

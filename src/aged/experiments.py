@@ -81,11 +81,8 @@ def run_holdout_experiment(
             f"holdout cap violated: sampled training counts {train_counts}, expected {expected}"
         )
 
-    model, vocab, train_report = fit(sampled, store, encoder_config, train_config)
-    predictions = predict_all(
-        test_instances, store, model, vocab,
-        mode=train_config.template_mode, markers=train_config.marker_options,
-    )
+    model, train_report = fit(sampled, store, encoder_config, train_config)
+    predictions = predict_all(test_instances, store, model)
     predictions_complete = all(
         len(preds) == len(store.frame(inst.frame).fe_order)
         for preds, inst in zip(predictions, test_instances)

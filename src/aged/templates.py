@@ -37,14 +37,14 @@ class TemplateMode(str, Enum):
 class MarkerOptions:
     """Which special marker tokens to emit.
 
-    `target_markers` applies when the sentence is assembled; the two label
-    flags apply when templates are rendered. Suppressing markers deletes the
-    tokens and shifts slot spans, leaving slot surfaces unchanged.
+    `target_markers` applies when the sentence is assembled; `label_markers`
+    (the frame-name and role markers) applies when templates are rendered.
+    Suppressing markers deletes the tokens and shifts slot spans, leaving
+    slot surfaces unchanged.
     """
 
     target_markers: bool = True
-    frame_markers: bool = True
-    role_markers: bool = True
+    label_markers: bool = True
 
 
 DEFAULT_MARKERS = MarkerOptions()
@@ -87,19 +87,19 @@ class _Builder:
         self.tokens.extend(text.split())
 
     def frame_name(self, name: str) -> None:
-        if self.opts.frame_markers:
+        if self.opts.label_markers:
             self.tokens.append(FRAME_OPEN)
         self.tokens.extend(name_tokens(name))
-        if self.opts.frame_markers:
+        if self.opts.label_markers:
             self.tokens.append(FRAME_CLOSE)
 
     def mention(self, fe: str, surface: str) -> None:
-        if self.opts.role_markers:
+        if self.opts.label_markers:
             self.tokens.append(ROLE_OPEN)
         start = len(self.tokens)
         self.tokens.extend(name_tokens(surface))
         end = len(self.tokens) - 1
-        if self.opts.role_markers:
+        if self.opts.label_markers:
             self.tokens.append(ROLE_CLOSE)
         self.spans.setdefault(fe, (start, end))
 

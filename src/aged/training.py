@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import AnnotatedInstance, FrameStore
+from .decoding import predict_pairs, query_pairs
 from .encoder import (
     Checkpoint,
     EncoderConfig,
@@ -37,6 +38,7 @@ from .encoding import (
     build_vocabulary,
     gold_labels,
 )
+from .evaluation import evaluate
 from .pointer import batch_loss_and_gradients
 from .templates import (
     DEFAULT_MARKERS,
@@ -54,6 +56,10 @@ ADAM_EPS = 1e-8
 
 class NonFiniteLossError(RuntimeError):
     """Training produced a NaN or infinite loss."""
+
+
+class DevPairTooLongError(PairTooLongError):
+    """A dev instance's query pair exceeds `max_len`."""
 
 
 @dataclass
@@ -232,17 +238,15 @@ def train(
     model: Checkpoint,
     config: TrainConfig,
     *,
-    store: FrameStore | None = None,
-    vocab: Vocabulary | None = None,
-    dev: list[AnnotatedInstance] | None = None,
+    dev: tuple[list[AnnotatedInstance], list[list[EncodedPair]]] | None = None,
 ) -> tuple[Checkpoint, TrainingReport]:
     """Run seeded shuffled mini-batch training; returns a trained copy of the model.
 
     Per-example losses are summed over slots; batches average over examples.
     Each mini-batch runs as one padded forward and backward pass.
-    Dev F1 is computed every `eval_every` epochs when a dev set, store, and
-    vocabulary are supplied, and the best-dev checkpoint is saved alongside
-    the final one.
+    `dev` is a dev set and its `query_pairs`; its F1 is computed every
+    `eval_every` epochs, and the best-dev checkpoint is saved alongside the
+    final one.
     """
     if not stream:
         raise ValueError("training stream is empty")
@@ -279,11 +283,9 @@ def train(
         report.clipped_steps.append(sum(0 < config.grad_clip < n for n in norms))
         logger.info("epoch %d: mean loss %.6f", epoch, mean_loss)
 
-        if (
-            dev is not None and store is not None and vocab is not None
-            and config.eval_every > 0 and (epoch + 1) % config.eval_every == 0
-        ):
-            f1 = _dev_f1(model, store, vocab, dev, config)
+        if dev is not None and config.eval_every > 0 and (epoch + 1) % config.eval_every == 0:
+            dev_instances, dev_pairs = dev
+            f1 = evaluate(predict_pairs(model, dev_pairs), dev_instances).f1
             report.dev_f1_history.append((epoch, f1))
             logger.info("epoch %d: dev F1 %.4f", epoch, f1)
             if report.best_dev_f1 is None or f1 > report.best_dev_f1:
@@ -308,32 +310,28 @@ def fit(
     train_config: TrainConfig,
     *,
     dev: list[AnnotatedInstance] | None = None,
-) -> tuple[Checkpoint, Vocabulary, TrainingReport]:
+) -> tuple[Checkpoint, TrainingReport]:
     """Train a fresh model on `instances`: the one pipeline every entry point runs.
 
     Builds the vocabulary from `instances` and the ontology, sizes the
     embedding to it (the `vocab_size` of `encoder_config` is ignored),
     initialises parameters from the encoder seed, builds the training
-    stream and runs `train`.
+    stream, assembles the dev set's query pairs and runs `train`. The model
+    carries the vocabulary and the template mode and markers of
+    `train_config`. A training pair over `max_len` raises PairTooLongError,
+    a dev pair DevPairTooLongError; `instance` is the 0-based position in
+    its set.
     """
     vocab = build_vocabulary(instances, store)
     encoder_config = replace(encoder_config, vocab_size=len(vocab))
-    model = Checkpoint(encoder_config, init_parameters(encoder_config))
+    model = Checkpoint(
+        encoder_config, init_parameters(encoder_config), vocab,
+        train_config.template_mode, train_config.marker_options,
+    )
     stream = build_training_stream(instances, store, vocab, train_config)
-    logger.info("training on %d pairs (%d instances)", len(stream), len(instances))
-    model, report = train(stream, model, train_config, store=store, vocab=vocab, dev=dev)
-    return model, vocab, report
-
-
-def _dev_f1(model, store, vocab, dev, config) -> float:
-    from .decoding import predict_all
-    from .evaluation import evaluate
-
     try:
-        predictions = predict_all(
-            dev, store, model, vocab, mode=config.template_mode, markers=config.marker_options
-        )
+        dev_set = None if dev is None else (dev, query_pairs(dev, store, model))
     except PairTooLongError as e:
-        # a plain ValueError, so that no caller reports it against the training instances
-        raise ValueError(f"dev instance {e.instance + 1}: {e}") from None
-    return evaluate(predictions, dev).f1
+        raise DevPairTooLongError(str(e), instance=e.instance) from None
+    logger.info("training on %d pairs (%d instances)", len(stream), len(instances))
+    return train(stream, model, train_config, dev=dev_set)

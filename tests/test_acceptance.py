@@ -5,6 +5,7 @@ lines. Scaled-down experiments run on the bundled mini corpus; stated
 runtime budgets are asserted.
 """
 
+import dataclasses
 import time
 from contextlib import contextmanager
 
@@ -64,7 +65,7 @@ def overfit(corpus):
             vocab_size=len(vocab), d_model=32, n_layers=2, n_heads=4,
             max_len=256, seed=7, dtype="f32",
         )
-        model = Checkpoint(config, init_parameters(config))
+        model = Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
         train_config = TrainConfig(epochs=60, batch_size=8, learning_rate=1e-3, seed=7)
         stream = build_training_stream(train_instances, store, vocab, train_config)
         return train(stream, model, train_config)
@@ -204,7 +205,7 @@ def test_criterion_5_overfit_convergence(corpus, overfit):
         vocab, model, report_a, report_b, elapsed = overfit
         assert elapsed < 300.0, f"two runs took {elapsed:.1f}s"
         assert report_a.epochs <= 200
-        predictions = predict_all(train_instances, store, model, vocab)
+        predictions = predict_all(train_instances, store, model)
         metrics = evaluate(predictions, train_instances)
         assert metrics.f1 >= 0.99, metrics
         assert report_a.epoch_losses == report_b.epoch_losses
@@ -271,8 +272,8 @@ def test_criterion_8_target_marker_ablation(corpus, overfit):
         pair_b = assemble(second, template, vocab, no_target)
         assert pair_a == pair_b  # the encoder cannot tell the targets apart
 
-        preds_a = predict_instance(first, store, model, vocab, markers=no_target)
-        preds_b = predict_instance(second, store, model, vocab, markers=no_target)
+        preds_a = predict_instance(first, store, dataclasses.replace(model, markers=no_target))
+        preds_b = predict_instance(second, store, dataclasses.replace(model, markers=no_target))
         assert preds_a == preds_b
         # both cannot be right: the gold argument sets differ
         assert {(a.fe, a.start, a.end) for a in first.arguments} != {
@@ -291,7 +292,7 @@ def test_criterion_9_checkpoint_round_trip(corpus, tmp_path):
             vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2,
             max_len=256, seed=21, dtype="f64",
         )
-        model = Checkpoint(config, init_parameters(config))
+        model = Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
         train_config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-3, seed=21)
         stream = build_training_stream(train_instances, store, vocab, train_config)
         model, _ = train(stream, model, train_config)
@@ -307,6 +308,6 @@ def test_criterion_9_checkpoint_round_trip(corpus, tmp_path):
         assert before.dtype == np.float64
         assert np.array_equal(before, after)  # bitwise
 
-        dev_before = predict_all(test_instances, store, model, vocab)
-        dev_after = predict_all(test_instances, store, loaded, vocab)
+        dev_before = predict_all(test_instances, store, model)
+        dev_after = predict_all(test_instances, store, loaded)
         assert dev_before == dev_after  # span-for-span, scores included

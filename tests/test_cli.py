@@ -112,13 +112,16 @@ def test_template_no_label_markers(capsys, tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """A quickly trained checkpoint shared by the CLI round-trip tests."""
+    """A quickly trained checkpoint shared by the CLI round-trip tests.
+
+    The dev set also gives it a best-dev checkpoint, `model.json.best`.
+    """
     workdir = tmp_path_factory.mktemp("cli-train")
     ckpt = workdir / "model.json"
     code = dispatch([
         "train", "--epochs", "2", "--batch-size", "8", "--lr", "1e-3", "--seed", "7",
         "--d-model", "8", "--layers", "1", "--heads", "2",
-        "--checkpoint", str(ckpt),
+        "--dev", str(mini_framenet_path("test")), "--checkpoint", str(ckpt),
     ])
     assert code == 0
     return workdir, ckpt
@@ -126,9 +129,10 @@ def trained(tmp_path_factory):
 
 def test_train_writes_artifacts(trained):
     workdir, ckpt = trained
-    assert ckpt.exists()
-    assert (workdir / "model.json.vocab.json").exists()
-    assert (workdir / "model.json.report.json").exists()
+    # the checkpoint is the whole model: no vocabulary sidecar
+    assert sorted(p.name for p in workdir.iterdir()) == [
+        "model.json", "model.json.best", "model.json.manifest.json", "model.json.report.json",
+    ]
     manifest = json.loads((workdir / "model.json.manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["seed"] == 7
@@ -144,6 +148,18 @@ def test_train_refuses_to_overwrite(capsys, trained):
                        "--layers", "1", "--heads", "2", "--checkpoint", str(ckpt))
     assert code == 1
     assert "--force" in err
+
+
+def test_train_refuses_to_overwrite_best_dev_checkpoint(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.json.best").write_text("kept")
+    code, _, err = run(capsys, "train", "--epochs", "1", "--d-model", "8", "--layers", "1",
+                       "--heads", "2", "--dev", str(mini_framenet_path("test")),
+                       "--checkpoint", "model.json")
+    assert code == 1
+    assert "model.json.best" in err and "--force" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json.best"]
+    assert (tmp_path / "model.json.best").read_text() == "kept"
 
 
 def test_predict_eval_round_trip(capsys, trained, tmp_path, monkeypatch):
@@ -281,6 +297,16 @@ def _last_f32_set_to(value):
     return edit
 
 
+def _swap_first_tokens(doc):
+    doc["vocab"][:2] = doc["vocab"][1::-1]
+
+
+def _before_format(doc):
+    # the layout saved before `format` existed: config and params only
+    for key in ("format", "vocab", "mode", "markers"):
+        del doc[key]
+
+
 def _misshapen_w_end(doc):
     doc["params"]["pointer.w_end"] = {
         "shape": [16, 64],
@@ -303,9 +329,22 @@ def _misshapen_w_end(doc):
     (lambda doc: doc["config"].update(vocab_size="x"),
      "vocab_size must be an integer >= 1, got 'x'"),
     (lambda doc: doc["config"].update(dtype=["f32"]), "dtype must be one of ['f32', 'f64']"),
+    (lambda doc: doc.pop("format"), "key 'format' is missing"),
+    (lambda doc: doc.update(format=2), "'format' is 2; this version of aged reads format 1"),
+    (lambda doc: doc.pop("vocab"), "key 'vocab' is missing"),
+    (lambda doc: doc.update(vocab=doc["vocab"][:40]), "'vocab' has 40 tokens, but config vocab_size"),
+    (_swap_first_tokens, "'vocab': vocabulary must start with the reserved tokens"),
+    (lambda doc: doc.update(mode="fe-def"), "'mode' must be one of ['frame-def', 'question']"),
+    (lambda doc: doc["markers"].update(frame_markers=True),
+     "'markers' must hold exactly ['target_markers', 'label_markers'] as booleans"),
+    (lambda doc: doc.update(extra=1), "key 'extra' is unknown"),
+    (_before_format, "key 'format' is missing: the checkpoint was saved by another version "
+     "of aged; retrain the model"),
 ], ids=["truncated", "decimal-list", "nan", "infinite", "missing-tensor", "misshapen-tensor",
         "extra-tensor", "no-config", "old-dropout-config", "missing-config-key",
-        "string-size", "list-dtype"])
+        "string-size", "list-dtype", "no-format", "format-2", "no-vocab", "short-vocab",
+        "vocab-without-reserved-tokens", "fe-def-mode", "extra-marker", "extra-key",
+        "saved-before-format"])
 def test_predict_rejects_bad_checkpoint(capsys, trained, tmp_path, monkeypatch, edit, message):
     workdir, ckpt = trained
     monkeypatch.chdir(tmp_path)
@@ -314,7 +353,6 @@ def test_predict_rejects_bad_checkpoint(capsys, trained, tmp_path, monkeypatch, 
     bad = tmp_path / "model.json"
     bad.write_text(json.dumps(doc))
     code, _, err = run(capsys, "predict", "--checkpoint", str(bad),
-                       "--vocab", str(workdir / "model.json.vocab.json"),
                        "--out", str(tmp_path / "pred.jsonl"))
     assert code == 1
     assert message in err
@@ -335,20 +373,39 @@ def test_predict_rejects_fe_def_mode(capsys, trained, tmp_path, monkeypatch):
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
-def test_predict_rejects_vocabulary_of_another_size(capsys, trained, tmp_path, monkeypatch):
+def test_predict_rejects_mode_of_another_model(capsys, trained, tmp_path, monkeypatch):
     workdir, ckpt = trained
     monkeypatch.chdir(tmp_path)
-    tokens = json.loads((workdir / "model.json.vocab.json").read_text())
-    small = tmp_path / "small.json"
-    small.write_text(json.dumps(tokens[:40]))
     out = tmp_path / "pred.jsonl"
-    code, _, err = run(capsys, "predict", "--checkpoint", str(ckpt), "--vocab", str(small),
+    code, _, err = run(capsys, "predict", "--checkpoint", str(ckpt), "--mode", "question",
                        "--out", str(out))
     assert code == 1
-    assert str(small) in err
-    assert "40" in err and str(len(tokens)) in err
+    assert "--mode question" in err and "mode frame-def" in err
     assert not out.exists()
     assert list(tmp_path.glob("*manifest.json")) == []
+
+
+@pytest.mark.parametrize("flag", [["--vocab", "model.json.vocab.json"], ["--no-target-markers"],
+                                  ["--no-label-markers"]],
+                         ids=["vocab", "no-target-markers", "no-label-markers"])
+def test_predict_takes_no_model_settings(capsys, trained, tmp_path, monkeypatch, flag):
+    # the vocabulary and the markers are the checkpoint's
+    workdir, ckpt = trained
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "predict", "--checkpoint", str(ckpt), *flag)
+    assert code == 1
+    assert "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_predict_from_best_dev_checkpoint(capsys, trained, tmp_path, monkeypatch):
+    workdir, _ = trained
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "pred.jsonl"
+    code, _, _ = run(capsys, "predict", "--checkpoint", str(workdir / "model.json.best"),
+                     "--out", str(out))
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 12
 
 
 def test_predict_rejects_over_long_instance(capsys, trained, tmp_path, monkeypatch):
@@ -385,11 +442,24 @@ def test_train_names_over_long_instance(capsys, tmp_path, monkeypatch, flag):
     assert code == 1
     assert stdout == ""
     assert "max_len is 256" in err
-    if flag == "train":
-        assert f"{instances}:5: " in err
-    else:  # a dev instance is not reported against the training file
-        assert "dev instance 4: " in err and str(instances) not in err
+    assert f"{instances}:5: " in err
+    if flag == "dev":  # not reported against the training file
+        assert str(mini_framenet_path("train")) not in err
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_training_rejects_malformed_corpus_before_manifest(capsys, tmp_path, monkeypatch,
+                                                           command):
+    monkeypatch.chdir(tmp_path)
+    lines = mini_framenet_path("train").read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(['{"tokens": '] + lines) + "\n")
+    code, out, err = run(capsys, command, "--train", str(bad), "--epochs", "1")
+    assert code == 1
+    assert out == ""
+    assert f"{bad}:1:" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
 
 
 def test_experiment_equals_train_predict_eval(capsys, trained, tmp_path, monkeypatch):

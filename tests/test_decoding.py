@@ -18,7 +18,12 @@ from aged.decoding import (
 from aged.encoder import Checkpoint, EncoderConfig, forward, forward_batch, init_parameters
 from aged.encoding import assemble
 from aged.pointer import PointerDistribution, make_queries, pointer_distributions
-from aged.templates import TemplateMode, build_frame_template, build_question_template
+from aged.templates import (
+    MarkerOptions,
+    TemplateMode,
+    build_frame_template,
+    build_question_template,
+)
 
 
 def brute_force_decode(start_probs, end_probs):
@@ -119,9 +124,10 @@ def test_decode_agrees_with_independent_argmaxes_when_valid(seed):
 
 def test_predict_instance_is_structurally_total(store, vocab, test_instances):
     config = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, seed=0)
-    model = Checkpoint(config, init_parameters(config))
+    model = Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF,
+                       MarkerOptions())
     for inst in test_instances[:4]:
-        predictions = predict_instance(inst, store, model, vocab)
+        predictions = predict_instance(inst, store, model)
         frame = store.frame(inst.frame)
         assert len(predictions) == len(frame.fe_order)
         assert {p.fe for p in predictions} == set(frame.fe_order)
@@ -131,32 +137,32 @@ def test_predict_instance_is_structurally_total(store, vocab, test_instances):
                 assert 1 <= s <= e <= len(inst.tokens)
 
 
-def reference_predict(inst, store, model, vocab, mode):
+def reference_predict(inst, store, model):
     """Per pair, per slot: forward, make_queries, pointer_distributions, decode."""
     frame = store.frame(inst.frame)
-    if mode is TemplateMode.QUESTION:
+    if model.mode is TemplateMode.QUESTION:
         templates = [build_question_template(frame, fe) for fe in frame.fe_order]
     else:
         templates = [build_frame_template(frame)]
     predictions = []
     for template in templates:
-        pair = assemble(inst, template, vocab, max_len=model.config.max_len)
+        pair = assemble(inst, template, model.vocab, max_len=model.config.max_len)
         encoding = forward(model.params, model.config, pair)
         queries = make_queries(encoding, pair)
         predictions.extend(decode(pointer_distributions(model.params, encoding, pair, queries)))
     return predictions
 
 
-def _f64_model(vocab):
+def _f64_model(vocab, mode):
     config = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2, seed=3,
                            dtype="f64")
-    return Checkpoint(config, init_parameters(config))
+    return Checkpoint(config, init_parameters(config), vocab, mode, MarkerOptions())
 
 
-def _assert_matches_reference(predictions, instances, store, model, vocab, mode):
+def _assert_matches_reference(predictions, instances, store, model):
     assert len(predictions) == len(instances)
     for inst, preds in zip(instances, predictions):
-        reference = reference_predict(inst, store, model, vocab, mode)
+        reference = reference_predict(inst, store, model)
         assert [(p.fe, p.span) for p in preds] == [(r.fe, r.span) for r in reference]
         for p, r in zip(preds, reference):
             assert p.score == pytest.approx(r.score, rel=1e-9)
@@ -164,26 +170,26 @@ def _assert_matches_reference(predictions, instances, store, model, vocab, mode)
 
 @pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
 def test_predict_instance_matches_per_pair_reference(store, vocab, test_instances, mode):
-    model = _f64_model(vocab)
-    predictions = [predict_instance(inst, store, model, vocab, mode=mode) for inst in test_instances]
-    _assert_matches_reference(predictions, test_instances, store, model, vocab, mode)
+    model = _f64_model(vocab, mode)
+    predictions = [predict_instance(inst, store, model) for inst in test_instances]
+    _assert_matches_reference(predictions, test_instances, store, model)
     assert any(p.span is not None for preds in predictions for p in preds)
 
 
 @pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
 def test_predict_all_shuffled_matches_per_pair_reference(store, vocab, test_instances, mode):
-    model = _f64_model(vocab)
+    model = _f64_model(vocab, mode)
     instances = list(test_instances)
     random.Random(5).shuffle(instances)
-    predictions = predict_all(instances, store, model, vocab, mode=mode)
-    _assert_matches_reference(predictions, instances, store, model, vocab, mode)
+    predictions = predict_all(instances, store, model)
+    _assert_matches_reference(predictions, instances, store, model)
     assert any(p.span is not None for preds in predictions for p in preds)
 
 
 @pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
 def test_predict_all_batches_within_the_token_budget(store, vocab, test_instances, monkeypatch,
                                                      mode):
-    model = _f64_model(vocab)
+    model = _f64_model(vocab, mode)
     # pairs of 150+ tokens: longer than half the budget, so each must run alone
     long = replace(test_instances[0], tokens=test_instances[0].tokens + ("filler",) * 140)
     instances = [long, *test_instances, long]
@@ -194,7 +200,7 @@ def test_predict_all_batches_within_the_token_budget(store, vocab, test_instance
         return forward_batch(params, config, pairs)
 
     monkeypatch.setattr(aged.decoding, "forward_batch", counting_forward_batch)
-    predictions = predict_all(instances, store, model, vocab, mode=mode)
+    predictions = predict_all(instances, store, model)
     assert all(len(lengths) * max(lengths) <= PREDICT_BATCH_TOKENS for lengths in batches)
     assert max(len(lengths) for lengths in batches) > 1
     long_batches = [lengths for lengths in batches if max(lengths) > PREDICT_BATCH_TOKENS // 2]
@@ -202,7 +208,7 @@ def test_predict_all_batches_within_the_token_budget(store, vocab, test_instance
     n_pairs = len(instances) if mode is TemplateMode.FRAME_DEF else sum(
         len(store.frame(inst.frame).fe_order) for inst in instances)
     assert sum(map(len, batches)) == n_pairs
-    _assert_matches_reference(predictions, instances, store, model, vocab, mode)
+    _assert_matches_reference(predictions, instances, store, model)
 
 
 def test_decode_matches_oracle_on_long_distributions():

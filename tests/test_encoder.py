@@ -24,14 +24,21 @@ from aged.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from aged.encoding import CLS_ID, EncodedPair, assemble
-from aged.templates import build_frame_template
+from aged.encoding import CLS_ID, RESERVED_TOKENS, EncodedPair, Vocabulary, assemble
+from aged.templates import MarkerOptions, TemplateMode, build_frame_template
 
 
 def tiny_config(**overrides):
     base = dict(vocab_size=64, d_model=8, n_layers=1, n_heads=2, max_len=64, seed=3, dtype="f64")
     base.update(overrides)
     return EncoderConfig(**base)
+
+
+def tiny_model(config):
+    """An untrained frame-def model whose vocabulary has `config.vocab_size` tokens."""
+    words = [f"w{i}" for i in range(config.vocab_size - len(RESERVED_TOKENS))]
+    return Checkpoint(config, init_parameters(config), Vocabulary([*RESERVED_TOKENS, *words]),
+                      TemplateMode.FRAME_DEF, MarkerOptions())
 
 
 def make_pair(ids, n_text):
@@ -194,7 +201,7 @@ def test_forward_and_backward_stay_finite(seed, length):
 
 def test_checkpoint_round_trip_is_bitwise(vocab, pair, tmp_path):
     config = tiny_config(vocab_size=len(vocab), max_len=128, dtype="f64")
-    ckpt = Checkpoint(config, init_parameters(config))
+    ckpt = tiny_model(config)
     path = tmp_path / "model.json"
     save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
@@ -209,7 +216,7 @@ def test_checkpoint_round_trip_is_bitwise(vocab, pair, tmp_path):
 
 def test_checkpoint_round_trip_f32(tmp_path):
     config = tiny_config(dtype="f32")
-    ckpt = Checkpoint(config, init_parameters(config))
+    ckpt = tiny_model(config)
     path = tmp_path / "model.json"
     save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
@@ -223,11 +230,15 @@ def test_checkpoint_file_schema(tmp_path):
 
     for dtype in ("f32", "f64"):
         config = tiny_config(dtype=dtype)
-        ckpt = Checkpoint(config, init_parameters(config))
+        ckpt = tiny_model(config)
         path = tmp_path / f"model-{dtype}.json"
         save_checkpoint(ckpt, path)
         doc = json.loads(path.read_text())
-        assert set(doc) == {"config", "params"}
+        assert list(doc) == ["format", "config", "vocab", "mode", "markers", "params"]
+        assert doc["format"] == 1
+        assert doc["vocab"] == ckpt.vocab.tokens
+        assert doc["mode"] == "frame-def"
+        assert doc["markers"] == {"target_markers": True, "label_markers": True}
         assert doc["config"]["d_model"] == config.d_model
         assert doc["config"]["dtype"] == dtype
         assert list(doc["params"]) == list(ckpt.params)
@@ -259,7 +270,7 @@ def _rewrite_tensor(path, name, data):
 def test_load_rejects_bad_tensor_data(tmp_path, data, message):
     config = tiny_config()
     path = tmp_path / "model.json"
-    save_checkpoint(Checkpoint(config, init_parameters(config)), path)
+    save_checkpoint(tiny_model(config), path)
     _rewrite_tensor(path, "layer0.ffn.w1", data)
     with pytest.raises(ValueError, match=message) as err:
         load_checkpoint(path)
@@ -269,7 +280,7 @@ def test_load_rejects_bad_tensor_data(tmp_path, data, message):
 def test_loaded_parameters_are_writable(tmp_path):
     config = tiny_config()
     path = tmp_path / "model.json"
-    save_checkpoint(Checkpoint(config, init_parameters(config)), path)
+    save_checkpoint(tiny_model(config), path)
     for tensor in load_checkpoint(path).params.values():
         tensor += 1.0
 

@@ -110,7 +110,7 @@ def test_question_template_surface(store):
 
 
 def test_question_template_without_markers(store):
-    opts = MarkerOptions(frame_markers=False, role_markers=False)
+    opts = MarkerOptions(label_markers=False)
     q = build_question_template(store.frame("Attack"), "Assailant", opts)
     assert render_surface(q) == "What's Assailant of Attack ?"
     [slot] = q.slots
@@ -118,7 +118,7 @@ def test_question_template_without_markers(store):
 
 
 def test_marker_suppression_preserves_slot_surfaces(store):
-    opts = MarkerOptions(frame_markers=False, role_markers=False)
+    opts = MarkerOptions(label_markers=False)
     for frame in store:
         with_markers = build_frame_template(frame)
         without = build_frame_template(frame, opts)

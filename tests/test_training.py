@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from aged.corpus import AnnotatedInstance, Argument
 from aged.encoder import Checkpoint, EncoderConfig, FlatGradients, init_parameters, load_checkpoint
 from aged.encoding import build_vocabulary
 from aged.evaluation import evaluate
-from aged.decoding import predict_all
+from aged.decoding import predict_all, query_pairs
 from aged.pointer import batch_loss_and_gradients
-from aged.templates import TemplateMode
+from aged.templates import MarkerOptions, TemplateMode
 from aged.training import (
     ADAM_BETAS,
     ADAM_EPS,
     Adam,
+    DevPairTooLongError,
     Provenance,
     TrainConfig,
     build_training_stream,
@@ -28,7 +30,8 @@ def small_model(vocab, d_model=8, n_layers=1, n_heads=2, seed=0, dtype="f32"):
         vocab_size=len(vocab), d_model=d_model, n_layers=n_layers,
         n_heads=n_heads, max_len=256, seed=seed, dtype=dtype,
     )
-    return Checkpoint(config, init_parameters(config))
+    return Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF,
+                      MarkerOptions())
 
 
 def test_stream_frame_def_with_augmentation(store, vocab):
@@ -142,12 +145,12 @@ def test_checkpoint_round_trip_preserves_dev_f1(store, vocab, train_instances, t
         checkpoint_path=ckpt_path, eval_every=2,
     )
     stream = build_training_stream(train_instances, store, vocab, config)
-    model, report = train(stream, small_model(vocab, d_model=16), config,
-                          store=store, vocab=vocab, dev=dev)
+    model = small_model(vocab, d_model=16)
+    model, report = train(stream, model, config, dev=(dev, query_pairs(dev, store, model)))
     assert report.dev_f1_history, "eval_every should have produced dev scores"
     loaded = load_checkpoint(ckpt_path)
-    f1_direct = evaluate(predict_all(dev, store, model, vocab), dev).f1
-    f1_loaded = evaluate(predict_all(dev, store, loaded, vocab), dev).f1
+    f1_direct = evaluate(predict_all(dev, store, model), dev).f1
+    f1_loaded = evaluate(predict_all(dev, store, loaded), dev).f1
     assert f1_direct == f1_loaded
     assert report.best_checkpoint_path is not None
 
@@ -211,7 +214,7 @@ def test_training_matches_per_tensor_adam_bitwise(store, vocab, train_instances,
     stream = build_training_stream(train_instances[:8], store, vocab, config)
     enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
                         max_len=256, seed=0, dtype=dtype)
-    model = Checkpoint(enc, init_parameters(enc))
+    model = Checkpoint(enc, init_parameters(enc), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
     trained, report = train(stream, model, config)
     monkeypatch.setattr(aged.training, "Adam", ReferenceAdam)
     ref_trained, ref_report = train(stream, model, config)
@@ -297,17 +300,17 @@ def test_fit_equals_hand_built_pipeline_bitwise(store, train_instances, test_ins
     instances, dev = train_instances[:6], test_instances[:2]
     config = TrainConfig(epochs=2, batch_size=4, seed=3, template_mode=mode, eval_every=1)
     shape = dict(d_model=8, n_layers=1, n_heads=2, max_len=256, seed=2)
-    model, vocab, report = fit(instances, store, EncoderConfig(vocab_size=1, **shape), config,
-                               dev=dev)
+    model, report = fit(instances, store, EncoderConfig(vocab_size=1, **shape), config, dev=dev)
 
     expected_vocab = build_vocabulary(instances, store)
     sized = EncoderConfig(vocab_size=len(expected_vocab), **shape)
     stream = build_training_stream(instances, store, expected_vocab, config)
+    initial = Checkpoint(sized, init_parameters(sized), expected_vocab, mode, MarkerOptions())
     expected, expected_report = train(
-        stream, Checkpoint(sized, init_parameters(sized)), config,
-        store=store, vocab=expected_vocab, dev=dev,
+        stream, initial, config, dev=(dev, query_pairs(dev, store, initial)),
     )
-    assert vocab.tokens == expected_vocab.tokens
+    assert model.vocab.tokens == expected_vocab.tokens
+    assert (model.mode, model.markers) == (mode, config.marker_options)
     assert model.config == sized
     assert report.stream_size == len(stream)
     assert report.epoch_losses == expected_report.epoch_losses
@@ -316,3 +319,15 @@ def test_fit_equals_hand_built_pipeline_bitwise(store, train_instances, test_ins
     assert model.params.keys() == expected.params.keys()
     for name, tensor in expected.params.items():
         assert model.params[name].tobytes() == tensor.tobytes(), name
+
+
+def test_fit_checks_dev_set_before_training(store, train_instances, monkeypatch):
+    import aged.training
+
+    long = replace(train_instances[0], tokens=train_instances[0].tokens + ("filler",) * 300)
+    monkeypatch.setattr(aged.training, "train", lambda *a, **k: pytest.fail("trained"))
+    encoder_config = EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2)
+    with pytest.raises(DevPairTooLongError, match="max_len is 256") as err:
+        fit(train_instances[:4], store, encoder_config, TrainConfig(epochs=1),
+            dev=[train_instances[1], long])
+    assert err.value.instance == 1
