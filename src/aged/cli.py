@@ -20,7 +20,6 @@ import ctypes
 import datetime
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import math
@@ -31,17 +30,17 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     CorpusError,
+    _read_jsonl,
     load_instances,
     load_ontology,
     mini_framenet_path,
 )
 from .decoding import SpanPrediction, predict_pairs, query_pairs
 from .encoder import EncoderConfig, load_checkpoint
-from .encoding import PairTooLongError
 from .evaluation import evaluate
 from .experiments import run_holdout_experiment
 from .templates import MarkerOptions, TemplateMode, build_template, render_surface
-from .training import DevPairTooLongError, NonFiniteLossError, TrainConfig, fit
+from .training import NonFiniteLossError, TrainConfig, fit
 
 logger = logging.getLogger(__name__)
 
@@ -282,9 +281,9 @@ def cmd_template(cfg: dict, force: bool) -> int:
     mode = TemplateMode(cfg["mode"])
     if mode is not TemplateMode.FRAME_DEF and not cfg["fe"]:
         raise UsageError(f"--fe is required for mode '{mode.value}'")
-    write_manifest("template", cfg, [cfg["frames"]], None)
     store = load_ontology(cfg["frames"])
     template = build_template(store.frame(cfg["frame"]), mode, cfg["fe"] or None, _markers(cfg))
+    write_manifest("template", cfg, [cfg["frames"]], None)
     print(render_surface(template))
     return EXIT_OK
 
@@ -304,12 +303,7 @@ def cmd_train(cfg: dict, force: bool) -> int:
 
     if dev_instances is not None and train_config.eval_every == 0:
         train_config.eval_every = 1
-    try:
-        _, report = fit(train_instances, store, encoder_config, train_config, dev=dev_instances)
-    except DevPairTooLongError as e:
-        raise _at_line(cfg["dev"], e) from None
-    except PairTooLongError as e:
-        raise _at_line(cfg["train"], e) from None
+    _, report = fit(train_instances, store, encoder_config, train_config, dev=dev_instances)
     report.save(report_path)
     summary = {
         "checkpoint": checkpoint_path,
@@ -332,10 +326,7 @@ def cmd_predict(cfg: dict, force: bool) -> int:
         )
     store = load_ontology(cfg["frames"])
     instances = load_instances(cfg["instances"], store)
-    try:
-        pairs = query_pairs(instances, store, model)
-    except PairTooLongError as e:
-        raise _at_line(cfg["instances"], e) from None
+    pairs = query_pairs(instances, store, model)
     write_manifest("predict", cfg, [cfg["frames"], cfg["instances"], cfg["checkpoint"]], out_path)
     predictions = predict_pairs(model, pairs)
     with open(out_path, "w", encoding="utf-8") as f:
@@ -352,60 +343,45 @@ def cmd_predict(cfg: dict, force: bool) -> int:
     return EXIT_OK
 
 
-def _at_line(path: str, e: PairTooLongError) -> CorpusError:
-    """`e` naming `path` and the 1-based line of its instance; blank lines hold no record."""
-    with open(path, encoding="utf-8") as f:
-        lines = (lineno for lineno, line in enumerate(f, start=1) if line.strip())
-        line = next(itertools.islice(lines, e.instance, None))
-    return CorpusError(f"{path}:{line}: {e}")
-
-
 def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPrediction]]:
     """Read `aged predict` output aligned with the gold file, one record per line.
 
-    Rejects, naming the 1-based line, malformed JSON, a record or prediction
-    that is not an object, a `predictions` that is not a list, a frame that
-    differs from the gold instance's, an FE outside that frame or predicted
-    twice, a span that is neither null nor a list of two integers
-    1 <= start <= end <= len(tokens), and a score that is not a finite
-    number. A boolean is not a number here.
+    Rejects, naming the 1-based line, a record or prediction that is not an
+    object, a `predictions` that is not a list, a record past the last gold
+    instance, a frame that differs from the gold instance's, an FE outside
+    that frame or predicted twice, a span that is neither null nor a list of
+    two integers 1 <= start <= end <= len(tokens), and a score that is not a
+    finite number. A boolean is not a number here. Fewer records than gold
+    instances are rejected too.
     """
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON ({e.msg})") from None
-            if not isinstance(rec, dict):
-                raise CorpusError(f"{path}:{lineno}: a prediction record must be a JSON object")
-            if not isinstance(rec.get("predictions", []), list):
-                raise CorpusError(f"{path}:{lineno}: 'predictions' must be a list")
-            records.append((lineno, rec))
-    if len(records) != len(gold_instances):
-        raise CorpusError(
-            f"misaligned: {len(records)} prediction records vs {len(gold_instances)} gold instances"
-        )
-    prediction_lists = []
-    for i, ((lineno, rec), inst) in enumerate(zip(records, gold_instances), start=1):
-        where = f"{path}:{lineno}"
+    gold = iter(enumerate(gold_instances, start=1))
+
+    def parse(rec: object, where: str) -> list[SpanPrediction]:
+        if not isinstance(rec, dict):
+            raise CorpusError("a prediction record must be a JSON object")
+        raw_preds = rec.get("predictions", [])
+        if not isinstance(raw_preds, list):
+            raise CorpusError("'predictions' must be a list")
+        i, inst = next(gold, (None, None))
+        if inst is None:
+            raise CorpusError(
+                f"misaligned: more prediction records than {len(gold_instances)} gold instances"
+            )
         if rec.get("frame") != inst.frame:
             raise CorpusError(
-                f"{where}: misaligned at instance {i}: prediction frame {rec.get('frame')!r} "
+                f"misaligned at instance {i}: prediction frame {rec.get('frame')!r} "
                 f"vs gold frame {inst.frame!r}"
             )
         frame, n = store.frame(inst.frame), len(inst.tokens)
         preds = []
-        for p in rec.get("predictions", []):
+        for p in raw_preds:
             if not isinstance(p, dict):
-                raise CorpusError(f"{where}: a prediction must be a JSON object, got {p!r}")
+                raise CorpusError(f"a prediction must be a JSON object, got {p!r}")
             fe = p.get("fe")
-            if fe not in frame.fes:
-                raise CorpusError(f"{where}: FE {fe!r} is not in frame '{inst.frame}'")
+            if not isinstance(fe, str) or fe not in frame.fes:
+                raise CorpusError(f"FE {fe!r} is not in frame '{inst.frame}'")
             if any(prev.fe == fe for prev in preds):
-                raise CorpusError(f"{where}: FE '{fe}' is predicted more than once")
+                raise CorpusError(f"FE '{fe}' is predicted more than once")
             span = p.get("span")
             if span is not None:
                 if (
@@ -413,17 +389,24 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
                     or {type(x) for x in span} != {int} or span[0] > span[1]
                 ):
                     raise CorpusError(
-                        f"{where}: bad span {json.dumps(span)} for FE '{fe}': "
+                        f"bad span {json.dumps(span)} for FE '{fe}': "
                         "need [start, end] with integers start <= end"
                     )
                 if not (1 <= span[0] and span[1] <= n):
-                    raise CorpusError(f"{where}: span {span} for FE '{fe}' outside 1..{n}")
+                    raise CorpusError(f"span {span} for FE '{fe}' outside 1..{n}")
                 span = tuple(span)
             score = p.get("score", 0.0)
             if type(score) not in (int, float) or not math.isfinite(score):
-                raise CorpusError(f"{where}: score {score!r} for FE '{fe}' is not a finite number")
+                raise CorpusError(f"score {score!r} for FE '{fe}' is not a finite number")
             preds.append(SpanPrediction(fe, span, float(score)))
-        prediction_lists.append(preds)
+        return preds
+
+    prediction_lists = _read_jsonl(path, parse)
+    if len(prediction_lists) != len(gold_instances):
+        raise CorpusError(
+            f"{path}: misaligned: {len(prediction_lists)} prediction records "
+            f"vs {len(gold_instances)} gold instances"
+        )
     return prediction_lists
 
 

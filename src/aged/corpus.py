@@ -13,7 +13,8 @@ One instance record per line:
     {"tokens": [str...], "target": int, "frame": str,
      "arguments": [{"fe": str, "start": int, "end": int}...]}
 
-Token indices are 1-based and inclusive. Files are UTF-8, newline-delimited.
+Token indices are 1-based and inclusive. Files are UTF-8, one record per
+``\n``-terminated line; blank lines hold no record.
 """
 
 from __future__ import annotations
@@ -21,17 +22,41 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 logger = logging.getLogger(__name__)
 
 
 class CorpusError(ValueError):
     """An ontology or instance record violates the interchange schema."""
+
+
+def _read_jsonl(path: str | Path, parse: Callable[[object, str], object]) -> list:
+    """`parse(record, "path:line")` of each non-blank line of a JSONL file, in order.
+
+    Bytes that are not UTF-8, malformed JSON and every CorpusError of `parse`
+    raise CorpusError prefixed with `path:line:`. This is the one place that
+    maps a record to its line.
+    """
+    out = []
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    out.append(parse(json.loads(line), where))
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"{where}: not UTF-8 ({e.reason})") from None
+            except json.JSONDecodeError as e:
+                raise CorpusError(f"{where}: malformed JSON ({e.msg})") from None
+            except CorpusError as e:
+                raise CorpusError(f"{where}: {e}") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -73,16 +98,11 @@ class MarkedText:
         for seg in raw:
             if not isinstance(seg, dict):
                 raise CorpusError(f"segment must be an object, got {type(seg).__name__}")
-            if set(seg) == {"text"}:
-                if not seg["text"]:
-                    raise CorpusError("empty text segment")
-                segments.append(TextSegment(seg["text"]))
-            elif set(seg) == {"fe", "surface"}:
-                if not seg["surface"]:
-                    raise CorpusError(f"empty surface for FE mention '{seg['fe']}'")
-                segments.append(MentionSegment(seg["fe"], seg["surface"]))
-            else:
+            if set(seg) not in ({"text"}, {"fe", "surface"}):
                 raise CorpusError(f"segment keys must be {{text}} or {{fe, surface}}, got {sorted(seg)}")
+            if set(map(type, seg.values())) != {str} or "" in (seg.get("text"), seg.get("surface")):
+                raise CorpusError(f"segment {json.dumps(seg)} needs non-empty strings")
+            segments.append(TextSegment(**seg) if "text" in seg else MentionSegment(**seg))
         return MarkedText(tuple(segments))
 
 
@@ -145,12 +165,16 @@ class Argument:
 
 @dataclass(frozen=True)
 class AnnotatedInstance:
-    """A sentence with one frame-evoking target and its gold argument spans."""
+    """A sentence with one frame-evoking target and its gold argument spans.
+
+    `origin` is the ``path:line`` of the record it was loaded from, or empty.
+    """
 
     tokens: tuple[str, ...]
     target: int
     frame: str
     arguments: tuple[Argument, ...]
+    origin: str = field(default="", compare=False)
 
 
 def _parse_frame(rec: object) -> Frame:
@@ -162,8 +186,8 @@ def _parse_frame(rec: object) -> Frame:
     definition = MarkedText.from_json(rec.get("definition", []))
     fe_order = rec.get("fe_order")
     fes_raw = rec.get("fes")
-    if not isinstance(fe_order, list) or not isinstance(fes_raw, dict):
-        raise CorpusError(f"frame '{name}' needs 'fe_order' (list) and 'fes' (object)")
+    if not isinstance(fe_order, list) or set(map(type, fe_order)) - {str} or not isinstance(fes_raw, dict):
+        raise CorpusError(f"frame '{name}' needs 'fe_order' (list of strings) and 'fes' (object)")
     if len(set(fe_order)) != len(fe_order):
         raise CorpusError(f"frame '{name}' repeats an FE in fe_order")
     if set(fe_order) != set(fes_raw):
@@ -176,6 +200,8 @@ def _parse_frame(rec: object) -> Frame:
     for fe_name, fe_rec in fes_raw.items():
         if not fe_name:
             raise CorpusError(f"frame '{name}' has an FE with an empty name")
+        if not isinstance(fe_rec, dict):
+            raise CorpusError(f"FE '{fe_name}' of '{name}' must be a JSON object, got {fe_rec!r}")
         try:
             core_type = CoreType(fe_rec.get("core_type", ""))
         except ValueError:
@@ -199,27 +225,22 @@ def load_ontology(path: str | Path) -> FrameStore:
     duplicate frame names, unknown FE mentions, or fe_order mismatches.
     """
     store = FrameStore()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON ({e.msg})") from None
-            try:
-                frame = _parse_frame(rec)
-                if frame.name in store:
-                    raise CorpusError(f"duplicate frame name '{frame.name}'")
-            except CorpusError as e:
-                raise CorpusError(f"{path}:{lineno}: {e}") from None
-            store._frames[frame.name] = frame
+
+    def add(rec: object, where: str) -> None:
+        frame = _parse_frame(rec)
+        if frame.name in store:
+            raise CorpusError(f"duplicate frame name '{frame.name}'")
+        store._frames[frame.name] = frame
+
+    _read_jsonl(path, add)
     return store
 
 
-def _parse_instance(rec: object, store: FrameStore) -> tuple[AnnotatedInstance, int]:
-    """Returns the instance plus the number of collapsed duplicate-FE spans."""
+def _parse_instance(rec: object, store: FrameStore, origin: str) -> tuple[AnnotatedInstance, int]:
+    """Returns the instance plus the number of collapsed duplicate-FE spans.
+
+    A boolean is not an integer here.
+    """
     if not isinstance(rec, dict):
         raise CorpusError("instance record must be a JSON object")
     tokens = rec.get("tokens")
@@ -228,20 +249,25 @@ def _parse_instance(rec: object, store: FrameStore) -> tuple[AnnotatedInstance, 
         raise CorpusError("instance needs a non-empty 'tokens' list of non-empty strings")
     n = len(tokens)
     target = rec.get("target")
-    if not isinstance(target, int) or not 1 <= target <= n:
-        raise CorpusError(f"target {target!r} outside 1..{n}")
+    if type(target) is not int or not 1 <= target <= n:
+        raise CorpusError(f"target {target!r} is not an integer in 1..{n}")
     frame_name = rec.get("frame")
     if not isinstance(frame_name, str) or frame_name not in store:
         raise CorpusError(f"unknown frame {frame_name!r}")
     frame = store.frame(frame_name)
     spans_by_fe: dict[str, tuple[int, int]] = {}
     collapsed = 0
-    for arg in rec.get("arguments", []):
+    args = rec.get("arguments", [])
+    if not isinstance(args, list):
+        raise CorpusError(f"'arguments' must be a list, got {args!r}")
+    for arg in args:
+        if not isinstance(arg, dict):
+            raise CorpusError(f"an argument must be a JSON object, got {arg!r}")
         fe, start, end = arg.get("fe"), arg.get("start"), arg.get("end")
-        if fe not in frame.fes:
+        if not isinstance(fe, str) or fe not in frame.fes:
             raise CorpusError(f"unknown FE {fe!r} for frame '{frame_name}'")
-        if not (isinstance(start, int) and isinstance(end, int)) or start > end:
-            raise CorpusError(f"bad span ({start!r}, {end!r}) for FE '{fe}': need start <= end")
+        if not (type(start) is int and type(end) is int) or start > end:
+            raise CorpusError(f"bad span ({start!r}, {end!r}) for FE '{fe}': need integers start <= end")
         if not (1 <= start and end <= n):
             raise CorpusError(f"span ({start}, {end}) for FE '{fe}' outside 1..{n}")
         if fe in spans_by_fe:
@@ -251,28 +277,17 @@ def _parse_instance(rec: object, store: FrameStore) -> tuple[AnnotatedInstance, 
         else:
             spans_by_fe[fe] = (start, end)
     arguments = tuple(Argument(fe, s, e) for fe, (s, e) in spans_by_fe.items())
-    return AnnotatedInstance(tuple(tokens), target, frame_name, arguments), collapsed
+    return AnnotatedInstance(tuple(tokens), target, frame_name, arguments, origin), collapsed
 
 
 def load_instances(path: str | Path, store: FrameStore) -> list[AnnotatedInstance]:
-    """Load and validate annotated instances against an already-loaded store."""
-    instances: list[AnnotatedInstance] = []
-    collapsed = 0
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON ({e.msg})") from None
-            try:
-                inst, dup = _parse_instance(rec, store)
-            except CorpusError as e:
-                raise CorpusError(f"{path}:{lineno}: {e}") from None
-            collapsed += dup
-            instances.append(inst)
+    """Load and validate annotated instances against an already-loaded store.
+
+    Each instance's `origin` is the ``path:line`` of its record.
+    """
+    parsed = _read_jsonl(path, lambda rec, where: _parse_instance(rec, store, where))
+    instances = [inst for inst, _ in parsed]
+    collapsed = sum(dup for _, dup in parsed)
     if collapsed:
         logger.warning("kept leftmost span for %d duplicate FE annotation(s) in %s", collapsed, path)
     return instances

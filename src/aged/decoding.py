@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import AnnotatedInstance, FrameStore
 from .encoder import Checkpoint, forward_batch
-from .encoding import EncodedPair, PairTooLongError, assemble
+from .encoding import EncodedPair, assemble
 from .pointer import PointerDistribution, score_batch
 from .templates import query_templates
 
@@ -73,20 +73,15 @@ def query_pairs(
 
     The templates, markers, vocabulary and `max_len` are the model's.
     Frame-def mode gives one pair per instance, question mode one per FE in
-    `fe_order`. A pair over `max_len` raises PairTooLongError whose
-    `instance` is the 0-based position of its instance.
+    `fe_order`. A pair over `max_len` raises PairTooLongError.
     """
-    pairs = []
-    for i, inst in enumerate(instances):
-        templates = query_templates(store.frame(inst.frame), model.mode, model.markers)
-        try:
-            pairs.append([
-                assemble(inst, t, model.vocab, model.markers, model.config.max_len)
-                for t in templates
-            ])
-        except PairTooLongError as e:
-            raise PairTooLongError(str(e), instance=i) from None
-    return pairs
+    return [
+        [
+            assemble(inst, t, model.vocab, model.markers, model.config.max_len)
+            for t in query_templates(store.frame(inst.frame), model.mode, model.markers)
+        ]
+        for inst in instances
+    ]
 
 
 def predict_pairs(model: Checkpoint, pairs: list[list[EncodedPair]]) -> list[list[SpanPrediction]]:

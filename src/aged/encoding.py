@@ -113,14 +113,7 @@ def build_vocabulary(instances: Iterable[AnnotatedInstance], store: FrameStore) 
 
 
 class PairTooLongError(ValueError):
-    """The assembled pair exceeds the configured maximum length.
-
-    `instance` is the 0-based position of the pair's instance in a set, when known.
-    """
-
-    def __init__(self, message: str, instance: int | None = None):
-        super().__init__(message)
-        self.instance = instance
+    """The assembled pair exceeds the configured maximum length."""
 
 
 @dataclass(frozen=True)
@@ -155,7 +148,8 @@ def assemble(
     """Build ``[CLS] sentence [SEP] template [SEP]`` and its index maps.
 
     Pairs longer than `max_len` are rejected rather than truncated, since
-    truncation could silently delete slots or gold spans.
+    truncation could silently delete slots or gold spans; the error starts
+    with the instance's `origin`, when it has one.
     """
     if instance.frame != template.frame:
         raise ValueError(
@@ -175,9 +169,8 @@ def assemble(
     toks.extend(template.tokens)
     toks.append(SEP_TOKEN)
     if len(toks) > max_len:
-        raise PairTooLongError(
-            f"assembled pair has {len(toks)} tokens, max_len is {max_len}"
-        )
+        where = f"{instance.origin}: " if instance.origin else ""
+        raise PairTooLongError(f"{where}assembled pair has {len(toks)} tokens, max_len is {max_len}")
     segment = (TEXT_SEGMENT,) * text_len + (DEFINITION_SEGMENT,) * (len(toks) - text_len)
     return EncodedPair(
         ids=vocab.encode(toks),

@@ -31,7 +31,6 @@ from .encoder import (
 )
 from .encoding import (
     EncodedPair,
-    PairTooLongError,
     SlotLabel,
     Vocabulary,
     assemble,
@@ -56,10 +55,6 @@ ADAM_EPS = 1e-8
 
 class NonFiniteLossError(RuntimeError):
     """Training produced a NaN or infinite loss."""
-
-
-class DevPairTooLongError(PairTooLongError):
-    """A dev instance's query pair exceeds `max_len`."""
 
 
 @dataclass
@@ -113,15 +108,14 @@ def build_training_stream(
 
     Each instance is paired with the `query_templates` of its frame, as in
     prediction; in frame-def mode FE augmentation then adds one FE-definition
-    pair per gold argument. A pair over `max_len` raises PairTooLongError
-    whose `instance` is the 0-based position of its instance.
+    pair per gold argument. A pair over `max_len` raises PairTooLongError.
     """
     opts = config.marker_options
     stream: list[TrainingExample] = []
     frame_templates = {
         frame.name: query_templates(frame, config.template_mode, opts) for frame in store
     }
-    for i, inst in enumerate(instances):
+    for inst in instances:
         frame = store.frame(inst.frame)
         templates = frame_templates[inst.frame]
         if config.augment_fe_defs:
@@ -129,15 +123,12 @@ def build_training_stream(
             templates = templates + [
                 build_fe_template(frame, fe, opts) for fe in frame.fe_order if fe in gold_fes
             ]
-        try:
-            for tpl in templates:
-                stream.append(TrainingExample(
-                    assemble(inst, tpl, vocab, opts, config.max_len),
-                    gold_labels(inst, tpl),
-                    Provenance(tpl.mode, tpl.focus_fe),
-                ))
-        except PairTooLongError as e:
-            raise PairTooLongError(str(e), instance=i) from None
+        for tpl in templates:
+            stream.append(TrainingExample(
+                assemble(inst, tpl, vocab, opts, config.max_len),
+                gold_labels(inst, tpl),
+                Provenance(tpl.mode, tpl.focus_fe),
+            ))
     return stream
 
 
@@ -318,9 +309,8 @@ def fit(
     initialises parameters from the encoder seed, builds the training
     stream, assembles the dev set's query pairs and runs `train`. The model
     carries the vocabulary and the template mode and markers of
-    `train_config`. A training pair over `max_len` raises PairTooLongError,
-    a dev pair DevPairTooLongError; `instance` is the 0-based position in
-    its set.
+    `train_config`. A training or dev pair over `max_len` raises
+    PairTooLongError before training starts.
     """
     vocab = build_vocabulary(instances, store)
     encoder_config = replace(encoder_config, vocab_size=len(vocab))
@@ -329,9 +319,6 @@ def fit(
         train_config.template_mode, train_config.marker_options,
     )
     stream = build_training_stream(instances, store, vocab, train_config)
-    try:
-        dev_set = None if dev is None else (dev, query_pairs(dev, store, model))
-    except PairTooLongError as e:
-        raise DevPairTooLongError(str(e), instance=e.instance) from None
+    dev_set = None if dev is None else (dev, query_pairs(dev, store, model))
     logger.info("training on %d pairs (%d instances)", len(stream), len(instances))
     return train(stream, model, train_config, dev=dev_set)

@@ -2,7 +2,6 @@ import base64
 import hashlib
 import json
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,16 +34,38 @@ def test_ingest_missing_file(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
-def test_ingest_rejects_malformed_corpus_before_manifest(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("flag, bad, message", [
+    ("instances", b'{"tokens": ', "malformed JSON"),
+    ("instances", b"\xff", "not UTF-8"),
+    ("instances", {"arguments": 5}, "'arguments' must be a list"),
+    ("instances", {"arguments": [5]}, "an argument must be a JSON object"),
+    ("instances", {"target": True}, "target True is not an integer"),
+    ("instances", {"arguments": [{"fe": "Victim", "start": True, "end": 1}]}, "bad span (True, 1)"),
+    ("frames", b'{"name": "\xc3"}', "not UTF-8"),
+    ("frames", {"fe_order": ["Victim"], "fes": {"Victim": 5}}, "FE 'Victim' of 'Attack' must be"),
+    ("frames", {"definition": [{"text": 5}]}, 'segment {"text": 5} needs'),
+    ("frames", {"definition": [{"fe": "Victim", "surface": 5}]}, 'segment {"fe": "Victim", '),
+], ids=["truncated-json", "not-utf-8", "arguments-not-a-list", "argument-not-an-object",
+        "bool-target", "bool-span", "frames-not-utf-8", "fe-not-an-object", "text-not-a-string",
+        "surface-not-a-string"])
+def test_ingest_rejects_malformed_corpus_before_manifest(capsys, tmp_path, monkeypatch,
+                                                         flag, bad, message):
+    """`bad` is the raw third line, or the fields that replace those of the file's first record.
+
+    A bad ontology is checked through `aged template` too, which reads only the ontology.
+    """
     monkeypatch.chdir(tmp_path)
-    lines = Path(mini_framenet_path("train")).read_text().splitlines()
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines[:2] + ['{"tokens": '] + lines[2:]) + "\n")
-    code, out, err = run(capsys, "ingest", "--instances", str(bad))
-    assert code == 1
-    assert out == ""
-    assert "bad.jsonl:3" in err
-    assert list(tmp_path.glob("*manifest.json")) == []
+    lines = mini_framenet_path("frames" if flag == "frames" else "train").read_bytes().splitlines()
+    if isinstance(bad, dict):
+        bad = json.dumps({**json.loads(lines[0]), **bad}).encode()
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join(lines[:2] + [bad] + lines[2:]) + b"\n")
+    for command in ["ingest", "template"] if flag == "frames" else ["ingest"]:
+        code, out, err = run(capsys, command, f"--{flag}", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"bad.jsonl:3: {message}" in err
+        assert list(tmp_path.glob("*manifest.json")) == []
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -265,15 +286,33 @@ def test_eval_rejects_invalid_predictions(capsys, tmp_path, monkeypatch, edit, m
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
+@pytest.mark.parametrize("records, message", [
+    (11, "bad.jsonl: misaligned: 11 prediction records vs 12 gold instances"),
+    (13, "bad.jsonl:13: misaligned: more prediction records than 12 gold instances"),
+], ids=["fewer-records", "more-records"])
+def test_eval_rejects_record_count_mismatch(capsys, tmp_path, monkeypatch, records, message):
+    monkeypatch.chdir(tmp_path)
+    pred_path = tmp_path / "bad.jsonl"
+    _gold_as_predictions(pred_path, lambda preds, inst: None)
+    lines = pred_path.read_text().splitlines()
+    pred_path.write_text("\n".join((lines * 2)[:records]) + "\n")
+    code, out, err = run(capsys, "eval", "--pred", str(pred_path))
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert list(tmp_path.glob("*manifest.json")) == []
+
+
 @pytest.mark.parametrize("line, message", [
-    ('{"frame": ', "malformed JSON"),
-    ("[1, 2]", "a prediction record must be a JSON object"),
-    ('{"frame": "Attack", "predictions": 5}', "'predictions' must be a list"),
-], ids=["truncated-json", "not-an-object", "predictions-not-a-list"])
+    (b'{"frame": ', "malformed JSON"),
+    (b"[1, 2]", "a prediction record must be a JSON object"),
+    (b'{"frame": "Attack", "predictions": 5}', "'predictions' must be a list"),
+    (b'{"frame": "Att\xffack", "predictions": []}', "not UTF-8"),
+], ids=["truncated-json", "not-an-object", "predictions-not-a-list", "not-utf-8"])
 def test_eval_malformed_record_names_line(capsys, tmp_path, monkeypatch, line, message):
     monkeypatch.chdir(tmp_path)
     pred_path = tmp_path / "bad.jsonl"
-    pred_path.write_text('{"frame": "Attack", "predictions": []}\n\n' + line + "\n")
+    pred_path.write_bytes(b'{"frame": "Attack", "predictions": []}\n\n' + line + b"\n")
     code, _, err = run(capsys, "eval", "--pred", str(pred_path), "--out", "m.json")
     assert code == 1
     assert f"bad.jsonl:3: {message}" in err
@@ -427,8 +466,13 @@ def test_predict_rejects_over_long_instance(capsys, trained, tmp_path, monkeypat
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
-@pytest.mark.parametrize("flag", ["train", "dev"])
-def test_train_names_over_long_instance(capsys, tmp_path, monkeypatch, flag):
+@pytest.mark.parametrize("command, flag, out", [
+    ("train", "train", "model.json"),
+    ("train", "dev", "model.json"),
+    ("experiment", "train", "exp.json"),
+    ("experiment", "test", "exp.json"),
+], ids=["train", "dev", "experiment-train", "experiment-test"])
+def test_train_names_over_long_instance(capsys, tmp_path, monkeypatch, command, flag, out):
     monkeypatch.chdir(tmp_path)
     lines = mini_framenet_path("train").read_text().splitlines()
     long = json.loads(lines[0])
@@ -436,16 +480,16 @@ def test_train_names_over_long_instance(capsys, tmp_path, monkeypatch, flag):
     lines[3:3] = ["", json.dumps(long)]  # a blank line, then the long instance on line 5
     instances = tmp_path / "long.jsonl"
     instances.write_text("\n".join(lines) + "\n")
-    code, stdout, err = run(capsys, "train", f"--{flag}", str(instances), "--epochs", "1",
-                            "--d-model", "8", "--layers", "1", "--heads", "2",
-                            "--checkpoint", "model.json")
+    out_flag = "--checkpoint" if command == "train" else "--out"
+    code, stdout, err = run(capsys, command, f"--{flag}", str(instances), "--epochs", "1",
+                            "--d-model", "8", "--layers", "1", "--heads", "2", out_flag, out)
     assert code == 1
     assert stdout == ""
     assert "max_len is 256" in err
     assert f"{instances}:5: " in err
-    if flag == "dev":  # not reported against the training file
+    if flag != "train":  # not reported against the training file
         assert str(mini_framenet_path("train")) not in err
-    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / out).exists()
 
 
 @pytest.mark.parametrize("command", ["train", "experiment"])

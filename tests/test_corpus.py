@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -77,10 +78,27 @@ def test_fe_order_mismatch(tmp_path):
         load_ontology(path)
 
 
-def test_malformed_line_reports_line_number(tmp_path):
+@pytest.mark.parametrize("line, message", [
+    (b"{oops", "malformed JSON"),
+    (b'{"name": "Att\xe9ck"}', "not UTF-8 (invalid continuation byte)"),
+    (json.dumps(dict(ATTACK_RECORD, fe_order=["Victim"], fes={"Victim": 5})).encode(),
+     "FE 'Victim' of 'Attack' must be a JSON object, got 5"),
+    (json.dumps(dict(ATTACK_RECORD, fe_order=["Victim"], fes={"Victim": [5]})).encode(),
+     "FE 'Victim' of 'Attack' must be a JSON object, got [5]"),
+    (json.dumps(dict(ATTACK_RECORD, definition=[{"text": 5}])).encode(),
+     'segment {"text": 5} needs non-empty strings'),
+    (json.dumps(dict(ATTACK_RECORD, definition=[{"fe": "Victim", "surface": 5}])).encode(),
+     'segment {"fe": "Victim", "surface": 5} needs non-empty strings'),
+    (json.dumps(dict(ATTACK_RECORD, definition=[{"fe": ["Victim"], "surface": "x"}])).encode(),
+     'segment {"fe": ["Victim"], "surface": "x"} needs non-empty strings'),
+    (json.dumps(dict(ATTACK_RECORD, fe_order=[["Victim"]])).encode(),
+     "frame 'Attack' needs 'fe_order' (list of strings)"),
+], ids=["malformed-json", "not-utf-8", "fe-not-an-object", "fe-a-list", "text-not-a-string",
+        "surface-not-a-string", "mentioned-fe-not-a-string", "fe-order-not-strings"])
+def test_malformed_line_reports_line_number(tmp_path, line, message):
     path = tmp_path / "frames.jsonl"
-    path.write_text(json.dumps(ATTACK_RECORD) + "\n{oops\n", encoding="utf-8")
-    with pytest.raises(CorpusError, match=":2:"):
+    path.write_bytes(json.dumps(ATTACK_RECORD).encode() + b"\n" + line + b"\n")
+    with pytest.raises(CorpusError, match=re.escape(f"frames.jsonl:2: {message}")):
         load_ontology(path)
 
 
@@ -125,6 +143,16 @@ def test_instance_without_arguments_is_accepted(tmp_path, attack_store):
         ({"tokens": ["a"], "target": 1, "frame": "Attack",
           "arguments": [{"fe": "Weapon", "start": 1, "end": 1}]}, "unknown FE"),
         ({"tokens": ["a"], "target": 2, "frame": "Attack", "arguments": []}, "target"),
+        ({"tokens": ["a"], "target": True, "frame": "Attack", "arguments": []},
+         "target True is not an integer"),
+        ({"tokens": ["a"], "target": 1, "frame": "Attack",
+          "arguments": [{"fe": "Victim", "start": 1, "end": True}]}, "for FE 'Victim': need integers"),
+        ({"tokens": ["a"], "target": 1, "frame": "Attack", "arguments": 5},
+         "'arguments' must be a list"),
+        ({"tokens": ["a"], "target": 1, "frame": "Attack", "arguments": [5]},
+         "an argument must be a JSON object"),
+        ({"tokens": ["a"], "target": 1, "frame": "Attack",
+          "arguments": [{"fe": ["Victim"], "start": 1, "end": 1}]}, "unknown FE"),
     ],
 )
 def test_invalid_instances_rejected(tmp_path, attack_store, record, message):

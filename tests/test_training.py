@@ -1,12 +1,12 @@
+import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aged.corpus import AnnotatedInstance, Argument
+from aged.corpus import AnnotatedInstance, Argument, load_instances, mini_framenet_path
 from aged.encoder import Checkpoint, EncoderConfig, FlatGradients, init_parameters, load_checkpoint
-from aged.encoding import build_vocabulary
+from aged.encoding import PairTooLongError, build_vocabulary
 from aged.evaluation import evaluate
 from aged.decoding import predict_all, query_pairs
 from aged.pointer import batch_loss_and_gradients
@@ -15,7 +15,6 @@ from aged.training import (
     ADAM_BETAS,
     ADAM_EPS,
     Adam,
-    DevPairTooLongError,
     Provenance,
     TrainConfig,
     build_training_stream,
@@ -321,13 +320,16 @@ def test_fit_equals_hand_built_pipeline_bitwise(store, train_instances, test_ins
         assert model.params[name].tobytes() == tensor.tobytes(), name
 
 
-def test_fit_checks_dev_set_before_training(store, train_instances, monkeypatch):
+def test_fit_checks_dev_set_before_training(store, train_instances, tmp_path, monkeypatch):
     import aged.training
 
-    long = replace(train_instances[0], tokens=train_instances[0].tokens + ("filler",) * 300)
+    first = json.loads(mini_framenet_path("train").read_text().splitlines()[0])
+    long = dict(first, tokens=first["tokens"] + ["filler"] * 300)
+    dev_path = tmp_path / "dev.jsonl"
+    dev_path.write_text(f"{json.dumps(first)}\n\n{json.dumps(long)}\n")  # long is on line 3
     monkeypatch.setattr(aged.training, "train", lambda *a, **k: pytest.fail("trained"))
     encoder_config = EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2)
-    with pytest.raises(DevPairTooLongError, match="max_len is 256") as err:
+    with pytest.raises(PairTooLongError, match="max_len is 256") as err:
         fit(train_instances[:4], store, encoder_config, TrainConfig(epochs=1),
-            dev=[train_instances[1], long])
-    assert err.value.instance == 1
+            dev=load_instances(dev_path, store))
+    assert str(err.value).startswith(f"{dev_path}:3: assembled pair has ")
