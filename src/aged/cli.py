@@ -171,10 +171,17 @@ def _coerce(raw: str, default):
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; blank lines and # comments ignored."""
+    """Parse flat ``key = value`` lines; blank lines and # comments ignored.
+
+    Lines end at ``\n``, ``\r\n`` or ``\r``; a line that is not UTF-8 is
+    named by its `path:line`.
+    """
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
+    for lineno, raw_line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            line = raw_line.decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise UsageError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from None
         if not line or line.startswith("#"):
             continue
         if "=" not in line:

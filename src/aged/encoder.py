@@ -5,9 +5,11 @@ two-way segment embeddings (sentence vs. definition), GELU feed-forward.
 Full bidirectional self-attention runs over the whole assembled pair, so
 sentence tokens and definition slots contextualize each other. A
 mini-batch runs as one pass padded to its longest pair, with a key-padding
-mask on the attention scores; a single pair is a batch of one. Gradients
-are exact reverse-mode and are validated against central finite differences
-in the test suite.
+mask on the attention scores; a single pair is a batch of one. The output
+is read only at [CLS], the sentence tokens and the slot spans, so the last
+layer attends from and transforms just those rows; every position stays a
+key and a value. Gradients are exact reverse-mode and are validated against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -299,17 +301,19 @@ def _attention(qh, kh, vh, key_bias):
     """Context of softmax(qh kh^T + key_bias) vh, normalized after the product.
 
     e = exp(s) for the scores s = qh @ kh^T + key_bias, and
-    ctx = (e @ vh) * inv_sum with inv_sum = 1 / sum(e): the (L, dh) context
-    is scaled instead of the (L, L) probabilities. Queries come pre-scaled
-    by 1/sqrt(dh). Returns ctx, e and inv_sum, the last two for
-    `_attention_backward`.
+    ctx = (e @ vh) * inv_sum with inv_sum = 1 / sum(e): for N queries and L
+    keys, the (N, dh) context is scaled instead of the (N, L) probabilities.
+    Queries come pre-scaled by 1/sqrt(dh). Returns ctx, e and inv_sum, the
+    last two for `_attention_backward`.
 
     Softmax does not change when a row is shifted, so the exact row max is
     subtracted only when it is needed. If any score exceeds
     `_MAX_UNSHIFTED_SCORE`, e = exp(s - max(s)) row by row. Otherwise
     e = exp(s) cannot overflow, and if a row sum falls below
     `_MIN_UNSHIFTED_SUM` (exp underflow would cost precision, or give
-    1 / 0), the scores are computed again and shifted.
+    1 / 0), the scores are computed again and shifted. Both checks see only
+    the call's query rows: in the last layer of `forward_batch`, the read
+    rows (and the unread rows that pad them).
     """
     e = _scores(qh, kh, key_bias)
     shift = bool(e.max() > _MAX_UNSHIFTED_SCORE)
@@ -369,10 +373,14 @@ def forward_batch(
     """One forward pass over a mini-batch padded to its longest pair.
 
     Returns reps of shape (B, L, d_model) and the cache for
-    `backward_from_cache`. A key-padding mask gives padded positions zero
-    attention probability, so each pair's rows equal its unpadded encoding;
-    rows past a pair's length are padding and carry no meaning. Training and
-    prediction run this same pass.
+    `backward_from_cache`. Only the rows the pointer heads read, each pair's
+    `read_rows`, carry representations; every other row is exactly 0. The
+    last layer computes its queries, attention, feed-forward and final norm
+    only at N rows per pair, N the batch's most read rows: no later layer
+    reads its other outputs. Its keys and values still cover every
+    position. A key-padding mask gives padded positions zero attention
+    probability, so each pair's read rows equal its unpadded encoding.
+    Training and prediction run this same pass.
     """
     lengths = np.array([len(pair.ids) for pair in pairs])
     batch, length = len(pairs), int(lengths.max())
@@ -380,13 +388,21 @@ def forward_batch(
         raise ValueError(f"input length {length} exceeds max_len {config.max_len}")
     ids = np.zeros((batch, length), dtype=np.intp)
     segments = np.zeros((batch, length), dtype=np.intp)
+    read = np.zeros((batch, length), dtype=bool)
     for b, pair in enumerate(pairs):
         ids[b, : lengths[b]] = pair.ids
         segments[b, : lengths[b]] = pair.segment
+        read[b, pair.read_rows] = True
     if ids.max() >= config.vocab_size:
         raise ValueError(f"token id {int(ids.max())} out of range for vocab_size {config.vocab_size}")
     valid = np.arange(length) < lengths[:, None]
     d = config.d_model
+    # each pair's read rows, then distinct unread ones (a fancy-index write
+    # drops duplicates) up to the batch's most read rows; as flat (B*L) rows
+    n_read = np.array([len(pair.read_rows) for pair in pairs])
+    picked = np.argsort(~read, axis=1, kind="stable")[:, : n_read.max()]
+    picked_read = (np.arange(picked.shape[1]) < n_read[:, None]).reshape(-1, 1)
+    picked = (picked + length * np.arange(batch)[:, None]).ravel()
 
     x = params["tok_emb"][ids]
     x += params["pos_emb"][:length]
@@ -395,16 +411,18 @@ def forward_batch(
     key_bias = None
     if not valid.all():
         key_bias = np.where(valid, 0.0, -np.inf).astype(x.dtype)[:, None, None, :]
-    cache: dict = {"ids": ids, "segments": segments, "valid": valid,
-                   "shape": (batch, length, d), "layers": []}
+    cache: dict = {"ids": ids, "segments": segments, "picked": picked,
+                   "picked_read": picked_read, "shape": (batch, length, d), "layers": []}
     dh = d // config.n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
 
     for i in range(config.n_layers):
         p = f"layer{i}."
+        rows = _query_rows(config, i, picked)
         lc: dict = {}
         a, lc["ln1"] = _layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        q = a @ params[p + "attn.w_q"]
+        a_q = a[rows]
+        q = a_q @ params[p + "attn.w_q"]
         q += params[p + "attn.b_q"]
         q *= inv_sqrt_dh
         k = a @ params[p + "attn.w_k"]
@@ -415,7 +433,7 @@ def forward_batch(
         ctx = _merge_heads(ctx)
         x1 = ctx @ params[p + "attn.w_o"]
         x1 += params[p + "attn.b_o"]
-        x1 += x  # x1 = x + o
+        x1 += x[rows]  # x1 = x + o
         a2, lc["ln2"] = _layer_norm(x1, params[p + "ln2.gain"], params[p + "ln2.bias"])
         h1 = a2 @ params[p + "ffn.w1"]
         h1 += params[p + "ffn.b1"]
@@ -423,12 +441,21 @@ def forward_batch(
         x = g @ params[p + "ffn.w2"]
         x += params[p + "ffn.b2"]
         x += x1  # x = x1 + f
-        lc.update(a=a, qh=qh, kh=kh, vh=vh, e=e, inv_sum=inv_sum, ctx=ctx, a2=a2, h1=h1, t=t,
-                  g=g)
+        lc.update(a=a, a_q=a_q, qh=qh, kh=kh, vh=vh, e=e, inv_sum=inv_sum, ctx=ctx, a2=a2,
+                  h1=h1, t=t, g=g)
         cache["layers"].append(lc)
 
-    reps, cache["final_ln"] = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
+    out, cache["final_ln"] = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
+    out *= picked_read  # rows picked only to pad the batch's read rows are 0
+    reps = np.zeros((batch * length, d), out.dtype)
+    reps[picked] = out
     return reps.reshape(batch, length, d), cache
+
+
+def _query_rows(config: EncoderConfig, layer: int, picked: np.ndarray):
+    """The rows at which `layer` computes its outputs: all of them below the
+    last layer, the `picked` ones in it."""
+    return picked if layer == config.n_layers - 1 else slice(None)
 
 
 def forward_cached(
@@ -445,7 +472,11 @@ def forward_cached(
 
 
 def forward(params: ParameterSet, config: EncoderConfig, pair: EncodedPair) -> ContextualEncoding:
-    """Contextual representations for every assembled position; the per-pair reference."""
+    """Contextual representations of one pair, (len, d_model); the per-pair reference.
+
+    As in `forward_batch`, only the pair's `read_rows` are computed; every
+    other row is 0.
+    """
     encoding, _ = forward_cached(params, config, pair)
     return encoding
 
@@ -459,8 +490,9 @@ def backward_from_cache(
     """Exact gradients of every parameter given d(loss)/d(reps), summed over the batch.
 
     `d_reps` has the (B, L, d_model) shape of the batch's reps; any other
-    shape raises ValueError, even one of the same size. Rows past a pair's
-    length are padding and get zero gradient.
+    shape raises ValueError, even one of the same size. Only the rows that
+    `forward_batch` computed pass gradient: upstream at unread rows, padding
+    included, is ignored, as those rows are constant 0.
     """
     batch, length, d = cache["shape"]
     if d_reps.shape != (batch, length, d):
@@ -471,15 +503,18 @@ def backward_from_cache(
     grads = FlatGradients(params)
     dh = d // config.n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
-    d_reps = d_reps * cache["valid"][..., None]
+    picked = cache["picked"]
+    d_out = d_reps.reshape(batch * length, d)[picked]
+    d_out *= cache["picked_read"]
 
     dx = _layer_norm_backward(
-        d_reps.reshape(batch * length, d), cache["final_ln"], params["final_ln.gain"],
+        d_out, cache["final_ln"], params["final_ln.gain"],
         grads["final_ln.gain"], grads["final_ln.bias"],
     )
 
     for i in reversed(range(config.n_layers)):
         p = f"layer{i}."
+        rows = _query_rows(config, i, picked)
         lc = cache["layers"][i]
         # x_out = x1 + f, f = gelu(a2 @ w1 + b1) @ w2 + b2, a2 = LN2(x1)
         np.matmul(lc["g"].T, dx, out=grads[p + "ffn.w2"])
@@ -492,7 +527,8 @@ def backward_from_cache(
             grads[p + "ln2.gain"], grads[p + "ln2.bias"],
         )
         dx1 += dx  # dx1 = dx + d LN2
-        # x1 = x_in + o, o = merge(softmax(q k^T / sqrt(dh) + key_bias) v) @ w_o + b_o
+        # x1 = x_in + o, o = merge(softmax(q k^T / sqrt(dh) + key_bias) v) @ w_o + b_o,
+        # at the query rows only; keys and values cover every row of x_in
         np.matmul(lc["ctx"].T, dx1, out=grads[p + "attn.w_o"])
         _column_sums(dx1, grads[p + "attn.b_o"])
         dctx = _split_heads(dx1 @ params[p + "attn.w_o"].T, batch, config.n_heads)
@@ -502,18 +538,19 @@ def backward_from_cache(
         dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
         dq *= inv_sqrt_dh  # the queries were scaled by 1/sqrt(dh) before the scores
         a = lc["a"]
-        np.matmul(a.T, dq, out=grads[p + "attn.w_q"])
+        np.matmul(lc["a_q"].T, dq, out=grads[p + "attn.w_q"])
         _column_sums(dq, grads[p + "attn.b_q"])
         np.matmul(a.T, dk, out=grads[p + "attn.w_k"])
         np.matmul(a.T, dv, out=grads[p + "attn.w_v"])
         _column_sums(dv, grads[p + "attn.b_v"])
-        da = dq @ params[p + "attn.w_q"].T
+        da = np.zeros_like(a)
+        da[rows] = dq @ params[p + "attn.w_q"].T
         da += dk @ params[p + "attn.w_k"].T
         da += dv @ params[p + "attn.w_v"].T
         dx = _layer_norm_backward(
             da, lc["ln1"], params[p + "ln1.gain"], grads[p + "ln1.gain"], grads[p + "ln1.bias"]
         )
-        dx += dx1  # dx = dx1 + d LN1
+        dx[rows] += dx1  # dx = dx1 + d LN1
 
     _embedding_grad(cache["ids"].ravel(), dx, grads["tok_emb"])
     grads["pos_emb"][:length] += dx.reshape(batch, length, d).sum(axis=0)

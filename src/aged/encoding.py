@@ -9,10 +9,13 @@ spans without touching marker tokens.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import AnnotatedInstance, FrameStore
 from .templates import (
@@ -136,6 +139,17 @@ class EncodedPair:
 
     def candidate_positions(self) -> tuple[int, ...]:
         return (self.cls_pos,) + self.sentence_pos
+
+    @functools.cached_property
+    def read_rows(self) -> np.ndarray:
+        """The sorted assembled positions the pointer heads read: the candidate
+        positions and every row of every slot span. Derived once per pair."""
+        read = {self.cls_pos, *self.sentence_pos}
+        for start, end in self.slot_pos:
+            read.update(range(start, end + 1))
+        rows = np.array(sorted(read), np.intp)
+        rows.flags.writeable = False
+        return rows
 
 
 def assemble(

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import AnnotatedInstance, FrameStore, sample_k_shot
-from .decoding import predict_all
+from .decoding import predict_pairs, query_pairs
 from .encoder import EncoderConfig
 from .evaluation import Metrics, evaluate, per_frame_metrics
-from .training import TrainConfig, fit
+from .training import TrainConfig, fit, untrained_model
 
 
 @dataclass
@@ -81,8 +81,14 @@ def run_holdout_experiment(
             f"holdout cap violated: sampled training counts {train_counts}, expected {expected}"
         )
 
+    # the test pairs need only the vocabulary and query settings, which the
+    # trained model shares with its `untrained_model`; assembled first, an
+    # over-long test instance is rejected before any training
+    test_pairs = query_pairs(
+        test_instances, store, untrained_model(sampled, store, encoder_config, train_config)
+    )
     model, train_report = fit(sampled, store, encoder_config, train_config)
-    predictions = predict_all(test_instances, store, model)
+    predictions = predict_pairs(model, test_pairs)
     predictions_complete = all(
         len(preds) == len(store.frame(inst.frame).fe_order)
         for preds, inst in zip(predictions, test_instances)

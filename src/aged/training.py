@@ -294,6 +294,27 @@ def train(
     return model, report
 
 
+def untrained_model(
+    instances: list[AnnotatedInstance],
+    store: FrameStore,
+    encoder_config: EncoderConfig,
+    train_config: TrainConfig,
+) -> Checkpoint:
+    """The model `fit` starts from, the same for the same arguments.
+
+    Its vocabulary is built from `instances` and the ontology, its embedding
+    sized to it (the `vocab_size` of `encoder_config` is ignored), its
+    parameters initialised from the encoder seed, and it carries the
+    template mode and markers of `train_config`.
+    """
+    vocab = build_vocabulary(instances, store)
+    encoder_config = replace(encoder_config, vocab_size=len(vocab))
+    return Checkpoint(
+        encoder_config, init_parameters(encoder_config), vocab,
+        train_config.template_mode, train_config.marker_options,
+    )
+
+
 def fit(
     instances: list[AnnotatedInstance],
     store: FrameStore,
@@ -304,21 +325,13 @@ def fit(
 ) -> tuple[Checkpoint, TrainingReport]:
     """Train a fresh model on `instances`: the one pipeline every entry point runs.
 
-    Builds the vocabulary from `instances` and the ontology, sizes the
-    embedding to it (the `vocab_size` of `encoder_config` is ignored),
-    initialises parameters from the encoder seed, builds the training
-    stream, assembles the dev set's query pairs and runs `train`. The model
-    carries the vocabulary and the template mode and markers of
-    `train_config`. A training or dev pair over `max_len` raises
-    PairTooLongError before training starts.
+    Starts from the `untrained_model` of its arguments, builds the training
+    stream, assembles the dev set's query pairs and runs `train`. A training
+    or dev pair over `max_len` raises PairTooLongError before training
+    starts.
     """
-    vocab = build_vocabulary(instances, store)
-    encoder_config = replace(encoder_config, vocab_size=len(vocab))
-    model = Checkpoint(
-        encoder_config, init_parameters(encoder_config), vocab,
-        train_config.template_mode, train_config.marker_options,
-    )
-    stream = build_training_stream(instances, store, vocab, train_config)
+    model = untrained_model(instances, store, encoder_config, train_config)
+    stream = build_training_stream(instances, store, model.vocab, train_config)
     dev_set = None if dev is None else (dev, query_pairs(dev, store, model))
     logger.info("training on %d pairs (%d instances)", len(stream), len(instances))
     return train(stream, model, train_config, dev=dev_set)

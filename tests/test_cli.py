@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import aged.cli
+import aged.training
 from aged.cli import build_parser, dispatch
 from aged.corpus import load_instances, load_ontology, mini_framenet_path
 
@@ -474,6 +475,8 @@ def test_predict_rejects_over_long_instance(capsys, trained, tmp_path, monkeypat
 ], ids=["train", "dev", "experiment-train", "experiment-test"])
 def test_train_names_over_long_instance(capsys, tmp_path, monkeypatch, command, flag, out):
     monkeypatch.chdir(tmp_path)
+    trained = []
+    monkeypatch.setattr(aged.training, "train", lambda *args, **kwargs: trained.append(args))
     lines = mini_framenet_path("train").read_text().splitlines()
     long = json.loads(lines[0])
     long["tokens"] = long["tokens"] + ["filler"] * 300
@@ -490,6 +493,7 @@ def test_train_names_over_long_instance(capsys, tmp_path, monkeypatch, command, 
     if flag != "train":  # not reported against the training file
         assert str(mini_framenet_path("train")) not in err
     assert not (tmp_path / out).exists()
+    assert trained == []  # rejected before the first epoch
 
 
 @pytest.mark.parametrize("command", ["train", "experiment"])
@@ -560,6 +564,17 @@ def test_config_file_bad_value(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "train", "--config", str(config))
     assert code == 1
     assert "banana" in err
+
+
+def test_config_file_not_utf8_names_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"# settings\nepochs = 2\nseed = \xff\n")
+    code, out, err = run(capsys, "ingest", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert f"{config}:3: not UTF-8" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
 
 
 def test_experiment_end_to_end(capsys, tmp_path, monkeypatch):

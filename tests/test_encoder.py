@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,6 +315,81 @@ def test_padded_rows_get_no_gradient(vocab, pair):
     long = backward(params, config, pair, upstream[1])
     for name in grads:
         np.testing.assert_allclose(grads[name], alone[name] + long[name], rtol=1e-9, atol=1e-12)
+
+
+def read_everything(pair):
+    """The pair with every row after [CLS] a sentence row, so every row is read."""
+    return dataclasses.replace(pair, sentence_pos=tuple(range(1, len(pair.ids))))
+
+
+def mixed_batch(pair):
+    """The fixture pair, a short pair with a two-row slot and unread rows, and [CLS] alone."""
+    short = dataclasses.replace(make_pair([CLS_ID, 11, 12, 3, 13, 14, 15, 3], n_text=2),
+                                slot_pos=((5, 6),), slot_fes=("A",))
+    return [short, pair, make_pair([CLS_ID], n_text=0)]
+
+
+def read_mask(pairs, length):
+    read = np.zeros((len(pairs), length), bool)
+    for b, p in enumerate(pairs):
+        read[b, p.read_rows] = True
+    return read
+
+
+def assert_close_to(actual, expected, rel=1e-12):
+    """Equal up to `rel` times the largest magnitude of `expected`."""
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("batched", [False, True], ids=["single", "padded-batch"])
+def test_pruned_last_layer_equals_full_pass(vocab, pair, n_layers, batched):
+    config = tiny_config(vocab_size=len(vocab), max_len=128, n_layers=n_layers)
+    params = init_parameters(config)
+    pairs = mixed_batch(pair) if batched else [pair]
+    reps, cache = forward_batch(params, config, pairs)
+    full_reps, full_cache = forward_batch(params, config, [read_everything(p) for p in pairs])
+    read = read_mask(pairs, reps.shape[1])
+    assert not read.all()
+    assert_close_to(reps[read], full_reps[read])
+    assert not reps[~read].any()
+
+    upstream = np.random.default_rng(7).normal(size=reps.shape)
+    at_read = upstream * read[..., None]
+    grads = backward_from_cache(params, config, cache, upstream)
+    full_grads = backward_from_cache(params, config, full_cache, at_read)
+    for name in grads:
+        assert_close_to(grads[name], full_grads[name])
+    # upstream placed only at unread rows, padding included, reaches nothing
+    unread = backward_from_cache(params, config, cache, upstream - at_read)
+    assert not unread.flat.any()
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_last_layer_caches_only_read_rows(vocab, pair, n_layers):
+    # the work saved by pruning: the last layer's queries, attention rows and
+    # feed-forward cover B x N rows, N the batch's most read rows
+    config = tiny_config(vocab_size=len(vocab), max_len=128, n_layers=n_layers)
+    params = init_parameters(config)
+    pairs = mixed_batch(pair)
+    reps, cache = forward_batch(params, config, pairs)
+    batch, length, _ = reps.shape
+    most_read = max(len(p.read_rows) for p in pairs)
+    assert most_read < length
+    *lower, last = cache["layers"]
+    for name in ("h1", "a2", "a_q"):
+        assert len(last[name]) == batch * most_read, name
+        for layer in lower:
+            assert len(layer[name]) == batch * length, name
+    assert last["e"].shape == (batch, config.n_heads, most_read, length)
+    assert len(last["a"]) == batch * length  # keys and values cover every row
+
+
+def test_read_rows_are_candidates_and_slot_spans(pair):
+    spans = {i for start, end in pair.slot_pos for i in range(start, end + 1)}
+    assert list(pair.read_rows) == sorted({0, *pair.sentence_pos, *spans})
+    assert pair.read_rows is pair.read_rows  # derived once per pair
+    assert len(pair.read_rows) < len(pair.ids)  # markers and definition prose are unread
 
 
 # The plain formulas the in-place kernels must reproduce bitwise. Sums and
