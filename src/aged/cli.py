@@ -4,12 +4,12 @@ Configuration resolution is flags > config file > built-in defaults; the
 config file is flat ``key = value`` text whose keys mirror flag names with
 dashes replaced by underscores. Every run writes a RunManifest JSON (command,
 resolved configuration, input digests, seed, version, timestamp) beside its
-primary output before any long-running work starts. `predict` checks its
-checkpoint and mode and assembles every input pair first, and every command
-reads and validates its input files first, so a run rejected for those
-leaves no manifest. A checkpoint carries its vocabulary, template mode and
-marker options, so `predict` takes none of them from flags. Existing outputs
-are never overwritten unless --force is given.
+primary output before any long-running work starts. Every command reads and
+validates its input files first, `predict` checks its checkpoint and mode, and
+`train`, `predict` and `experiment` assemble every pair they encode, so a run
+rejected for those leaves no manifest. A checkpoint carries its vocabulary,
+template mode and marker options, so `predict` takes none of them from flags.
+Existing outputs are never overwritten unless --force is given.
 AGED_LOG in {error, info, debug} controls stderr log verbosity.
 """
 
@@ -306,11 +306,10 @@ def cmd_train(cfg: dict, force: bool) -> int:
     train_instances = load_instances(cfg["train"], store)
     dev_instances = load_instances(cfg["dev"], store) if cfg["dev"] else None
     inputs = [cfg["frames"], cfg["train"]] + ([cfg["dev"]] if cfg["dev"] else [])
-    write_manifest("train", cfg, inputs, checkpoint_path)
-
     if dev_instances is not None and train_config.eval_every == 0:
         train_config.eval_every = 1
-    _, report = fit(train_instances, store, encoder_config, train_config, dev=dev_instances)
+    _, report = fit(train_instances, store, encoder_config, train_config, dev=dev_instances,
+                    on_assembled=lambda: write_manifest("train", cfg, inputs, checkpoint_path))
     report.save(report_path)
     summary = {
         "checkpoint": checkpoint_path,
@@ -447,11 +446,11 @@ def cmd_experiment(cfg: dict, force: bool) -> int:
     store = load_ontology(cfg["frames"])
     train_instances = load_instances(cfg["train"], store)
     test_instances = load_instances(cfg["test"], store)
-    write_manifest("experiment", cfg, [cfg["frames"], cfg["train"], cfg["test"]], out_path)
     frames = {name.strip() for name in str(cfg["holdout"]).split(",") if name.strip()}
+    inputs = [cfg["frames"], cfg["train"], cfg["test"]]
     report = run_holdout_experiment(
-        train_instances, test_instances, store, frames, k,
-        encoder_config, train_config,
+        train_instances, test_instances, store, frames, k, encoder_config, train_config,
+        on_assembled=lambda: write_manifest("experiment", cfg, inputs, out_path),
     )
     report.save(out_path)
     print(json.dumps({

@@ -75,11 +75,10 @@ def query_pairs(
     Frame-def mode gives one pair per instance, question mode one per FE in
     `fe_order`. A pair over `max_len` raises PairTooLongError.
     """
+    templates = {frame.name: query_templates(frame, model.mode, model.markers) for frame in store}
     return [
-        [
-            assemble(inst, t, model.vocab, model.markers, model.config.max_len)
-            for t in query_templates(store.frame(inst.frame), model.mode, model.markers)
-        ]
+        [assemble(inst, t, model.vocab, model.markers, model.config.max_len)
+         for t in templates[inst.frame]]
         for inst in instances
     ]
 

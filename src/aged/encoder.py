@@ -7,9 +7,10 @@ sentence tokens and definition slots contextualize each other. A
 mini-batch runs as one pass padded to its longest pair, with a key-padding
 mask on the attention scores; a single pair is a batch of one. The output
 is read only at [CLS], the sentence tokens and the slot spans, so the last
-layer attends from and transforms just those rows; every position stays a
-key and a value. Gradients are exact reverse-mode and are validated against
-central finite differences in the test suite.
+layer attends from and transforms just those rows, and the output holds
+only them: the pointer candidates first, padded per batch with 0 rows that
+nothing reads. Every position stays a key and a value. Gradients are exact
+reverse-mode, validated against central finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -372,15 +373,15 @@ def forward_batch(
 ) -> tuple[np.ndarray, dict]:
     """One forward pass over a mini-batch padded to its longest pair.
 
-    Returns reps of shape (B, L, d_model) and the cache for
-    `backward_from_cache`. Only the rows the pointer heads read, each pair's
-    `read_rows`, carry representations; every other row is exactly 0. The
-    last layer computes its queries, attention, feed-forward and final norm
-    only at N rows per pair, N the batch's most read rows: no later layer
-    reads its other outputs. Its keys and values still cover every
-    position. A key-padding mask gives padded positions zero attention
-    probability, so each pair's read rows equal its unpadded encoding.
-    Training and prediction run this same pass.
+    Returns reps of shape (B, N, d_model), N the batch's most read rows, and
+    the cache for `backward_from_cache`. Row i of pair b is its position
+    `pairs[b].read_rows[i]`, so its n+1 pointer candidates are its first
+    rows; rows past its read rows only pad it and are exactly 0. The last
+    layer computes queries, attention, feed-forward and final norm only at
+    these rows: no later layer reads its other outputs. Its keys and values
+    still cover every position. A key-padding mask gives padded positions
+    zero attention probability, so each pair's read rows equal its unpadded
+    encoding. Training and prediction run this same pass.
     """
     lengths = np.array([len(pair.ids) for pair in pairs])
     batch, length = len(pairs), int(lengths.max())
@@ -397,8 +398,8 @@ def forward_batch(
         raise ValueError(f"token id {int(ids.max())} out of range for vocab_size {config.vocab_size}")
     valid = np.arange(length) < lengths[:, None]
     d = config.d_model
-    # each pair's read rows, then distinct unread ones (a fancy-index write
-    # drops duplicates) up to the batch's most read rows; as flat (B*L) rows
+    # each pair's read rows, then distinct unread ones (a fancy-index write in the
+    # backward drops duplicates) up to the batch's most read rows; as flat (B*L) rows
     n_read = np.array([len(pair.read_rows) for pair in pairs])
     picked = np.argsort(~read, axis=1, kind="stable")[:, : n_read.max()]
     picked_read = (np.arange(picked.shape[1]) < n_read[:, None]).reshape(-1, 1)
@@ -447,9 +448,7 @@ def forward_batch(
 
     out, cache["final_ln"] = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     out *= picked_read  # rows picked only to pad the batch's read rows are 0
-    reps = np.zeros((batch * length, d), out.dtype)
-    reps[picked] = out
-    return reps.reshape(batch, length, d), cache
+    return out.reshape(batch, -1, d), cache
 
 
 def _query_rows(config: EncoderConfig, layer: int, picked: np.ndarray):
@@ -463,19 +462,21 @@ def forward_cached(
     config: EncoderConfig,
     pair: EncodedPair,
 ) -> tuple[ContextualEncoding, dict]:
-    """`forward_batch` of the single pair; reps have shape (len, d_model).
+    """`forward_batch` of the single pair, its rows at their positions: (len, d_model) reps.
 
     Kept for the tests and the per-layer benchmark tracer.
     """
-    reps, cache = forward_batch(params, config, [pair])
-    return ContextualEncoding(reps[0]), cache
+    rows, cache = forward_batch(params, config, [pair])
+    reps = np.zeros((len(pair.ids), rows.shape[2]), rows.dtype)
+    reps[pair.read_rows] = rows[0]
+    return ContextualEncoding(reps), cache
 
 
 def forward(params: ParameterSet, config: EncoderConfig, pair: EncodedPair) -> ContextualEncoding:
     """Contextual representations of one pair, (len, d_model); the per-pair reference.
 
-    As in `forward_batch`, only the pair's `read_rows` are computed; every
-    other row is 0.
+    As in `forward_batch`, only the pair's `read_rows` are computed; here
+    every other row is 0.
     """
     encoding, _ = forward_cached(params, config, pair)
     return encoding
@@ -489,23 +490,22 @@ def backward_from_cache(
 ) -> FlatGradients:
     """Exact gradients of every parameter given d(loss)/d(reps), summed over the batch.
 
-    `d_reps` has the (B, L, d_model) shape of the batch's reps; any other
-    shape raises ValueError, even one of the same size. Only the rows that
-    `forward_batch` computed pass gradient: upstream at unread rows, padding
-    included, is ignored, as those rows are constant 0.
+    `d_reps` has the (B, N, d_model) shape of the batch's reps, rows in
+    `read_rows` order; any other shape raises ValueError, even one of the
+    same size. Upstream at the rows that only pad a pair's read rows is
+    ignored, as those rows are constant 0.
     """
     batch, length, d = cache["shape"]
-    if d_reps.shape != (batch, length, d):
+    picked = cache["picked"]
+    shape = (batch, len(picked) // batch, d)
+    if d_reps.shape != shape:
         raise ValueError(
-            f"upstream gradient shape {d_reps.shape} does not match "
-            f"output shape {(batch, length, d)}"
+            f"upstream gradient shape {d_reps.shape} does not match output shape {shape}"
         )
     grads = FlatGradients(params)
     dh = d // config.n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
-    picked = cache["picked"]
-    d_out = d_reps.reshape(batch * length, d)[picked]
-    d_out *= cache["picked_read"]
+    d_out = d_reps.reshape(-1, d) * cache["picked_read"]
 
     dx = _layer_norm_backward(
         d_out, cache["final_ln"], params["final_ln.gain"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .corpus import AnnotatedInstance, FrameStore, sample_k_shot
 from .decoding import predict_pairs, query_pairs
@@ -61,6 +62,7 @@ def run_holdout_experiment(
     k: int | None,
     encoder_config: EncoderConfig,
     train_config: TrainConfig,
+    on_assembled: Callable[[], object] = lambda: None,
 ) -> ExperimentReport:
     """Train with held-out frames capped at k instances and evaluate on test."""
     for name in frames:
@@ -87,7 +89,7 @@ def run_holdout_experiment(
     test_pairs = query_pairs(
         test_instances, store, untrained_model(sampled, store, encoder_config, train_config)
     )
-    model, train_report = fit(sampled, store, encoder_config, train_config)
+    model, train_report = fit(sampled, store, encoder_config, train_config, on_assembled=on_assembled)
     predictions = predict_pairs(model, test_pairs)
     predictions_complete = all(
         len(preds) == len(store.frame(inst.frame).fe_order)

@@ -113,32 +113,29 @@ def score_batch(
 ) -> tuple[list[list[PointerDistribution]], dict]:
     """Pointer distributions for every slot of every pair of a padded batch.
 
-    `reps` is the (B, L, d) output of `forward_batch` on `pairs`. Slots are
-    padded to the batch's most slots (M) and candidates to its most (C).
-    Returns each pair's distributions over its own n+1 candidates, and the
-    cache for the backward pass, whose "probs" holds the padded (B, M, C)
+    `reps` is the (B, N, d) output of `forward_batch` on `pairs`: a pair's n+1
+    candidates are its first rows, and each slot span a run of later rows.
+    Slots are padded to the batch's most slots (M) and candidates to its most
+    (C). Returns each pair's distributions over its own n+1 candidates, and
+    the cache for the backward pass, whose "probs" holds the padded (B, M, C)
     start and end probabilities; padded candidates get probability 0.
     """
     batch = len(pairs)
     n_cands = [len(pair.sentence_pos) + 1 for pair in pairs]
     n_slots = [len(pair.slot_pos) for pair in pairs]
     n_cand, n_slot = max(n_cands), max(n_slots)
-    cand = np.zeros((batch, n_cand), dtype=np.intp)
-    span_lo = np.zeros((batch, n_slot), dtype=np.intp)
-    span_hi = np.zeros((batch, n_slot), dtype=np.intp)
+    spans = np.zeros((2, batch, n_slot), dtype=np.intp)  # each slot's first and last read row
     for b, pair in enumerate(pairs):
-        cand[b, : n_cands[b]] = pair.candidate_positions()
-        if n_slots[b]:
-            span_lo[b, : n_slots[b]], span_hi[b, : n_slots[b]] = zip(*pair.slot_pos)
+        spans[:, b, : n_slots[b]] = np.searchsorted(pair.read_rows, pair.slot_pos).T
+    span_lo, span_hi = spans
     cand_ok = np.arange(n_cand) < np.array(n_cands)[:, None]
-    batch_idx = np.arange(batch)[:, None]
 
-    rows = reps[batch_idx, cand]  # (B, C, d); padded candidates repeat [CLS]
+    rows = reps[:, :n_cand]  # (B, C, d); rows past a pair's candidates get probability 0
     # maxpool over each slot span, padded to the widest span by repeating
     # its last row
     width = int((span_hi - span_lo).max(initial=0)) + 1
     span_rows = np.minimum(span_lo[..., None] + np.arange(width), span_hi[..., None])
-    pooled = reps[batch_idx[..., None], span_rows]  # (B, M, W, d)
+    pooled = reps[np.arange(batch)[:, None, None], span_rows]  # (B, M, W, d)
     queries = pooled.max(axis=2)
 
     cand_bias = np.where(cand_ok, 0.0, -np.inf).astype(reps.dtype)[:, None, :]
@@ -153,7 +150,7 @@ def score_batch(
         ]
         for b, pair in enumerate(pairs)
     ]
-    cache = {"cand": cand, "n_cands": n_cands, "n_slots": n_slots, "rows": rows,
+    cache = {"n_rows": reps.shape[1], "n_cands": n_cands, "n_slots": n_slots, "rows": rows,
              "span_rows": span_rows, "pooled": pooled, "queries": queries, "z": z,
              "probs": probs}
     return distributions, cache
@@ -207,9 +204,7 @@ def batch_loss_and_gradients(
         dz[name] = dlogits @ rows
         d_queries += dz[name] @ params[name]
 
-    grads = backward_from_cache(
-        params, config, cache, _reps_grad(scores, d_rows, d_queries, reps.shape[1])
-    )
+    grads = backward_from_cache(params, config, cache, _reps_grad(scores, d_rows, d_queries))
     for name, head_dz in dz.items():
         np.matmul(head_dz.reshape(-1, d).T, queries.reshape(-1, d), out=grads[name])
 
@@ -220,22 +215,23 @@ def batch_loss_and_gradients(
     return breakdowns, distributions, grads
 
 
-def _reps_grad(scores: dict, d_rows: np.ndarray, d_queries: np.ndarray, length: int):
-    """d loss / d reps (B, length, d) from the gradients of the gathered rows.
+def _reps_grad(scores: dict, d_rows: np.ndarray, d_queries: np.ndarray):
+    """d loss / d reps (B, N, d) from the gradients of the candidate rows and slot queries.
 
-    Each candidate row's gradient, and each slot query's gradient at the first
-    span row attaining the maxpool maximum, go to the row of reps they were
-    gathered from: `np.add.at` of both into zeros, done as one batched matmul
-    of a one-hot (B, length, K) matrix with the K gathered rows of each pair.
+    Each slot query's gradient goes to the first span row attaining the
+    maxpool maximum: `np.add.at` into zeros, done as one batched matmul of a
+    one-hot (B, N, M*W) matrix with the pooled span rows. The candidates are
+    each pair's first rows, so their gradients are then added in place.
     """
     pooled = scores["pooled"]  # (B, M, W, d)
     batch, d = pooled.shape[0], pooled.shape[3]
     first_max = pooled.argmax(axis=2)[:, :, None] == np.arange(pooled.shape[2])[:, None]
-    d_pooled = first_max * d_queries[:, :, None]
-    index = np.concatenate([scores["cand"], scores["span_rows"].reshape(batch, -1)], axis=1)
-    values = np.concatenate([d_rows, d_pooled.reshape(batch, -1, d)], axis=1)
-    one_hot = (np.arange(length)[:, None] == index[:, None, :]).astype(values.dtype)
-    return one_hot @ values
+    d_pooled = (first_max * d_queries[:, :, None]).reshape(batch, -1, d)
+    index = scores["span_rows"].reshape(batch, 1, -1)
+    one_hot = (np.arange(scores["n_rows"])[:, None] == index).astype(d_pooled.dtype)
+    d_reps = one_hot @ d_pooled
+    d_reps[:, : d_rows.shape[1]] += d_rows
+    return d_reps
 
 
 def loss_and_gradients(

@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -322,16 +323,18 @@ def fit(
     train_config: TrainConfig,
     *,
     dev: list[AnnotatedInstance] | None = None,
+    on_assembled: Callable[[], object] = lambda: None,
 ) -> tuple[Checkpoint, TrainingReport]:
     """Train a fresh model on `instances`: the one pipeline every entry point runs.
 
     Starts from the `untrained_model` of its arguments, builds the training
-    stream, assembles the dev set's query pairs and runs `train`. A training
-    or dev pair over `max_len` raises PairTooLongError before training
-    starts.
+    stream, assembles the dev set's query pairs, calls `on_assembled` and
+    runs `train`. A training or dev pair over `max_len` raises
+    PairTooLongError before `on_assembled` is called.
     """
     model = untrained_model(instances, store, encoder_config, train_config)
     stream = build_training_stream(instances, store, model.vocab, train_config)
     dev_set = None if dev is None else (dev, query_pairs(dev, store, model))
+    on_assembled()
     logger.info("training on %d pairs (%d instances)", len(stream), len(instances))
     return train(stream, model, train_config, dev=dev_set)

@@ -493,6 +493,7 @@ def test_train_names_over_long_instance(capsys, tmp_path, monkeypatch, command, 
     if flag != "train":  # not reported against the training file
         assert str(mini_framenet_path("train")) not in err
     assert not (tmp_path / out).exists()
+    assert list(tmp_path.glob("*manifest.json")) == []
     assert trained == []  # rejected before the first epoch
 
 
@@ -592,6 +593,7 @@ def test_experiment_end_to_end(capsys, tmp_path, monkeypatch):
     assert report["holdout_certified"] is True
     assert report["train_counts"] == {"Getting": 0}
     assert "Getting" in report["per_frame"]
+    assert json.loads((tmp_path / "exp.json.manifest.json").read_text())["command"] == "experiment"
 
 
 def test_experiment_k_full(capsys, tmp_path, monkeypatch):

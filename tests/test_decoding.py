@@ -14,6 +14,7 @@ from aged.decoding import (
     decode_slot,
     predict_all,
     predict_instance,
+    query_pairs,
 )
 from aged.encoder import Checkpoint, EncoderConfig, forward, forward_batch, init_parameters
 from aged.encoding import assemble
@@ -23,6 +24,7 @@ from aged.templates import (
     TemplateMode,
     build_frame_template,
     build_question_template,
+    query_templates,
 )
 
 
@@ -184,6 +186,26 @@ def test_predict_all_shuffled_matches_per_pair_reference(store, vocab, test_inst
     predictions = predict_all(instances, store, model)
     _assert_matches_reference(predictions, instances, store, model)
     assert any(p.span is not None for preds in predictions for p in preds)
+
+
+@pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
+def test_query_pairs_builds_each_frame_templates_once(store, vocab, test_instances, monkeypatch,
+                                                      mode):
+    model = _f64_model(vocab, mode)
+    built = []
+
+    def counting_query_templates(frame, *args):
+        built.append(frame.name)
+        return query_templates(frame, *args)
+
+    monkeypatch.setattr(aged.decoding, "query_templates", counting_query_templates)
+    pairs = query_pairs(test_instances, store, model)
+    assert sorted(built) == sorted(frame.name for frame in store)
+    assert len(test_instances) > len(built)
+    assert pairs == [
+        [assemble(inst, t, vocab) for t in query_templates(store.frame(inst.frame), mode)]
+        for inst in test_instances
+    ]
 
 
 @pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])

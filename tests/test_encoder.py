@@ -27,7 +27,13 @@ from aged.encoder import (
     save_checkpoint,
 )
 from aged.encoding import CLS_ID, RESERVED_TOKENS, EncodedPair, Vocabulary, assemble
-from aged.templates import MarkerOptions, TemplateMode, build_frame_template
+from aged.templates import (
+    MarkerOptions,
+    TemplateMode,
+    build_fe_template,
+    build_frame_template,
+    build_question_template,
+)
 
 
 def tiny_config(**overrides):
@@ -56,7 +62,8 @@ def make_pair(ids, n_text):
 
 
 def backward(params, config, pair, upstream):
-    """Encode one pair and backpropagate `upstream` (d loss / d reps, (L, d)) through it."""
+    """Encode one pair and backpropagate `upstream` through it: d loss / d reps
+    at the pair's read rows, (len(read_rows), d)."""
     _, cache = forward_cached(params, config, pair)
     return backward_from_cache(params, config, cache, upstream[None])
 
@@ -125,8 +132,7 @@ def test_overlength_and_out_of_range_inputs_rejected():
 def test_zero_upstream_gives_zero_gradients(vocab, pair):
     config = tiny_config(vocab_size=len(vocab), max_len=128)
     params = init_parameters(config)
-    reps = forward(params, config, pair).reps
-    grads = backward(params, config, pair, np.zeros_like(reps))
+    grads = backward(params, config, pair, np.zeros((len(pair.read_rows), config.d_model)))
     assert set(grads) == set(params)
     for name, g in grads.items():
         assert g.shape == params[name].shape
@@ -136,7 +142,7 @@ def test_zero_upstream_gives_zero_gradients(vocab, pair):
 def test_backward_is_linear_in_upstream(vocab, pair):
     config = tiny_config(vocab_size=len(vocab), max_len=128)
     params = init_parameters(config)
-    upstream = np.random.default_rng(0).normal(size=(len(pair.ids), config.d_model))
+    upstream = np.random.default_rng(0).normal(size=(len(pair.read_rows), config.d_model))
     g1 = backward(params, config, pair, upstream)
     g2 = backward(params, config, pair, 2.0 * upstream)
     np.testing.assert_allclose(g2["tok_emb"], 2.0 * g1["tok_emb"], rtol=1e-12)
@@ -146,17 +152,18 @@ def test_backward_is_linear_in_upstream(vocab, pair):
 def test_backward_shape_mismatch_rejected(vocab, pair):
     config = tiny_config(vocab_size=len(vocab), max_len=128)
     params = init_parameters(config)
-    length, d = len(pair.ids), config.d_model
+    n, d = len(pair.read_rows), config.d_model
     _, cache = forward_cached(params, config, pair)
-    # a transposed upstream has the right size but not the right shape, and
-    # a batch of one takes no unbatched (L, d) upstream
-    for shape in ((3, 3), (d, length), (length * d,), (2, length, d), (length, d)):
-        with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*\(1, {length}, {d}\)"):
+    # a transposed upstream has the right size but not the right shape, a
+    # batch of one takes no unbatched (N, d) upstream, and no upstream over
+    # all (L) positions
+    for shape in ((3, 3), (d, n), (n * d,), (2, n, d), (n, d), (1, len(pair.ids), d)):
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*\(1, {n}, {d}\)"):
             backward_from_cache(params, config, cache, np.zeros(shape))
     short = make_pair([CLS_ID, 11, 12, 3], n_text=2)
     _, batch_cache = forward_batch(params, config, [short, pair])
     with pytest.raises(ValueError, match="shape"):
-        backward_from_cache(params, config, batch_cache, np.zeros((2 * length, d)))
+        backward_from_cache(params, config, batch_cache, np.zeros((2 * n, d)))
 
 
 def test_encoder_gradients_match_finite_differences(vocab, pair):
@@ -169,7 +176,7 @@ def test_encoder_gradients_match_finite_differences(vocab, pair):
     def objective(ps):
         return float((forward(ps, config, pair).reps * direction).sum())
 
-    grads = backward(params, config, pair, direction)
+    grads = backward(params, config, pair, direction[pair.read_rows])
     eps = 1e-6
     for name in ("tok_emb", "layer0.attn.w_q", "layer0.ffn.w1", "layer0.ln1.gain", "final_ln.bias"):
         tensor = params[name]
@@ -197,7 +204,7 @@ def test_forward_and_backward_stay_finite(seed, length):
     pair = make_pair(list(ids), n_text=max(0, length - 2))
     reps = forward(params, config, pair).reps
     assert np.isfinite(reps).all()
-    grads = backward(params, config, pair, rng.normal(size=reps.shape))
+    grads = backward(params, config, pair, rng.normal(size=(len(pair.read_rows), config.d_model)))
     assert all(np.isfinite(g).all() for g in grads.values())
 
 
@@ -293,10 +300,12 @@ def test_padded_reps_equal_unpadded(vocab, pair):
     short = make_pair([CLS_ID, 11, 12, 3, 13, 3], n_text=2)
     cls_only = make_pair([CLS_ID], n_text=0)
     reps, cache = forward_batch(params, config, [short, pair, cls_only])
-    assert reps.shape == (3, len(pair.ids), config.d_model)
+    assert reps.shape == (3, len(pair.read_rows), config.d_model)
     for b, p in enumerate((short, pair, cls_only)):
-        np.testing.assert_allclose(reps[b, : len(p.ids)], forward(params, config, p).reps,
+        n = len(p.read_rows)
+        np.testing.assert_allclose(reps[b, :n], forward(params, config, p).reps[p.read_rows],
                                    rtol=0, atol=1e-12)
+        assert not reps[b, n:].any()  # rows that only pad the read rows are 0
     for layer in cache["layers"]:
         # padded keys get exactly zero attention
         probs = layer["e"] * layer["inv_sum"]
@@ -311,7 +320,7 @@ def test_padded_rows_get_no_gradient(vocab, pair):
     reps, cache = forward_batch(params, config, [short, pair])
     upstream = np.random.default_rng(1).normal(size=reps.shape)
     grads = backward_from_cache(params, config, cache, upstream)
-    alone = backward(params, config, short, upstream[0, : len(short.ids)])
+    alone = backward(params, config, short, upstream[0, : len(short.read_rows)])
     long = backward(params, config, pair, upstream[1])
     for name in grads:
         np.testing.assert_allclose(grads[name], alone[name] + long[name], rtol=1e-9, atol=1e-12)
@@ -329,13 +338,6 @@ def mixed_batch(pair):
     return [short, pair, make_pair([CLS_ID], n_text=0)]
 
 
-def read_mask(pairs, length):
-    read = np.zeros((len(pairs), length), bool)
-    for b, p in enumerate(pairs):
-        read[b, p.read_rows] = True
-    return read
-
-
 def assert_close_to(actual, expected, rel=1e-12):
     """Equal up to `rel` times the largest magnitude of `expected`."""
     assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
@@ -349,20 +351,26 @@ def test_pruned_last_layer_equals_full_pass(vocab, pair, n_layers, batched):
     pairs = mixed_batch(pair) if batched else [pair]
     reps, cache = forward_batch(params, config, pairs)
     full_reps, full_cache = forward_batch(params, config, [read_everything(p) for p in pairs])
-    read = read_mask(pairs, reps.shape[1])
-    assert not read.all()
-    assert_close_to(reps[read], full_reps[read])
+    assert reps.shape[1] < full_reps.shape[1]  # the full pass reads every position
+    n_read = np.array([len(p.read_rows) for p in pairs])
+    read = np.arange(reps.shape[1]) < n_read[:, None]  # the rows that do not pad
+    assert read.all() == (not batched)  # only a batch pads read rows
+    assert_close_to(reps[read], np.concatenate([full_reps[b, p.read_rows]
+                                                for b, p in enumerate(pairs)]))
     assert not reps[~read].any()
 
     upstream = np.random.default_rng(7).normal(size=reps.shape)
     at_read = upstream * read[..., None]
+    full_upstream = np.zeros_like(full_reps)
+    for b, p in enumerate(pairs):
+        full_upstream[b, p.read_rows] = upstream[b, : n_read[b]]
     grads = backward_from_cache(params, config, cache, upstream)
-    full_grads = backward_from_cache(params, config, full_cache, at_read)
+    full_grads = backward_from_cache(params, config, full_cache, full_upstream)
     for name in grads:
         assert_close_to(grads[name], full_grads[name])
-    # upstream placed only at unread rows, padding included, reaches nothing
-    unread = backward_from_cache(params, config, cache, upstream - at_read)
-    assert not unread.flat.any()
+    # upstream placed only at rows that pad a pair's read rows reaches nothing
+    padding = backward_from_cache(params, config, cache, upstream - at_read)
+    assert not padding.flat.any()
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -373,9 +381,9 @@ def test_last_layer_caches_only_read_rows(vocab, pair, n_layers):
     params = init_parameters(config)
     pairs = mixed_batch(pair)
     reps, cache = forward_batch(params, config, pairs)
-    batch, length, _ = reps.shape
-    most_read = max(len(p.read_rows) for p in pairs)
-    assert most_read < length
+    batch, most_read, _ = reps.shape
+    length = max(len(p.ids) for p in pairs)
+    assert most_read == max(len(p.read_rows) for p in pairs) < length
     *lower, last = cache["layers"]
     for name in ("h1", "a2", "a_q"):
         assert len(last[name]) == batch * most_read, name
@@ -390,6 +398,32 @@ def test_read_rows_are_candidates_and_slot_spans(pair):
     assert list(pair.read_rows) == sorted({0, *pair.sentence_pos, *spans})
     assert pair.read_rows is pair.read_rows  # derived once per pair
     assert len(pair.read_rows) < len(pair.ids)  # markers and definition prose are unread
+
+
+@pytest.mark.parametrize("target_markers", [True, False])
+@pytest.mark.parametrize("label_markers", [True, False])
+def test_candidates_lead_the_read_rows_and_slot_spans_are_runs(store, vocab, train_instances,
+                                                              test_instances, target_markers,
+                                                              label_markers):
+    # the layout `score_batch` relies on: the n+1 candidates are a pair's
+    # first read rows, and each slot span is a run of consecutive read rows
+    opts = MarkerOptions(target_markers, label_markers)
+    checked = 0
+    for inst in train_instances + test_instances:
+        frame = store.frame(inst.frame)
+        templates = [build_frame_template(frame, opts)]
+        for fe in frame.fe_order:
+            templates += [build_fe_template(frame, fe, opts), build_question_template(frame, fe, opts)]
+        for template in templates:
+            pair = assemble(inst, template, vocab, opts)
+            rows = list(pair.read_rows)
+            n = len(pair.sentence_pos)
+            assert rows[: n + 1] == list(pair.candidate_positions())
+            for start, end in pair.slot_pos:
+                lo = rows.index(start)
+                assert rows[lo : lo + end - start + 1] == list(range(start, end + 1))
+            checked += 1
+    assert checked > 100
 
 
 # The plain formulas the in-place kernels must reproduce bitwise. Sums and

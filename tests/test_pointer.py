@@ -334,7 +334,8 @@ def test_one_hot_scatters_equal_add_at_exactly():
                            seed=1, dtype="f64")
     params = init_parameters(config)
     reps, cache = forward_batch(params, config, pairs)
-    reps[0, 7] = reps[0, 8]  # a maxpool tie: the gradient goes to the first row
+    assert reps.shape[1] == 9  # the (B, N, d) read rows; pair 1 has 4 rows of padding
+    reps[0, 6] = reps[0, 7]  # positions 7 and 8 tie in the maxpool: the first row wins
     _, scores = score_batch(params, reps, pairs)
     rng = np.random.default_rng(4)
     d_rows = rng.normal(size=scores["rows"].shape)
@@ -344,13 +345,14 @@ def test_one_hot_scatters_equal_add_at_exactly():
 
     expected = np.zeros_like(reps)
     batch_idx = np.arange(len(pairs))[:, None]
-    np.add.at(expected, (batch_idx, scores["cand"]), d_rows)
+    np.add.at(expected, (batch_idx, np.arange(d_rows.shape[1])), d_rows)
     span_lo = scores["span_rows"][..., 0]
     winners = span_lo[..., None] + scores["pooled"].argmax(axis=2)
     np.add.at(expected, (batch_idx[..., None], winners, np.arange(reps.shape[2])), d_queries)
-    assert _reps_grad(scores, d_rows, d_queries, reps.shape[1]).tobytes() == expected.tobytes()
+    assert _reps_grad(scores, d_rows, d_queries).tobytes() == expected.tobytes()
 
-    dx = rng.normal(size=(reps.shape[0] * reps.shape[1], reps.shape[2]))
+    length = len(pairs[0].ids)
+    dx = rng.normal(size=(reps.shape[0] * length, reps.shape[2]))
     for name, index in (("tok_emb", cache["ids"]), ("seg_emb", cache["segments"])):
         expected = np.zeros_like(params[name])
         np.add.at(expected, index.ravel(), dx)

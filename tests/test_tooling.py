@@ -4,6 +4,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aged.cli
@@ -11,12 +12,15 @@ from aged.corpus import mini_framenet_path
 from aged.encoder import (
     Checkpoint,
     EncoderConfig,
+    FlatGradients,
+    forward,
     init_parameters,
     load_checkpoint,
     save_checkpoint,
 )
-from aged.encoding import RESERVED_TOKENS, Vocabulary
-from aged.templates import MarkerOptions, TemplateMode
+from aged.encoding import RESERVED_TOKENS, Vocabulary, assemble, build_vocabulary
+from aged.pointer import make_queries
+from aged.templates import MarkerOptions, TemplateMode, build_frame_template
 from aged.training import TrainConfig, fit
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,12 +44,17 @@ def test_generator_reproduces_bundled_corpus(generator, name, records):
     assert generator.to_jsonl(getattr(generator, records)).encode("utf-8") == expected
 
 
-def test_benchmark_tracer_finds_every_function_it_needs():
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_every_function_it_needs(tracing):
     # the per-layer metrics look functions up by name; a renamed or deleted
     # function makes a metric absent and fails the benchmark's self-test
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -54,6 +63,44 @@ def test_benchmark_tracer_finds_every_function_it_needs():
         tracer.uninstall()
     assert absent == []
     assert len(metrics) == len(tracing.LAYER_METRICS)
+
+
+def test_benchmark_observers_read_what_they_need(tracing, mini, tmp_path):
+    # each observer reads its function's arguments by name and its result; a
+    # renamed argument or a changed result fails here, not in the benchmark
+    store, train_instances, _ = mini
+    vocab = build_vocabulary(train_instances, store)
+    config = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2)
+    model = Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF,
+                       MarkerOptions())
+    inst = train_instances[0]
+    template = build_frame_template(store.frame(inst.frame))
+    pair = assemble(inst, template, vocab)
+    encoding = forward(model.params, config, pair)
+    grads = FlatGradients(model.params)
+    grads.flat[:] = 1.0  # a norm above the cap of 1, so the step is clipped
+    calls = {
+        "encoder.forward_cached": lambda f: f(model.params, config, pair),
+        "encoder.save_checkpoint": lambda f: f(model, tmp_path / "model.json"),
+        "pointer.pointer_distributions":
+            lambda f: f(model.params, encoding, pair, make_queries(encoding, pair)),
+        "training.clip_gradients": lambda f: f(grads, 1.0),
+        "decoding.decode_slot": lambda f: f(np.array([0.1, 0.6, 0.3]), np.array([0.1, 0.3, 0.6])),
+        "encoding.assemble": lambda f: f(inst, template, vocab),
+    }
+    assert calls.keys() == tracing.OBSERVERS.keys()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name, call in calls.items():
+            layer, function = name.split(".")
+            call(getattr(importlib.import_module(f"aged.{layer}"), function))
+    finally:
+        tracer.uninstall()
+    assert {span[0] for span in tracer.spans} >= calls.keys()  # each call was traced
+    moved = {name for name, value in tracer.counters.items() if value > 0}
+    assert moved >= {"encoder.tokens", "encoder.checkpoint_bytes", "pointer.slots",
+                     "training.clipped", "decoding.candidates", "encoding.pair_tokens"}
 
 
 # EncoderConfig fields that no flag sets: `fit` sizes the vocabulary, and the
