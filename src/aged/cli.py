@@ -40,7 +40,7 @@ from .encoder import EncoderConfig, load_checkpoint
 from .evaluation import evaluate
 from .experiments import run_holdout_experiment
 from .templates import MarkerOptions, TemplateMode, build_template, render_surface
-from .training import NonFiniteLossError, TrainConfig, fit
+from .training import TrainConfig, fit, untrained_model
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +79,6 @@ _TRAIN_DEFAULTS = {
     "batch_size": 8,
     "lr": 1e-3,
     "seed": 7,
-    "eval_every": 0,
     **_MODEL_DEFAULTS,
 }
 
@@ -100,6 +99,7 @@ DEFAULTS: dict[str, dict] = {
         "train": _bundled("train"),
         "dev": "",
         "checkpoint": "checkpoint.json",
+        "eval_every": 0,  # 0: every epoch when --dev is given
         **_TRAIN_DEFAULTS,
     },
     "predict": {
@@ -265,8 +265,7 @@ def _train_config(cfg: dict, checkpoint_path: str | None) -> TrainConfig:
         marker_options=_markers(cfg),
         template_mode=TemplateMode(cfg["mode"]),
         checkpoint_path=checkpoint_path,
-        eval_every=cfg["eval_every"],
-        max_len=cfg["max_len"],
+        eval_every=cfg.get("eval_every", 0),  # `experiment` has no dev set
     )
 
 
@@ -308,7 +307,8 @@ def cmd_train(cfg: dict, force: bool) -> int:
     inputs = [cfg["frames"], cfg["train"]] + ([cfg["dev"]] if cfg["dev"] else [])
     if dev_instances is not None and train_config.eval_every == 0:
         train_config.eval_every = 1
-    _, report = fit(train_instances, store, encoder_config, train_config, dev=dev_instances,
+    model = untrained_model(train_instances, store, encoder_config, train_config)
+    _, report = fit(model, train_instances, store, train_config, dev=dev_instances,
                     on_assembled=lambda: write_manifest("train", cfg, inputs, checkpoint_path))
     report.save(report_path)
     summary = {
@@ -520,9 +520,6 @@ def dispatch(argv: list[str]) -> int:
     except (UsageError, ValueError, FileNotFoundError, IsADirectoryError) as e:  # CorpusError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NonFiniteLossError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
     except Exception as e:
         logger.debug("unexpected failure", exc_info=True)
         print(f"runtime error: {e}", file=sys.stderr)

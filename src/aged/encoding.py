@@ -195,7 +195,10 @@ def assemble(
     )
 
 
-def gold_labels(instance: AnnotatedInstance, template: DefinitionTemplate) -> list[SlotLabel]:
-    """One (start, end) label per template slot; (0, 0) when the FE has no argument."""
+def gold_labels(
+    instance: AnnotatedInstance, query: DefinitionTemplate | EncodedPair
+) -> list[SlotLabel]:
+    """One (start, end) label per slot of a template or of the pair assembled
+    from it, in slot order; (0, 0) when the slot's FE has no argument."""
     by_fe = {a.fe: (a.start, a.end) for a in instance.arguments}
-    return [by_fe.get(slot.fe, (0, 0)) for slot in template.slots]
+    return [by_fe.get(fe, (0, 0)) for fe in query.slot_fes]

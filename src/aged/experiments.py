@@ -83,13 +83,12 @@ def run_holdout_experiment(
             f"holdout cap violated: sampled training counts {train_counts}, expected {expected}"
         )
 
-    # the test pairs need only the vocabulary and query settings, which the
-    # trained model shares with its `untrained_model`; assembled first, an
-    # over-long test instance is rejected before any training
-    test_pairs = query_pairs(
-        test_instances, store, untrained_model(sampled, store, encoder_config, train_config)
-    )
-    model, train_report = fit(sampled, store, encoder_config, train_config, on_assembled=on_assembled)
+    # the test pairs need only the vocabulary and query settings, which
+    # training leaves as they are; assembled first, an over-long test
+    # instance is rejected before any training
+    model = untrained_model(sampled, store, encoder_config, train_config)
+    test_pairs = query_pairs(test_instances, store, model)
+    model, train_report = fit(model, sampled, store, train_config, on_assembled=on_assembled)
     predictions = predict_pairs(model, test_pairs)
     predictions_complete = all(
         len(preds) == len(store.frame(inst.frame).fe_order)
@@ -99,7 +98,7 @@ def run_holdout_experiment(
     return ExperimentReport(
         k=k,
         holdout_frames=sorted(frames),
-        mode=train_config.template_mode.value,
+        mode=model.mode.value,
         train_counts=train_counts,
         holdout_certified=certified,
         predictions_complete=predictions_complete,

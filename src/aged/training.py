@@ -1,11 +1,14 @@
 """Training-stream construction, the seeded mini-batch training loop, and
-`fit`, the one pipeline from annotated instances to a trained model.
+`fit`, the one pipeline from an untrained model to a trained one.
 
-Every instance contributes a (sentence, frame-definition) pair. With FE
-augmentation on, each gold argument additionally contributes a (sentence,
-FE-definition) pair for its role, so stream size is exactly
-|instances| + total gold arguments. The question baseline instead builds
-one single-slot pair per FE of the frame, and takes no FE augmentation.
+A model's training pairs are the pairs it predicts on: each instance
+contributes its `query_pairs`, assembled with the model's vocabulary,
+template mode, markers and `max_len`. In frame-def mode that is one
+(sentence, frame-definition) pair per instance; with FE augmentation on,
+each gold argument additionally contributes a (sentence, FE-definition)
+pair for its role, so stream size is exactly |instances| + total gold
+arguments. The question baseline instead has one single-slot pair per FE
+of the frame, and takes no FE augmentation.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -33,7 +36,6 @@ from .encoder import (
 from .encoding import (
     EncodedPair,
     SlotLabel,
-    Vocabulary,
     assemble,
     build_vocabulary,
     gold_labels,
@@ -45,7 +47,6 @@ from .templates import (
     MarkerOptions,
     TemplateMode,
     build_fe_template,
-    query_templates,
 )
 
 logger = logging.getLogger(__name__)
@@ -70,7 +71,6 @@ class TrainConfig:
     checkpoint_path: str | Path | None = None
     eval_every: int = 0  # 0 disables dev evaluation
     grad_clip: float = 1.0
-    max_len: int = 256
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -86,50 +86,37 @@ class TrainConfig:
             )
 
 
-@dataclass(frozen=True)
-class Provenance:
-    kind: TemplateMode
-    fe: str | None = None
-
-
 @dataclass
 class TrainingExample:
     pair: EncodedPair
     labels: list[SlotLabel]
-    provenance: Provenance
 
 
 def build_training_stream(
     instances: list[AnnotatedInstance],
     store: FrameStore,
-    vocab: Vocabulary,
+    model: Checkpoint,
     config: TrainConfig,
 ) -> list[TrainingExample]:
     """Deterministic stream: instance order, then the frame's FE order.
 
-    Each instance is paired with the `query_templates` of its frame, as in
-    prediction; in frame-def mode FE augmentation then adds one FE-definition
-    pair per gold argument. A pair over `max_len` raises PairTooLongError.
+    Each instance contributes its `query_pairs` for `model`, the pairs
+    prediction reads; with `augment_fe_defs` (frame-def mode only) one
+    FE-definition pair per gold argument follows, assembled with the model's
+    vocabulary, markers and `max_len`. A pair over `max_len` raises
+    PairTooLongError.
     """
-    opts = config.marker_options
+    markers, max_len = model.markers, model.config.max_len
     stream: list[TrainingExample] = []
-    frame_templates = {
-        frame.name: query_templates(frame, config.template_mode, opts) for frame in store
-    }
-    for inst in instances:
-        frame = store.frame(inst.frame)
-        templates = frame_templates[inst.frame]
+    for inst, pairs in zip(instances, query_pairs(instances, store, model)):
         if config.augment_fe_defs:
+            frame = store.frame(inst.frame)
             gold_fes = {a.fe for a in inst.arguments}
-            templates = templates + [
-                build_fe_template(frame, fe, opts) for fe in frame.fe_order if fe in gold_fes
+            pairs += [
+                assemble(inst, build_fe_template(frame, fe, markers), model.vocab, markers, max_len)
+                for fe in frame.fe_order if fe in gold_fes
             ]
-        for tpl in templates:
-            stream.append(TrainingExample(
-                assemble(inst, tpl, vocab, opts, config.max_len),
-                gold_labels(inst, tpl),
-                Provenance(tpl.mode, tpl.focus_fe),
-            ))
+        stream += [TrainingExample(pair, gold_labels(inst, pair)) for pair in pairs]
     return stream
 
 
@@ -206,20 +193,7 @@ class TrainingReport:
     wallclock_seconds: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "stream_size": self.stream_size,
-            "epoch_losses": self.epoch_losses,
-            "grad_norm_mean": self.grad_norm_mean,
-            "grad_norm_max": self.grad_norm_max,
-            "clipped_steps": self.clipped_steps,
-            "dev_f1_history": [[e, f] for e, f in self.dev_f1_history],
-            "best_dev_f1": self.best_dev_f1,
-            "best_epoch": self.best_epoch,
-            "checkpoint_path": self.checkpoint_path,
-            "best_checkpoint_path": self.best_checkpoint_path,
-            "wallclock_seconds": self.wallclock_seconds,
-        }
+        return asdict(self)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2), encoding="utf-8")
@@ -301,12 +275,13 @@ def untrained_model(
     encoder_config: EncoderConfig,
     train_config: TrainConfig,
 ) -> Checkpoint:
-    """The model `fit` starts from, the same for the same arguments.
+    """The model `fit` trains, the same for the same arguments.
 
     Its vocabulary is built from `instances` and the ontology, its embedding
     sized to it (the `vocab_size` of `encoder_config` is ignored), its
     parameters initialised from the encoder seed, and it carries the
-    template mode and markers of `train_config`.
+    template mode and markers of `train_config`, from which its training
+    and prediction pairs are both assembled.
     """
     vocab = build_vocabulary(instances, store)
     encoder_config = replace(encoder_config, vocab_size=len(vocab))
@@ -317,23 +292,23 @@ def untrained_model(
 
 
 def fit(
+    model: Checkpoint,
     instances: list[AnnotatedInstance],
     store: FrameStore,
-    encoder_config: EncoderConfig,
     train_config: TrainConfig,
     *,
     dev: list[AnnotatedInstance] | None = None,
     on_assembled: Callable[[], object] = lambda: None,
 ) -> tuple[Checkpoint, TrainingReport]:
-    """Train a fresh model on `instances`: the one pipeline every entry point runs.
+    """Train `model`, usually an `untrained_model`, on `instances`: the one
+    pipeline every entry point runs.
 
-    Starts from the `untrained_model` of its arguments, builds the training
-    stream, assembles the dev set's query pairs, calls `on_assembled` and
-    runs `train`. A training or dev pair over `max_len` raises
+    Builds the training stream from the model, assembles the dev set's
+    query pairs, calls `on_assembled` and runs `train`, which returns a
+    trained copy. A training or dev pair over `max_len` raises
     PairTooLongError before `on_assembled` is called.
     """
-    model = untrained_model(instances, store, encoder_config, train_config)
-    stream = build_training_stream(instances, store, model.vocab, train_config)
+    stream = build_training_stream(instances, store, model, train_config)
     dev_set = None if dev is None else (dev, query_pairs(dev, store, model))
     on_assembled()
     logger.info("training on %d pairs (%d instances)", len(stream), len(instances))

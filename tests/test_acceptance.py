@@ -31,7 +31,7 @@ from aged.templates import (
     TemplateMode,
     build_frame_template,
 )
-from aged.training import TrainConfig, build_training_stream, train
+from aged.training import TrainConfig, build_training_stream, train, untrained_model
 
 from test_decoding import brute_force_decode
 from test_evaluation import instance as make_instance
@@ -67,7 +67,7 @@ def overfit(corpus):
         )
         model = Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
         train_config = TrainConfig(epochs=60, batch_size=8, learning_rate=1e-3, seed=7)
-        stream = build_training_stream(train_instances, store, vocab, train_config)
+        stream = build_training_stream(train_instances, store, model, train_config)
         return train(stream, model, train_config)
 
     started = time.monotonic()
@@ -214,10 +214,10 @@ def test_criterion_5_overfit_convergence(corpus, overfit):
 def test_criterion_6_augmentation_accounting(corpus):
     store, train_instances, test_instances = corpus
     with criterion(6, "augmentation accounting"):
-        vocab = build_vocabulary(train_instances, store)
         config = TrainConfig(epochs=1, augment_fe_defs=True)
+        model = untrained_model(train_instances, store, EncoderConfig(vocab_size=1), config)
         for dataset in (train_instances, test_instances):
-            stream = build_training_stream(dataset, store, vocab, config)
+            stream = build_training_stream(dataset, store, model, config)
             total_args = sum(len(inst.arguments) for inst in dataset)
             assert len(stream) == len(dataset) + total_args
 
@@ -294,7 +294,7 @@ def test_criterion_9_checkpoint_round_trip(corpus, tmp_path):
         )
         model = Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
         train_config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-3, seed=21)
-        stream = build_training_stream(train_instances, store, vocab, train_config)
+        stream = build_training_stream(train_instances, store, model, train_config)
         model, _ = train(stream, model, train_config)
 
         path = tmp_path / "model.json"

@@ -619,6 +619,38 @@ def test_fe_augmentation_rejected_in_question_mode(capsys, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+def test_experiment_takes_no_eval_every(capsys, tmp_path, monkeypatch, caplog):
+    # without a dev set there is nothing to evaluate every n epochs
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "experiment", "--eval-every", "1", "--epochs", "1")
+    assert code == 1
+    assert "--eval-every" in err
+    config = tmp_path / "run.cfg"
+    config.write_text("eval_every = 1\n")
+    with caplog.at_level("WARNING", logger="aged.cli"):
+        code, _, _ = run(capsys, "experiment", "--config", str(config), "--epochs", "1",
+                         "--d-model", "8", "--layers", "1", "--heads", "2")
+    assert code == 0
+    assert "config key 'eval_every' is not recognized by 'experiment'; ignored" in caplog.text
+
+
+def test_train_exits_2_on_non_finite_loss(capsys, tmp_path, monkeypatch):
+    real = aged.training.batch_loss_and_gradients
+
+    def nan_loss(*args, **kwargs):
+        breakdowns, rest, grads = real(*args, **kwargs)
+        return [types.SimpleNamespace(total=float("nan")) for _ in breakdowns], rest, grads
+
+    monkeypatch.setattr(aged.training, "batch_loss_and_gradients", nan_loss)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "train", "--epochs", "1", "--d-model", "8", "--layers", "1",
+                         "--heads", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("runtime error: non-finite loss at epoch 0, batch 0")
+    assert not (tmp_path / "checkpoint.json").exists()
+
+
 @pytest.mark.parametrize("k", ["abc", "-1", "1.5", ""])
 def test_experiment_rejects_bad_k(capsys, tmp_path, monkeypatch, k):
     monkeypatch.chdir(tmp_path)

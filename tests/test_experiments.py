@@ -34,6 +34,19 @@ def test_zero_shot_mechanics(store, train_instances, test_instances, tmp_path):
     assert set(doc["overall"]) == {"precision", "recall", "f1", "tp", "pred", "gold"}
 
 
+def test_experiment_builds_the_model_once(store, train_instances, test_instances, monkeypatch):
+    # the test pairs and training come from one untrained model
+    import aged.training
+
+    calls = []
+    init_parameters = aged.training.init_parameters
+    monkeypatch.setattr(aged.training, "init_parameters",
+                        lambda config: calls.append(config) or init_parameters(config))
+    encoder, training = quick_configs(epochs=1)
+    run_holdout_experiment(train_instances, test_instances, store, {"Getting"}, 0, encoder, training)
+    assert len(calls) == 1
+
+
 def test_few_shot_caps_counts(store, train_instances, test_instances):
     encoder, training = quick_configs()
     report = run_holdout_experiment(

@@ -6,31 +6,31 @@ import pytest
 
 from aged.corpus import AnnotatedInstance, Argument, load_instances, mini_framenet_path
 from aged.encoder import Checkpoint, EncoderConfig, FlatGradients, init_parameters, load_checkpoint
-from aged.encoding import PairTooLongError, build_vocabulary
+from aged.encoding import PairTooLongError, assemble, build_vocabulary, gold_labels
 from aged.evaluation import evaluate
 from aged.decoding import predict_all, query_pairs
 from aged.pointer import batch_loss_and_gradients
-from aged.templates import MarkerOptions, TemplateMode
+from aged.templates import MarkerOptions, TemplateMode, build_fe_template
 from aged.training import (
     ADAM_BETAS,
     ADAM_EPS,
     Adam,
-    Provenance,
     TrainConfig,
     build_training_stream,
     clip_gradients,
     fit,
     train,
+    untrained_model,
 )
 
 
-def small_model(vocab, d_model=8, n_layers=1, n_heads=2, seed=0, dtype="f32"):
+def small_model(vocab, d_model=8, n_layers=1, n_heads=2, seed=0, dtype="f32",
+                mode=TemplateMode.FRAME_DEF, markers=MarkerOptions()):
     config = EncoderConfig(
         vocab_size=len(vocab), d_model=d_model, n_layers=n_layers,
         n_heads=n_heads, max_len=256, seed=seed, dtype=dtype,
     )
-    return Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF,
-                      MarkerOptions())
+    return Checkpoint(config, init_parameters(config), vocab, mode, markers)
 
 
 def test_stream_frame_def_with_augmentation(store, vocab):
@@ -38,37 +38,45 @@ def test_stream_frame_def_with_augmentation(store, vocab):
         ("he", "was", "invading", "iraq"), 3, "Attack",
         (Argument("Assailant", 1, 1), Argument("Victim", 4, 4)),
     )
+    frame = store.frame("Attack")
     config = TrainConfig(epochs=1, augment_fe_defs=True)
-    stream = build_training_stream([inst], store, vocab, config)
-    assert len(stream) == 3
-    assert stream[0].provenance == Provenance(TemplateMode.FRAME_DEF)
-    assert stream[1].provenance == Provenance(TemplateMode.FE_DEF, "Assailant")
-    assert stream[2].provenance == Provenance(TemplateMode.FE_DEF, "Victim")
-    for example in stream:
-        assert len(example.labels) == len(example.pair.slot_pos)
+    for markers in (MarkerOptions(), MarkerOptions(label_markers=False)):
+        model = small_model(vocab, markers=markers)
+        stream = build_training_stream([inst], store, model, config)
+        # the prediction pair, then one FE-definition pair per gold argument,
+        # all assembled with the model's markers
+        assert [ex.pair for ex in stream] == query_pairs([inst], store, model)[0] + [
+            assemble(inst, build_fe_template(frame, fe, model.markers), vocab, model.markers,
+                     model.config.max_len)
+            for fe in ("Assailant", "Victim")
+        ]
+        for example in stream:
+            assert example.labels == gold_labels(inst, example.pair)
+            assert len(example.labels) == len(example.pair.slot_pos)
+    assert stream[0].pair != build_training_stream([inst], store, small_model(vocab), config)[0].pair
 
 
 def test_stream_without_augmentation(store, vocab, train_instances):
-    config = TrainConfig(epochs=1)
-    stream = build_training_stream(train_instances, store, vocab, config)
-    assert len(stream) == len(train_instances)
-    assert all(ex.provenance.kind is TemplateMode.FRAME_DEF for ex in stream)
+    model = small_model(vocab)
+    stream = build_training_stream(train_instances, store, model, TrainConfig(epochs=1))
+    assert [[ex.pair] for ex in stream] == query_pairs(train_instances, store, model)
 
 
 def test_stream_size_closed_form_with_augmentation(store, vocab, train_instances):
     config = TrainConfig(epochs=1, augment_fe_defs=True)
-    stream = build_training_stream(train_instances, store, vocab, config)
+    stream = build_training_stream(train_instances, store, small_model(vocab), config)
     total_args = sum(len(inst.arguments) for inst in train_instances)
     assert len(stream) == len(train_instances) + total_args
 
 
 def test_stream_question_mode_one_pair_per_fe(store, vocab):
     inst = AnnotatedInstance(("stop", "attacking"), 2, "Attack", ())
+    model = small_model(vocab, mode=TemplateMode.QUESTION)
     config = TrainConfig(epochs=1, template_mode=TemplateMode.QUESTION)
-    stream = build_training_stream([inst], store, vocab, config)
-    assert len(stream) == 4  # Attack has 4 FEs
-    assert [ex.provenance.fe for ex in stream] == list(store.frame("Attack").fe_order)
-    assert all(len(ex.labels) == 1 for ex in stream)
+    stream = build_training_stream([inst], store, model, config)
+    assert [ex.pair for ex in stream] == query_pairs([inst], store, model)[0]
+    assert [ex.pair.slot_fes for ex in stream] == [(fe,) for fe in store.frame("Attack").fe_order]
+    assert all(ex.labels == [(0, 0)] for ex in stream)
 
 
 def test_fe_def_mode_is_not_a_training_mode():
@@ -85,7 +93,7 @@ def test_tiny_learning_rate_leaves_parameters_nearly_fixed(store, vocab, train_i
     # the zero-step contract, tested at the smallest usable rate
     model = small_model(vocab)
     config = TrainConfig(epochs=1, batch_size=4, learning_rate=1e-30, seed=0)
-    stream = build_training_stream(train_instances[:4], store, vocab, config)
+    stream = build_training_stream(train_instances[:4], store, model, config)
     trained, _ = train(stream, model, config)
     for k in model.params:
         np.testing.assert_allclose(trained.params[k], model.params[k], atol=1e-20)
@@ -96,7 +104,7 @@ def test_training_is_deterministic(store, vocab, train_instances, augment_fe_def
     # augmentation mixes frame-def and FE-def pairs: lengths and slot counts vary per batch
     config = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3, seed=11,
                          augment_fe_defs=augment_fe_defs)
-    stream = build_training_stream(train_instances[:8], store, vocab, config)
+    stream = build_training_stream(train_instances[:8], store, small_model(vocab), config)
     model_a, report_a = train(stream, small_model(vocab), config)
     model_b, report_b = train(stream, small_model(vocab), config)
     assert report_a.epoch_losses == report_b.epoch_losses
@@ -106,8 +114,9 @@ def test_training_is_deterministic(store, vocab, train_instances, augment_fe_def
 
 def test_loss_is_nonincreasing_at_start(store, vocab, train_instances):
     config = TrainConfig(epochs=5, batch_size=8, learning_rate=3e-4, seed=1)
-    stream = build_training_stream(train_instances, store, vocab, config)
-    _, report = train(stream, small_model(vocab, d_model=16), config)
+    model = small_model(vocab, d_model=16)
+    stream = build_training_stream(train_instances, store, model, config)
+    _, report = train(stream, model, config)
     losses = report.epoch_losses
     increases = sum(1 for a, b in zip(losses, losses[1:]) if b > a)
     assert increases <= 1, losses
@@ -143,8 +152,8 @@ def test_checkpoint_round_trip_preserves_dev_f1(store, vocab, train_instances, t
         epochs=4, batch_size=8, learning_rate=1e-3, seed=2,
         checkpoint_path=ckpt_path, eval_every=2,
     )
-    stream = build_training_stream(train_instances, store, vocab, config)
     model = small_model(vocab, d_model=16)
+    stream = build_training_stream(train_instances, store, model, config)
     model, report = train(stream, model, config, dev=(dev, query_pairs(dev, store, model)))
     assert report.dev_f1_history, "eval_every should have produced dev scores"
     loaded = load_checkpoint(ckpt_path)
@@ -156,8 +165,9 @@ def test_checkpoint_round_trip_preserves_dev_f1(store, vocab, train_instances, t
 
 def test_training_report_serializes(tmp_path, store, vocab, train_instances):
     config = TrainConfig(epochs=1, batch_size=8, seed=0)
-    stream = build_training_stream(train_instances[:4], store, vocab, config)
-    _, report = train(stream, small_model(vocab), config)
+    model = small_model(vocab)
+    stream = build_training_stream(train_instances[:4], store, model, config)
+    _, report = train(stream, model, config)
     path = tmp_path / "report.json"
     report.save(path)
     assert path.exists()
@@ -210,10 +220,10 @@ def test_training_matches_per_tensor_adam_bitwise(store, vocab, train_instances,
 
     config = TrainConfig(epochs=2, batch_size=4, learning_rate=3e-3, seed=4,
                          augment_fe_defs=True, grad_clip=0.5)
-    stream = build_training_stream(train_instances[:8], store, vocab, config)
     enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
                         max_len=256, seed=0, dtype=dtype)
     model = Checkpoint(enc, init_parameters(enc), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
+    stream = build_training_stream(train_instances[:8], store, model, config)
     trained, report = train(stream, model, config)
     monkeypatch.setattr(aged.training, "Adam", ReferenceAdam)
     ref_trained, ref_report = train(stream, model, config)
@@ -225,8 +235,7 @@ def test_training_matches_per_tensor_adam_bitwise(store, vocab, train_instances,
 def test_gradients_own_their_arrays(store, vocab, train_instances):
     # training scales gradients in place, so no two may share memory
     model = small_model(vocab, n_layers=2)
-    config = TrainConfig(epochs=1)
-    stream = build_training_stream(train_instances[:3], store, vocab, config)
+    stream = build_training_stream(train_instances[:3], store, model, TrainConfig(epochs=1))
     _, _, grads = batch_loss_and_gradients(
         model.params, model.config, [ex.pair for ex in stream], [ex.labels for ex in stream]
     )
@@ -239,7 +248,7 @@ def test_gradients_own_their_arrays(store, vocab, train_instances):
 
 def test_gradients_are_views_of_one_flat_buffer(store, vocab, train_instances):
     model = small_model(vocab, n_layers=2)
-    stream = build_training_stream(train_instances[:3], store, vocab, TrainConfig(epochs=1))
+    stream = build_training_stream(train_instances[:3], store, model, TrainConfig(epochs=1))
     _, _, grads = batch_loss_and_gradients(
         model.params, model.config, [ex.pair for ex in stream], [ex.labels for ex in stream]
     )
@@ -276,8 +285,9 @@ def test_report_records_gradient_norms_per_epoch(store, vocab, train_instances, 
 
     monkeypatch.setattr(aged.training, "clip_gradients", recording_clip)
     config = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3, seed=0, grad_clip=0.05)
-    stream = build_training_stream(train_instances[:10], store, vocab, config)
-    _, report = train(stream, small_model(vocab), config)
+    model = small_model(vocab)
+    stream = build_training_stream(train_instances[:10], store, model, config)
+    _, report = train(stream, model, config)
     steps = -(-len(stream) // config.batch_size)
     assert len(norms) == config.epochs * steps
     for name in ("grad_norm_mean", "grad_norm_max", "clipped_steps"):
@@ -299,12 +309,13 @@ def test_fit_equals_hand_built_pipeline_bitwise(store, train_instances, test_ins
     instances, dev = train_instances[:6], test_instances[:2]
     config = TrainConfig(epochs=2, batch_size=4, seed=3, template_mode=mode, eval_every=1)
     shape = dict(d_model=8, n_layers=1, n_heads=2, max_len=256, seed=2)
-    model, report = fit(instances, store, EncoderConfig(vocab_size=1, **shape), config, dev=dev)
+    untrained = untrained_model(instances, store, EncoderConfig(vocab_size=1, **shape), config)
+    model, report = fit(untrained, instances, store, config, dev=dev)
 
     expected_vocab = build_vocabulary(instances, store)
     sized = EncoderConfig(vocab_size=len(expected_vocab), **shape)
-    stream = build_training_stream(instances, store, expected_vocab, config)
     initial = Checkpoint(sized, init_parameters(sized), expected_vocab, mode, MarkerOptions())
+    stream = build_training_stream(instances, store, initial, config)
     expected, expected_report = train(
         stream, initial, config, dev=(dev, query_pairs(dev, store, initial)),
     )
@@ -329,7 +340,8 @@ def test_fit_checks_dev_set_before_training(store, train_instances, tmp_path, mo
     dev_path.write_text(f"{json.dumps(first)}\n\n{json.dumps(long)}\n")  # long is on line 3
     monkeypatch.setattr(aged.training, "train", lambda *a, **k: pytest.fail("trained"))
     encoder_config = EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2)
+    config = TrainConfig(epochs=1)
+    model = untrained_model(train_instances[:4], store, encoder_config, config)
     with pytest.raises(PairTooLongError, match="max_len is 256") as err:
-        fit(train_instances[:4], store, encoder_config, TrainConfig(epochs=1),
-            dev=load_instances(dev_path, store))
+        fit(model, train_instances[:4], store, config, dev=load_instances(dev_path, store))
     assert str(err.value).startswith(f"{dev_path}:3: assembled pair has ")
