@@ -63,11 +63,11 @@ def _bundled(name: str) -> str:
 
 
 _MODEL_DEFAULTS = {
-    "d_model": 32,
-    "layers": 2,
-    "heads": 4,
-    "d_ff": 0,
-    "max_len": 256,
+    "d_model": EncoderConfig.d_model,
+    "layers": EncoderConfig.n_layers,
+    "heads": EncoderConfig.n_heads,
+    "d_ff": EncoderConfig.d_ff,
+    "max_len": EncoderConfig.max_len,
 }
 
 _TRAIN_DEFAULTS = {
@@ -75,10 +75,10 @@ _TRAIN_DEFAULTS = {
     "augment_fe_defs": False,
     "no_target_markers": False,
     "no_label_markers": False,
-    "epochs": 200,
-    "batch_size": 8,
-    "lr": 1e-3,
-    "seed": 7,
+    "epochs": TrainConfig.epochs,
+    "batch_size": TrainConfig.batch_size,
+    "lr": TrainConfig.learning_rate,
+    "seed": TrainConfig.seed,
     **_MODEL_DEFAULTS,
 }
 
@@ -99,7 +99,6 @@ DEFAULTS: dict[str, dict] = {
         "train": _bundled("train"),
         "dev": "",
         "checkpoint": "checkpoint.json",
-        "eval_every": 0,  # 0: every epoch when --dev is given
         **_TRAIN_DEFAULTS,
     },
     "predict": {
@@ -262,10 +261,7 @@ def _train_config(cfg: dict, checkpoint_path: str | None) -> TrainConfig:
         learning_rate=cfg["lr"],
         seed=cfg["seed"],
         augment_fe_defs=cfg["augment_fe_defs"],
-        marker_options=_markers(cfg),
-        template_mode=TemplateMode(cfg["mode"]),
         checkpoint_path=checkpoint_path,
-        eval_every=cfg.get("eval_every", 0),  # `experiment` has no dev set
     )
 
 
@@ -305,9 +301,8 @@ def cmd_train(cfg: dict, force: bool) -> int:
     train_instances = load_instances(cfg["train"], store)
     dev_instances = load_instances(cfg["dev"], store) if cfg["dev"] else None
     inputs = [cfg["frames"], cfg["train"]] + ([cfg["dev"]] if cfg["dev"] else [])
-    if dev_instances is not None and train_config.eval_every == 0:
-        train_config.eval_every = 1
-    model = untrained_model(train_instances, store, encoder_config, train_config)
+    model = untrained_model(train_instances, store, encoder_config,
+                            mode=TemplateMode(cfg["mode"]), markers=_markers(cfg))
     _, report = fit(model, train_instances, store, train_config, dev=dev_instances,
                     on_assembled=lambda: write_manifest("train", cfg, inputs, checkpoint_path))
     report.save(report_path)
@@ -450,6 +445,7 @@ def cmd_experiment(cfg: dict, force: bool) -> int:
     inputs = [cfg["frames"], cfg["train"], cfg["test"]]
     report = run_holdout_experiment(
         train_instances, test_instances, store, frames, k, encoder_config, train_config,
+        mode=TemplateMode(cfg["mode"]), markers=_markers(cfg),
         on_assembled=lambda: write_manifest("experiment", cfg, inputs, out_path),
     )
     report.save(out_path)

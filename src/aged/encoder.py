@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import EncodedPair, Vocabulary
-from .templates import MarkerOptions, TemplateMode
+from .templates import QUERY_MODES, MarkerOptions, TemplateMode
 
 LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -575,7 +575,6 @@ class Checkpoint:
 
 CHECKPOINT_FORMAT = 1
 _CHECKPOINT_KEYS = ("format", "config", "vocab", "mode", "markers", "params")
-_QUERY_MODES = (TemplateMode.FRAME_DEF.value, TemplateMode.QUESTION.value)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -635,8 +634,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if len(vocab) != config.vocab_size:
         raise ValueError(f"checkpoint 'vocab' has {len(vocab)} tokens, "
                          f"but config vocab_size is {config.vocab_size}")
-    if doc["mode"] not in _QUERY_MODES:
-        raise ValueError(f"checkpoint 'mode' must be one of {list(_QUERY_MODES)}, "
+    query_modes = [mode.value for mode in QUERY_MODES]
+    if doc["mode"] not in query_modes:
+        raise ValueError(f"checkpoint 'mode' must be one of {query_modes}, "
                          f"got {doc['mode']!r}")
     markers = doc["markers"]
     names = [f.name for f in fields(MarkerOptions)]

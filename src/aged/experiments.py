@@ -18,6 +18,7 @@ from .corpus import AnnotatedInstance, FrameStore, sample_k_shot
 from .decoding import predict_pairs, query_pairs
 from .encoder import EncoderConfig
 from .evaluation import Metrics, evaluate, per_frame_metrics
+from .templates import DEFAULT_MARKERS, MarkerOptions, TemplateMode
 from .training import TrainConfig, fit, untrained_model
 
 
@@ -62,9 +63,13 @@ def run_holdout_experiment(
     k: int | None,
     encoder_config: EncoderConfig,
     train_config: TrainConfig,
+    *,
+    mode: TemplateMode = TemplateMode.FRAME_DEF,
+    markers: MarkerOptions = DEFAULT_MARKERS,
     on_assembled: Callable[[], object] = lambda: None,
 ) -> ExperimentReport:
-    """Train with held-out frames capped at k instances and evaluate on test."""
+    """Train a model of query `mode` and `markers` with held-out frames capped
+    at k instances, and evaluate it on test."""
     for name in frames:
         store.frame(name)  # unknown holdout frame is a setup error
     if k is None:
@@ -86,7 +91,7 @@ def run_holdout_experiment(
     # the test pairs need only the vocabulary and query settings, which
     # training leaves as they are; assembled first, an over-long test
     # instance is rejected before any training
-    model = untrained_model(sampled, store, encoder_config, train_config)
+    model = untrained_model(sampled, store, encoder_config, mode=mode, markers=markers)
     test_pairs = query_pairs(test_instances, store, model)
     model, train_report = fit(model, sampled, store, train_config, on_assembled=on_assembled)
     predictions = predict_pairs(model, test_pairs)

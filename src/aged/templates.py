@@ -33,6 +33,10 @@ class TemplateMode(str, Enum):
     QUESTION = "question"
 
 
+# the modes whose templates query all of a frame's FEs; fe-def only augments training
+QUERY_MODES = (TemplateMode.FRAME_DEF, TemplateMode.QUESTION)
+
+
 @dataclass(frozen=True)
 class MarkerOptions:
     """Which special marker tokens to emit.
@@ -61,7 +65,6 @@ class Slot:
 
 @dataclass(frozen=True)
 class DefinitionTemplate:
-    mode: TemplateMode
     frame: str
     focus_fe: str | None
     tokens: tuple[str, ...]
@@ -113,11 +116,11 @@ class _Builder:
             else:
                 self.text(seg.text)
 
-    def finish(self, mode: TemplateMode, frame: str, focus_fe: str | None) -> DefinitionTemplate:
+    def finish(self, frame: str, focus_fe: str | None) -> DefinitionTemplate:
         slots = tuple(
             Slot(fe, s, e) for fe, (s, e) in sorted(self.spans.items(), key=lambda kv: kv[1])
         )
-        return DefinitionTemplate(mode, frame, focus_fe, tuple(self.tokens), slots)
+        return DefinitionTemplate(frame, focus_fe, tuple(self.tokens), slots)
 
 
 def build_frame_template(frame: Frame, opts: MarkerOptions = DEFAULT_MARKERS) -> DefinitionTemplate:
@@ -136,7 +139,7 @@ def build_frame_template(frame: Frame, opts: MarkerOptions = DEFAULT_MARKERS) ->
             b.tokens.append(LIST_DELIM)
         first = False
         b.mention(fe, fe)
-    return b.finish(TemplateMode.FRAME_DEF, frame.name, None)
+    return b.finish(frame.name, None)
 
 
 def build_fe_template(frame: Frame, fe: str, opts: MarkerOptions = DEFAULT_MARKERS) -> DefinitionTemplate:
@@ -152,7 +155,7 @@ def build_fe_template(frame: Frame, fe: str, opts: MarkerOptions = DEFAULT_MARKE
     b.mention(fe, fe)
     b.sep()
     b.definition(element.definition)
-    return b.finish(TemplateMode.FE_DEF, frame.name, fe)
+    return b.finish(frame.name, fe)
 
 
 def build_question_template(frame: Frame, fe: str, opts: MarkerOptions = DEFAULT_MARKERS) -> DefinitionTemplate:
@@ -164,7 +167,7 @@ def build_question_template(frame: Frame, fe: str, opts: MarkerOptions = DEFAULT
     b.text("of")
     b.frame_name(frame.name)
     b.text("?")
-    return b.finish(TemplateMode.QUESTION, frame.name, fe)
+    return b.finish(frame.name, fe)
 
 
 def build_template(
@@ -189,11 +192,11 @@ def query_templates(
     one FE each and serve only to augment training, so fe-def raises
     ValueError.
     """
+    if mode not in QUERY_MODES:
+        raise ValueError(f"{mode.value} is an augmentation mode, not a query mode")
     if mode is TemplateMode.FRAME_DEF:
         return [build_frame_template(frame, opts)]
-    if mode is TemplateMode.QUESTION:
-        return [build_question_template(frame, fe, opts) for fe in frame.fe_order]
-    raise ValueError("fe-def is an augmentation mode, not a query mode")
+    return [build_question_template(frame, fe, opts) for fe in frame.fe_order]
 
 
 def render_surface(template: DefinitionTemplate) -> str:

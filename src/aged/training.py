@@ -1,14 +1,14 @@
 """Training-stream construction, the seeded mini-batch training loop, and
 `fit`, the one pipeline from an untrained model to a trained one.
 
-A model's training pairs are the pairs it predicts on: each instance
-contributes its `query_pairs`, assembled with the model's vocabulary,
-template mode, markers and `max_len`. In frame-def mode that is one
-(sentence, frame-definition) pair per instance; with FE augmentation on,
-each gold argument additionally contributes a (sentence, FE-definition)
-pair for its role, so stream size is exactly |instances| + total gold
-arguments. The question baseline instead has one single-slot pair per FE
-of the frame, and takes no FE augmentation.
+The model holds the query settings and `TrainConfig` only how to train. A
+model's training pairs are the pairs it predicts on: each instance gives its
+`query_pairs`. In frame-def mode that is one (sentence, frame-definition)
+pair per instance; with FE augmentation on, each gold argument adds a
+(sentence, FE-definition) pair for its role, so stream size is exactly
+|instances| + total gold arguments. The question baseline instead has one
+single-slot pair per FE of the frame, and takes no FE augmentation. A dev
+set, when given, is scored every epoch.
 """
 
 from __future__ import annotations
@@ -66,10 +66,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 7
     augment_fe_defs: bool = False
-    marker_options: MarkerOptions = DEFAULT_MARKERS
-    template_mode: TemplateMode = TemplateMode.FRAME_DEF
     checkpoint_path: str | Path | None = None
-    eval_every: int = 0  # 0 disables dev evaluation
     grad_clip: float = 1.0
 
     def __post_init__(self):
@@ -77,13 +74,6 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.template_mode is TemplateMode.FE_DEF:
-            raise ValueError("fe-def is an augmentation mode, not a training template_mode")
-        if self.augment_fe_defs and self.template_mode is not TemplateMode.FRAME_DEF:
-            raise ValueError(
-                "--augment-fe-defs augments frame-def training only; "
-                f"it cannot be combined with --mode {self.template_mode.value}"
-            )
 
 
 @dataclass
@@ -101,11 +91,17 @@ def build_training_stream(
     """Deterministic stream: instance order, then the frame's FE order.
 
     Each instance contributes its `query_pairs` for `model`, the pairs
-    prediction reads; with `augment_fe_defs` (frame-def mode only) one
-    FE-definition pair per gold argument follows, assembled with the model's
-    vocabulary, markers and `max_len`. A pair over `max_len` raises
-    PairTooLongError.
+    prediction reads; with `augment_fe_defs` one FE-definition pair per gold
+    argument follows, assembled with the model's vocabulary, markers and
+    `max_len`. Augmenting a model whose mode is not frame-def raises
+    ValueError before any pair is assembled, and a pair over `max_len`
+    raises PairTooLongError.
     """
+    if config.augment_fe_defs and model.mode is not TemplateMode.FRAME_DEF:
+        raise ValueError(
+            "--augment-fe-defs augments frame-def training only; "
+            f"it cannot be combined with --mode {model.mode.value}"
+        )
     markers, max_len = model.markers, model.config.max_len
     stream: list[TrainingExample] = []
     for inst, pairs in zip(instances, query_pairs(instances, store, model)):
@@ -211,8 +207,7 @@ def train(
     Per-example losses are summed over slots; batches average over examples.
     Each mini-batch runs as one padded forward and backward pass.
     `dev` is a dev set and its `query_pairs`; its F1 is computed every
-    `eval_every` epochs, and the best-dev checkpoint is saved alongside the
-    final one.
+    epoch, and the best-dev checkpoint is saved alongside the final one.
     """
     if not stream:
         raise ValueError("training stream is empty")
@@ -249,7 +244,7 @@ def train(
         report.clipped_steps.append(sum(0 < config.grad_clip < n for n in norms))
         logger.info("epoch %d: mean loss %.6f", epoch, mean_loss)
 
-        if dev is not None and config.eval_every > 0 and (epoch + 1) % config.eval_every == 0:
+        if dev is not None:
             dev_instances, dev_pairs = dev
             f1 = evaluate(predict_pairs(model, dev_pairs), dev_instances).f1
             report.dev_f1_history.append((epoch, f1))
@@ -273,22 +268,21 @@ def untrained_model(
     instances: list[AnnotatedInstance],
     store: FrameStore,
     encoder_config: EncoderConfig,
-    train_config: TrainConfig,
+    *,
+    mode: TemplateMode = TemplateMode.FRAME_DEF,
+    markers: MarkerOptions = DEFAULT_MARKERS,
 ) -> Checkpoint:
     """The model `fit` trains, the same for the same arguments.
 
     Its vocabulary is built from `instances` and the ontology, its embedding
     sized to it (the `vocab_size` of `encoder_config` is ignored), its
-    parameters initialised from the encoder seed, and it carries the
-    template mode and markers of `train_config`, from which its training
-    and prediction pairs are both assembled.
+    parameters initialised from the encoder seed, and it carries the query
+    `mode` and `markers` from which its training and prediction pairs are
+    both assembled.
     """
     vocab = build_vocabulary(instances, store)
     encoder_config = replace(encoder_config, vocab_size=len(vocab))
-    return Checkpoint(
-        encoder_config, init_parameters(encoder_config), vocab,
-        train_config.template_mode, train_config.marker_options,
-    )
+    return Checkpoint(encoder_config, init_parameters(encoder_config), vocab, mode, markers)
 
 
 def fit(

@@ -215,7 +215,7 @@ def test_criterion_6_augmentation_accounting(corpus):
     store, train_instances, test_instances = corpus
     with criterion(6, "augmentation accounting"):
         config = TrainConfig(epochs=1, augment_fe_defs=True)
-        model = untrained_model(train_instances, store, EncoderConfig(vocab_size=1), config)
+        model = untrained_model(train_instances, store, EncoderConfig(vocab_size=1))
         for dataset in (train_instances, test_instances):
             stream = build_training_stream(dataset, store, model, config)
             total_args = sum(len(inst.arguments) for inst in dataset)
@@ -231,12 +231,10 @@ def test_criterion_7_zero_shot_mechanics(corpus):
         )
         reports = {}
         for mode in (TemplateMode.FRAME_DEF, TemplateMode.QUESTION):
-            train_config = TrainConfig(
-                epochs=12, batch_size=8, learning_rate=1e-3, seed=5, template_mode=mode
-            )
+            train_config = TrainConfig(epochs=12, batch_size=8, learning_rate=1e-3, seed=5)
             report = run_holdout_experiment(
                 train_instances, test_instances, store, holdout, 0,
-                encoder_config, train_config,
+                encoder_config, train_config, mode=mode,
             )
             assert report.holdout_certified
             assert report.train_counts == {"Getting": 0}

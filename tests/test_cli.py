@@ -619,19 +619,29 @@ def test_fe_augmentation_rejected_in_question_mode(capsys, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
-def test_experiment_takes_no_eval_every(capsys, tmp_path, monkeypatch, caplog):
-    # without a dev set there is nothing to evaluate every n epochs
+def test_train_rejects_fe_def_mode(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code, _, err = run(capsys, "experiment", "--eval-every", "1", "--epochs", "1")
+    code, out, err = run(capsys, "train", "--mode", "fe-def", "--epochs", "1")
+    assert code == 1
+    assert out == ""
+    assert "fe-def is an augmentation mode" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_commands_take_no_eval_every(capsys, tmp_path, monkeypatch, caplog, command):
+    # a dev set, given only to `train`, is scored every epoch
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, command, "--eval-every", "1", "--epochs", "1")
     assert code == 1
     assert "--eval-every" in err
     config = tmp_path / "run.cfg"
     config.write_text("eval_every = 1\n")
     with caplog.at_level("WARNING", logger="aged.cli"):
-        code, _, _ = run(capsys, "experiment", "--config", str(config), "--epochs", "1",
+        code, _, _ = run(capsys, command, "--config", str(config), "--epochs", "1",
                          "--d-model", "8", "--layers", "1", "--heads", "2")
     assert code == 0
-    assert "config key 'eval_every' is not recognized by 'experiment'; ignored" in caplog.text
+    assert f"config key 'eval_every' is not recognized by '{command}'; ignored" in caplog.text
 
 
 def test_train_exits_2_on_non_finite_loss(capsys, tmp_path, monkeypatch):

@@ -9,11 +9,9 @@ from aged.templates import TemplateMode
 from aged.training import TrainConfig
 
 
-def quick_configs(mode=TemplateMode.FRAME_DEF, epochs=3):
+def quick_configs(epochs=3):
     encoder = EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2, max_len=256, seed=5)
-    training = TrainConfig(
-        epochs=epochs, batch_size=8, learning_rate=1e-3, seed=5, template_mode=mode
-    )
+    training = TrainConfig(epochs=epochs, batch_size=8, learning_rate=1e-3, seed=5)
     return encoder, training
 
 
@@ -75,9 +73,10 @@ def test_unknown_holdout_frame_rejected(store, train_instances, test_instances):
 
 
 def test_question_mode_holdout_runs(store, train_instances, test_instances):
-    encoder, training = quick_configs(mode=TemplateMode.QUESTION, epochs=1)
+    encoder, training = quick_configs(epochs=1)
     report = run_holdout_experiment(
-        train_instances[:10], test_instances, store, {"Getting"}, 0, encoder, training
+        train_instances[:10], test_instances, store, {"Getting"}, 0, encoder, training,
+        mode=TemplateMode.QUESTION,
     )
     assert report.mode == "question"
     assert report.predictions_complete

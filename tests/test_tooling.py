@@ -149,11 +149,10 @@ def saved(request, mini, tmp_path_factory):
     """A model trained by `fit`, and the file `save_checkpoint` wrote for it."""
     store, train_instances, _ = mini
     mode, markers = request.param
-    config = TrainConfig(epochs=1, template_mode=mode, marker_options=markers)
     untrained = untrained_model(train_instances[:6], store,
                                 EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2),
-                                config)
-    model, _ = fit(untrained, train_instances[:6], store, config)
+                                mode=mode, markers=markers)
+    model, _ = fit(untrained, train_instances[:6], store, TrainConfig(epochs=1))
     path = tmp_path_factory.mktemp("checkpoint") / "model.json"
     save_checkpoint(model, path)
     return model, path

@@ -72,16 +72,28 @@ def test_stream_size_closed_form_with_augmentation(store, vocab, train_instances
 def test_stream_question_mode_one_pair_per_fe(store, vocab):
     inst = AnnotatedInstance(("stop", "attacking"), 2, "Attack", ())
     model = small_model(vocab, mode=TemplateMode.QUESTION)
-    config = TrainConfig(epochs=1, template_mode=TemplateMode.QUESTION)
-    stream = build_training_stream([inst], store, model, config)
+    stream = build_training_stream([inst], store, model, TrainConfig(epochs=1))
     assert [ex.pair for ex in stream] == query_pairs([inst], store, model)[0]
     assert [ex.pair.slot_fes for ex in stream] == [(fe,) for fe in store.frame("Attack").fe_order]
     assert all(ex.labels == [(0, 0)] for ex in stream)
 
 
-def test_fe_def_mode_is_not_a_training_mode():
-    with pytest.raises(ValueError, match="fe-def"):
-        TrainConfig(template_mode=TemplateMode.FE_DEF)
+def test_fe_augmentation_rejected_for_a_question_model(store, vocab, train_instances, monkeypatch):
+    # the check reads the model's mode, and runs before any pair is assembled
+    import aged.training
+
+    monkeypatch.setattr(aged.training, "query_pairs", lambda *a: pytest.fail("assembled"))
+    model = small_model(vocab, mode=TemplateMode.QUESTION)
+    with pytest.raises(ValueError, match="--augment-fe-defs.*--mode question"):
+        build_training_stream(train_instances, store, model, TrainConfig(augment_fe_defs=True))
+
+
+def test_fe_def_mode_is_not_a_training_mode(store, vocab, train_instances):
+    model = small_model(vocab, mode=TemplateMode.FE_DEF)
+    for augment in (False, True):
+        with pytest.raises(ValueError, match="fe-def"):
+            build_training_stream(train_instances, store, model,
+                                  TrainConfig(augment_fe_defs=augment))
 
 
 def test_zero_learning_rate_rejected():
@@ -150,12 +162,12 @@ def test_checkpoint_round_trip_preserves_dev_f1(store, vocab, train_instances, t
     ckpt_path = tmp_path / "model.json"
     config = TrainConfig(
         epochs=4, batch_size=8, learning_rate=1e-3, seed=2,
-        checkpoint_path=ckpt_path, eval_every=2,
+        checkpoint_path=ckpt_path,
     )
     model = small_model(vocab, d_model=16)
     stream = build_training_stream(train_instances, store, model, config)
     model, report = train(stream, model, config, dev=(dev, query_pairs(dev, store, model)))
-    assert report.dev_f1_history, "eval_every should have produced dev scores"
+    assert [epoch for epoch, _ in report.dev_f1_history] == list(range(config.epochs))
     loaded = load_checkpoint(ckpt_path)
     f1_direct = evaluate(predict_all(dev, store, model), dev).f1
     f1_loaded = evaluate(predict_all(dev, store, loaded), dev).f1
@@ -307,9 +319,9 @@ def test_report_records_gradient_norms_per_epoch(store, vocab, train_instances, 
 @pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
 def test_fit_equals_hand_built_pipeline_bitwise(store, train_instances, test_instances, mode):
     instances, dev = train_instances[:6], test_instances[:2]
-    config = TrainConfig(epochs=2, batch_size=4, seed=3, template_mode=mode, eval_every=1)
+    config = TrainConfig(epochs=2, batch_size=4, seed=3)
     shape = dict(d_model=8, n_layers=1, n_heads=2, max_len=256, seed=2)
-    untrained = untrained_model(instances, store, EncoderConfig(vocab_size=1, **shape), config)
+    untrained = untrained_model(instances, store, EncoderConfig(vocab_size=1, **shape), mode=mode)
     model, report = fit(untrained, instances, store, config, dev=dev)
 
     expected_vocab = build_vocabulary(instances, store)
@@ -320,15 +332,24 @@ def test_fit_equals_hand_built_pipeline_bitwise(store, train_instances, test_ins
         stream, initial, config, dev=(dev, query_pairs(dev, store, initial)),
     )
     assert model.vocab.tokens == expected_vocab.tokens
-    assert (model.mode, model.markers) == (mode, config.marker_options)
+    assert (model.mode, model.markers) == (mode, MarkerOptions())
     assert model.config == sized
     assert report.stream_size == len(stream)
     assert report.epoch_losses == expected_report.epoch_losses
-    assert len(report.dev_f1_history) == 2
+    assert [epoch for epoch, _ in report.dev_f1_history] == [0, 1]
     assert report.dev_f1_history == expected_report.dev_f1_history
     assert model.params.keys() == expected.params.keys()
     for name, tensor in expected.params.items():
         assert model.params[name].tobytes() == tensor.tobytes(), name
+
+
+def test_fit_scores_a_dev_set_every_epoch(store, train_instances, test_instances):
+    encoder_config = EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2)
+    config = TrainConfig(epochs=3)
+    model = untrained_model(train_instances[:4], store, encoder_config)
+    _, report = fit(model, train_instances[:4], store, config, dev=test_instances[:2])
+    assert [epoch for epoch, _ in report.dev_f1_history] == [0, 1, 2]
+    assert report.best_dev_f1 == max(f1 for _, f1 in report.dev_f1_history)
 
 
 def test_fit_checks_dev_set_before_training(store, train_instances, tmp_path, monkeypatch):
@@ -341,7 +362,7 @@ def test_fit_checks_dev_set_before_training(store, train_instances, tmp_path, mo
     monkeypatch.setattr(aged.training, "train", lambda *a, **k: pytest.fail("trained"))
     encoder_config = EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2)
     config = TrainConfig(epochs=1)
-    model = untrained_model(train_instances[:4], store, encoder_config, config)
+    model = untrained_model(train_instances[:4], store, encoder_config)
     with pytest.raises(PairTooLongError, match="max_len is 256") as err:
         fit(model, train_instances[:4], store, config, dev=load_instances(dev_path, store))
     assert str(err.value).startswith(f"{dev_path}:3: assembled pair has ")
