@@ -1,15 +1,17 @@
 """Command-line entry point: ingest, template, train, predict, eval, experiment.
 
-Configuration resolution is flags > config file > built-in defaults; the
-config file is flat ``key = value`` text whose keys mirror flag names with
-dashes replaced by underscores. Every run writes a RunManifest JSON (command,
-resolved configuration, input digests, seed, version, timestamp) beside its
-primary output before any long-running work starts. Every command reads and
-validates its input files first, `predict` checks its checkpoint and mode, and
-`train`, `predict` and `experiment` assemble every pair they encode, so a run
-rejected for those leaves no manifest. A checkpoint carries its vocabulary,
-template mode and marker options, so `predict` takes none of them from flags.
-Existing outputs are never overwritten unless --force is given.
+Every setting is a flag with its built-in default. A --config file is flat
+``key = value`` text whose keys are flag names with underscores for dashes;
+each line is read as its flag, ahead of the command line, so one argparse
+pass types and checks every setting and flags beat the file. Every run
+writes a RunManifest JSON (command, resolved configuration, input digests,
+seed, version, timestamp) beside its primary output before any long-running
+work starts. Every command reads and validates its input files first,
+`predict` checks its checkpoint and mode, and `train`, `predict` and
+`experiment` assemble every pair they encode, so a run rejected for those
+leaves no manifest. A checkpoint carries its vocabulary, template mode and
+marker options, so `predict` takes none of them from flags. Existing outputs
+are never overwritten unless --force is given.
 AGED_LOG in {error, info, debug} controls stderr log verbosity.
 """
 
@@ -126,14 +128,20 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+_MODES = [mode.value for mode in TemplateMode]
+_TRUE, _FALSE = ("true", "1", "yes", "on"), ("false", "0", "no", "off")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _add_option(parser: _Parser, key: str, default) -> None:
-    flag = "--" + key.replace("_", "-")
-    if isinstance(default, bool):
-        parser.add_argument(flag, dest=key, action="store_const", const=True, default=None,
-                            help="(default: off)" if not default else "(default: on)")
+    if isinstance(default, bool):  # every boolean setting is off by default
+        parser.add_argument(_flag(key), dest=key, action="store_true", help="(default: off)")
     else:
-        typ = type(default) if isinstance(default, (int, float)) and not isinstance(default, bool) else str
-        parser.add_argument(flag, dest=key, type=typ, default=None,
+        parser.add_argument(_flag(key), dest=key, type=type(default), default=default,
+                            choices=_MODES if key == "mode" else None,
                             help=f"(default: {default})")
 
 
@@ -145,37 +153,24 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
     for command, defaults in DEFAULTS.items():
         p = sub.add_parser(command, add_help=True)
-        p.add_argument("--config", default=None, help="flat key = value config file")
+        p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         for key, default in defaults.items():
             _add_option(p, key, default)
     return parser
 
 
-def _coerce(raw: str, default):
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise UsageError(f"expected a boolean, got {raw!r}")
-    try:
-        if isinstance(default, int) and not isinstance(default, bool):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-    except ValueError:
-        raise UsageError(f"expected a {type(default).__name__}, got {raw!r}") from None
-    return raw.strip("\"'")
+def _config_arguments(command: str, path: str) -> list[str]:
+    """Read flat ``key = value`` lines as the `command` flags of the same name.
 
-
-def load_config_file(path: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; blank lines and # comments ignored.
-
-    Lines end at ``\n``, ``\r\n`` or ``\r``; a line that is not UTF-8 is
-    named by its `path:line`.
+    Blank lines and # comments are skipped, and a key that `command` does not
+    take is warned about and ignored. Quotes around a value are dropped. A
+    boolean is true or false: true gives the bare flag, false gives nothing.
+    Lines end at ``\n``, ``\r\n`` or ``\r``; a line that is not UTF-8, has
+    no ``=``, or holds any other boolean is named by its `path:line`.
     """
-    values: dict[str, str] = {}
+    defaults = DEFAULTS[command]
+    arguments = []
     for lineno, raw_line in enumerate(Path(path).read_bytes().splitlines(), 1):
         try:
             line = raw_line.decode("utf-8").strip()
@@ -183,28 +178,19 @@ def load_config_file(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from None
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not equals:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, raw = line.partition("=")
-        values[key.strip()] = raw.strip()
-    return values
-
-
-def resolve_config(command: str, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    defaults = DEFAULTS[command]
-    resolved = dict(defaults)
-    if args.config:
-        for key, raw in load_config_file(args.config).items():
-            if key not in defaults:
-                logger.warning("config key '%s' is not recognized by '%s'; ignored", key, command)
-                continue
-            resolved[key] = _coerce(raw, defaults[key])
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+        value = value.strip("\"'")
+        if key not in defaults:
+            logger.warning("config key '%s' is not recognized by '%s'; ignored", key, command)
+        elif not isinstance(defaults[key], bool):
+            arguments.append(f"{_flag(key)}={value}")
+        elif value.lower() in _TRUE:
+            arguments.append(_flag(key))
+        elif value.lower() not in _FALSE:
+            raise UsageError(f"{path}:{lineno}: {key} must be true or false, got {value!r}")
+    return arguments
 
 
 def _sha256(path: str) -> str:
@@ -509,7 +495,10 @@ def dispatch(argv: list[str]) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_VALIDATION
-        cfg = resolve_config(args.command, args)
+        if args.config:  # the file's settings come first, so a flag overrides them
+            args = parser.parse_args(
+                [args.command, *_config_arguments(args.command, args.config), *argv[1:]])
+        cfg = {key: getattr(args, key) for key in DEFAULTS[args.command]}
         return COMMANDS[args.command](cfg, args.force)
     except SystemExit as e:  # --help / --version
         return int(e.code or 0)

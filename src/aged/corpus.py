@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -132,14 +132,15 @@ class Frame:
 
 
 class FrameStore:
-    """Immutable name -> Frame mapping, preserving file order."""
+    """Name -> Frame mapping, in the order the frames were added."""
 
-    def __init__(self, frames: Iterable[Frame] = ()):
+    def __init__(self) -> None:
         self._frames: dict[str, Frame] = {}
-        for fr in frames:
-            if fr.name in self._frames:
-                raise CorpusError(f"duplicate frame name '{fr.name}'")
-            self._frames[fr.name] = fr
+
+    def add(self, frame: Frame) -> None:
+        if frame.name in self._frames:
+            raise CorpusError(f"duplicate frame name '{frame.name}'")
+        self._frames[frame.name] = frame
 
     def __len__(self) -> int:
         return len(self._frames)
@@ -225,14 +226,7 @@ def load_ontology(path: str | Path) -> FrameStore:
     duplicate frame names, unknown FE mentions, or fe_order mismatches.
     """
     store = FrameStore()
-
-    def add(rec: object, where: str) -> None:
-        frame = _parse_frame(rec)
-        if frame.name in store:
-            raise CorpusError(f"duplicate frame name '{frame.name}'")
-        store._frames[frame.name] = frame
-
-    _read_jsonl(path, add)
+    _read_jsonl(path, lambda rec, where: store.add(_parse_frame(rec)))
     return store
 
 

@@ -62,6 +62,8 @@ class EncoderConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:  # a bool is not a size
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"

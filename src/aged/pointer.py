@@ -31,12 +31,6 @@ from .encoding import EncodedPair, SlotLabel
 
 
 @dataclass(frozen=True)
-class QueryVector:
-    fe: str
-    q: np.ndarray
-
-
-@dataclass(frozen=True)
 class PointerDistribution:
     """Start/end probabilities over the n+1 candidate positions of one slot."""
 
@@ -56,35 +50,32 @@ class LossBreakdown:
         return LossBreakdown(loss_start, loss_end, 0.5 * loss_start + 0.5 * loss_end)
 
 
-def make_queries(encoding: ContextualEncoding, pair: EncodedPair) -> list[QueryVector]:
+def make_queries(encoding: ContextualEncoding, pair: EncodedPair) -> np.ndarray:
     """Maxpool each slot's contextual rows (mention tokens only, no markers).
 
-    Per-slot reference for `score_batch`, kept for the tests and the tracer.
+    Returns one row per slot, in `pair.slot_fes` order. Per-slot reference for
+    `score_batch`, kept for the tests and the tracer.
     """
-    queries = []
-    for fe, (start, end) in zip(pair.slot_fes, pair.slot_pos):
-        q = encoding.reps[start : end + 1].max(axis=0)
-        queries.append(QueryVector(fe, q))
-    return queries
+    return np.array([encoding.reps[start : end + 1].max(axis=0) for start, end in pair.slot_pos])
 
 
 def pointer_distributions(
     params: ParameterSet,
     encoding: ContextualEncoding,
     pair: EncodedPair,
-    queries: list[QueryVector],
+    queries: np.ndarray,
 ) -> list[PointerDistribution]:
-    """Score every candidate position for every query, softmax-normalized.
+    """Score every candidate position for every slot's query, softmax-normalized.
 
     Per-slot reference for `score_batch`, kept for the tests and the tracer.
     """
     rows = encoding.reps[np.asarray(pair.candidate_positions())]  # [CLS] + sentence
     w_start, w_end = params["pointer.w_start"], params["pointer.w_end"]
     out = []
-    for query in queries:
-        start_probs = _softmax(rows @ (w_start @ query.q))
-        end_probs = _softmax(rows @ (w_end @ query.q))
-        out.append(PointerDistribution(query.fe, start_probs, end_probs))
+    for fe, q in zip(pair.slot_fes, queries):
+        start_probs = _softmax(rows @ (w_start @ q))
+        end_probs = _softmax(rows @ (w_end @ q))
+        out.append(PointerDistribution(fe, start_probs, end_probs))
     return out
 
 

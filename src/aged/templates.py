@@ -66,7 +66,6 @@ class Slot:
 @dataclass(frozen=True)
 class DefinitionTemplate:
     frame: str
-    focus_fe: str | None
     tokens: tuple[str, ...]
     slots: tuple[Slot, ...]
 
@@ -116,11 +115,11 @@ class _Builder:
             else:
                 self.text(seg.text)
 
-    def finish(self, frame: str, focus_fe: str | None) -> DefinitionTemplate:
+    def finish(self, frame: str) -> DefinitionTemplate:
         slots = tuple(
             Slot(fe, s, e) for fe, (s, e) in sorted(self.spans.items(), key=lambda kv: kv[1])
         )
-        return DefinitionTemplate(frame, focus_fe, tuple(self.tokens), slots)
+        return DefinitionTemplate(frame, tuple(self.tokens), slots)
 
 
 def build_frame_template(frame: Frame, opts: MarkerOptions = DEFAULT_MARKERS) -> DefinitionTemplate:
@@ -139,7 +138,7 @@ def build_frame_template(frame: Frame, opts: MarkerOptions = DEFAULT_MARKERS) ->
             b.tokens.append(LIST_DELIM)
         first = False
         b.mention(fe, fe)
-    return b.finish(frame.name, None)
+    return b.finish(frame.name)
 
 
 def build_fe_template(frame: Frame, fe: str, opts: MarkerOptions = DEFAULT_MARKERS) -> DefinitionTemplate:
@@ -155,7 +154,7 @@ def build_fe_template(frame: Frame, fe: str, opts: MarkerOptions = DEFAULT_MARKE
     b.mention(fe, fe)
     b.sep()
     b.definition(element.definition)
-    return b.finish(frame.name, fe)
+    return b.finish(frame.name)
 
 
 def build_question_template(frame: Frame, fe: str, opts: MarkerOptions = DEFAULT_MARKERS) -> DefinitionTemplate:
@@ -167,7 +166,7 @@ def build_question_template(frame: Frame, fe: str, opts: MarkerOptions = DEFAULT
     b.text("of")
     b.frame_name(frame.name)
     b.text("?")
-    return b.finish(frame.name, fe)
+    return b.finish(frame.name)
 
 
 def build_template(

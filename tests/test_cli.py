@@ -541,10 +541,17 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("command", list(aged.cli.DEFAULTS))
+def test_parser_holds_every_default(command):
+    args = vars(build_parser().parse_args([command]))
+    assert {key: args[key] for key in aged.cli.DEFAULTS[command]} == aged.cli.DEFAULTS[command]
+
+
 def test_config_file_precedence(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.cfg"
-    config.write_text("lr = 0.01\nepochs = 1\nunknown_key = 5\n")
+    config.write_text("lr = 0.01\nepochs = 1\nunknown_key = 5\n"
+                      "augment_fe_defs = true\nno_label_markers = false\n")
     ckpt = tmp_path / "m.json"
     code, out, err = run(
         capsys, "train", "--config", str(config), "--lr", "0.001",
@@ -556,6 +563,8 @@ def test_config_file_precedence(capsys, tmp_path, monkeypatch):
     assert manifest["config"]["lr"] == 0.001  # flag beats file
     assert manifest["config"]["epochs"] == 1  # file beats default
     assert "unknown_key" not in manifest["config"]
+    assert manifest["config"]["augment_fe_defs"] is True  # a true boolean is the bare flag
+    assert manifest["config"]["no_label_markers"] is False
 
 
 def test_config_file_bad_value(capsys, tmp_path, monkeypatch):
@@ -564,7 +573,34 @@ def test_config_file_bad_value(capsys, tmp_path, monkeypatch):
     config.write_text("epochs = banana\n")
     code, _, err = run(capsys, "train", "--config", str(config))
     assert code == 1
-    assert "banana" in err
+    assert "--epochs" in err and "banana" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
+
+
+def test_config_file_bad_boolean_names_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("augment_fe_defs = maybe\n")
+    code, out, err = run(capsys, "train", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert f"{config}:1: augment_fe_defs must be true or false, got 'maybe'" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
+
+
+@pytest.mark.parametrize("command", ["train", "experiment", "template"])
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_bad_mode_names_flag_and_choices(capsys, tmp_path, monkeypatch, command, where):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("mode = bogus\n")
+    argv = ["--mode", "bogus"] if where == "flag" else ["--config", str(config)]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1
+    assert out == ""
+    assert ("argument --mode: invalid choice: 'bogus' "
+            "(choose from 'frame-def', 'fe-def', 'question')") in err
+    assert list(tmp_path.glob("*manifest.json")) == []
 
 
 def test_config_file_not_utf8_names_line(capsys, tmp_path, monkeypatch):
@@ -642,6 +678,16 @@ def test_commands_take_no_eval_every(capsys, tmp_path, monkeypatch, caplog, comm
                          "--d-model", "8", "--layers", "1", "--heads", "2")
     assert code == 0
     assert f"config key 'eval_every' is not recognized by '{command}'; ignored" in caplog.text
+
+
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--seed", "-5")])
+def test_train_rejects_unusable_setting(capsys, tmp_path, monkeypatch, flag, value):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "train", flag, value, "--epochs", "1")
+    assert code == 1
+    assert out == ""
+    assert {"--lr": "learning_rate", "--seed": "seed"}[flag] in err and value in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_exits_2_on_non_finite_loss(capsys, tmp_path, monkeypatch):

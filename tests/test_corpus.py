@@ -65,8 +65,9 @@ def test_unknown_fe_mention_reports_name_and_line(tmp_path):
 def test_duplicate_frame_name(tmp_path):
     path = tmp_path / "frames.jsonl"
     write_lines(path, [ATTACK_RECORD, ATTACK_RECORD])
-    with pytest.raises(CorpusError, match="duplicate frame"):
+    with pytest.raises(CorpusError) as exc:
         load_ontology(path)
+    assert str(exc.value) == f"{path}:2: duplicate frame name 'Attack'"
 
 
 def test_fe_order_mismatch(tmp_path):

@@ -44,7 +44,7 @@ def test_maxpool_single_row_slot():
     reps = np.arange(24, dtype=np.float64).reshape(6, 4)
     pair = pair_with_slots(2, [(5, 5)], 6)
     [q] = make_queries(ContextualEncoding(reps), pair)
-    assert np.array_equal(q.q, reps[5])
+    assert np.array_equal(q, reps[5])
 
 
 def test_maxpool_elementwise_example():
@@ -53,7 +53,7 @@ def test_maxpool_elementwise_example():
     reps[5] = [0.0, 5.0]
     pair = pair_with_slots(2, [(4, 5)], 6)
     [q] = make_queries(ContextualEncoding(reps), pair)
-    assert q.q.tolist() == [1.0, 5.0]
+    assert q.tolist() == [1.0, 5.0]
 
 
 @given(
@@ -64,8 +64,8 @@ def test_maxpool_matches_brute_force_oracle(block):
     pair = pair_with_slots(0, [(2, 6)], 7)
     [q] = make_queries(ContextualEncoding(reps), pair)
     brute = [max(block[r][c] for r in range(5)) for c in range(3)]
-    assert q.q.tolist() == brute
-    assert all((q.q >= block[r]).all() for r in range(5))
+    assert q.tolist() == brute
+    assert all((q >= block[r]).all() for r in range(5))
 
 
 def pointer_params(w_start, w_end):

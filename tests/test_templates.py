@@ -74,7 +74,6 @@ def test_empty_definition_still_has_name_and_list():
 def test_fe_template_focus_and_related(store):
     template = build_fe_template(store.frame("Attack"), "Assailant")
     assert template.slot_fes == ("Assailant", "Victim")
-    assert template.focus_fe == "Assailant"
     # focus slot is the header mention, before the second separator
     sep_positions = [i for i, t in enumerate(template.tokens) if t == "|"]
     assert template.slots[0].start < sep_positions[1]

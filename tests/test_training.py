@@ -97,8 +97,18 @@ def test_fe_def_mode_is_not_a_training_mode(store, vocab, train_instances):
 
 
 def test_zero_learning_rate_rejected():
-    with pytest.raises(ValueError, match="learning_rate"):
-        TrainConfig(learning_rate=0.0)
+    for rate in (0.0, float("nan"), float("inf")):  # a non-finite rate cannot train either
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
+
+@pytest.mark.parametrize("seed", [-5, 1.0, True])
+def test_bad_seed_rejected(seed):
+    message = rf"seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(seed=seed)
+    with pytest.raises(ValueError, match=message):
+        EncoderConfig(vocab_size=1, seed=seed)
 
 
 def test_tiny_learning_rate_leaves_parameters_nearly_fixed(store, vocab, train_instances):
