@@ -167,7 +167,8 @@ def _config_arguments(command: str, path: str) -> list[str]:
     take is warned about and ignored. Quotes around a value are dropped. A
     boolean is true or false: true gives the bare flag, false gives nothing.
     Lines end at ``\n``, ``\r\n`` or ``\r``; a line that is not UTF-8, has
-    no ``=``, or holds any other boolean is named by its `path:line`.
+    no ``=``, holds any other boolean or a value that its flag rejects is
+    named by its `path:line`.
     """
     defaults = DEFAULTS[command]
     arguments = []
@@ -186,6 +187,10 @@ def _config_arguments(command: str, path: str) -> list[str]:
             logger.warning("config key '%s' is not recognized by '%s'; ignored", key, command)
         elif not isinstance(defaults[key], bool):
             arguments.append(f"{_flag(key)}={value}")
+            try:  # argparse types and checks the value alone, so its line can be named
+                build_parser().parse_args([command, arguments[-1]])
+            except UsageError as e:
+                raise UsageError(f"{path}:{lineno}: {e}") from None
         elif value.lower() in _TRUE:
             arguments.append(_flag(key))
         elif value.lower() not in _FALSE:

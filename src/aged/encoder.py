@@ -15,8 +15,6 @@ reverse-mode, validated against central finite differences in the tests.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import functools
 import json
 import math
@@ -92,22 +90,25 @@ class EncoderConfig:
         return EncoderConfig(**doc)
 
 
-class FlatGradients(dict):
-    """Parameter gradients, zeroed, as views in `params` order of one array `flat`.
+class FlatTensors(dict):
+    """Named tensors as views, in `shapes` order, of one contiguous 1-D array `flat`.
 
-    Scaling `flat` scales every gradient at once. Write a gradient into its
-    view (`out=`, `+=`); assigning a new array would detach it from `flat`.
+    Parameters and gradients take this layout, so saving, loading, copying,
+    scaling and the Adam update are each one operation on `flat`. Write into
+    a view (`out=`, `+=`); assigning a new array would detach it from `flat`.
     """
 
-    def __init__(self, params: ParameterSet):
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray):
         super().__init__()
-        self.flat = np.zeros(
-            sum(p.size for p in params.values()), np.result_type(*params.values())
-        )
+        self.shapes, self.flat = shapes, flat
         offset = 0
-        for name, p in params.items():
-            self[name] = self.flat[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+
+    def copy(self) -> "FlatTensors":
+        return FlatTensors(self.shapes, self.flat.copy())
 
 
 @dataclass
@@ -142,7 +143,7 @@ def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_parameters(config: EncoderConfig) -> ParameterSet:
+def init_parameters(config: EncoderConfig) -> FlatTensors:
     """Allocate the `parameter_shapes` tensors, deterministically in the config seed.
 
     Embeddings are uniform in +-1/sqrt(d), weight matrices Glorot-uniform,
@@ -150,8 +151,9 @@ def init_parameters(config: EncoderConfig) -> ParameterSet:
     """
     rng = np.random.default_rng(config.seed)
     scale = 1.0 / math.sqrt(config.d_model)
-    params: ParameterSet = {}
-    for name, shape in parameter_shapes(config).items():
+    shapes = parameter_shapes(config)
+    params = FlatTensors(shapes, np.empty(sum(map(math.prod, shapes.values())), config.np_dtype))
+    for name, shape in shapes.items():
         if name.endswith("_emb"):
             tensor = rng.uniform(-scale, scale, shape)
         elif len(shape) == 2:
@@ -159,7 +161,7 @@ def init_parameters(config: EncoderConfig) -> ParameterSet:
             tensor = rng.uniform(-limit, limit, shape)
         else:
             tensor = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
-        params[name] = tensor.astype(config.np_dtype)
+        params[name][...] = tensor  # rounded to the config dtype as by astype
     return params
 
 
@@ -485,17 +487,19 @@ def forward(params: ParameterSet, config: EncoderConfig, pair: EncodedPair) -> C
 
 
 def backward_from_cache(
-    params: ParameterSet,
+    params: FlatTensors,
     config: EncoderConfig,
     cache: dict,
     d_reps: np.ndarray,
-) -> FlatGradients:
+    out: FlatTensors | None = None,
+) -> FlatTensors:
     """Exact gradients of every parameter given d(loss)/d(reps), summed over the batch.
 
     `d_reps` has the (B, N, d_model) shape of the batch's reps, rows in
     `read_rows` order; any other shape raises ValueError, even one of the
     same size. Upstream at the rows that only pad a pair's read rows is
-    ignored, as those rows are constant 0.
+    ignored, as those rows are constant 0. The gradients are written into
+    `out`, zero-filled first, or else into new `FlatTensors` laid out as `params`.
     """
     batch, length, d = cache["shape"]
     picked = cache["picked"]
@@ -504,7 +508,8 @@ def backward_from_cache(
         raise ValueError(
             f"upstream gradient shape {d_reps.shape} does not match output shape {shape}"
         )
-    grads = FlatGradients(params)
+    grads = out if out is not None else FlatTensors(params.shapes, np.empty_like(params.flat))
+    grads.flat.fill(0)
     dh = d // config.n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
     d_out = d_reps.reshape(-1, d) * cache["picked_read"]
@@ -566,54 +571,57 @@ class Checkpoint:
     shaped them, and the vocabulary and query templates they were trained on."""
 
     config: EncoderConfig
-    params: ParameterSet
+    params: FlatTensors
     vocab: Vocabulary
     mode: TemplateMode
     markers: MarkerOptions
 
     def copy(self) -> "Checkpoint":
-        return replace(self, params={k: v.copy() for k, v in self.params.items()})
+        return replace(self, params=self.params.copy())
 
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 _CHECKPOINT_KEYS = ("format", "config", "vocab", "mode", "markers", "params")
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Single JSON document; each tensor's `data` is base64 of its row-major
-    little-endian bytes in the config dtype, so values round-trip bitwise."""
-    dtype = _wire_dtype(ckpt.config)
-    doc = {
+    """Line 1 is the compact JSON header: format, config, vocabulary, query
+    mode, markers and `params` as {name: shape} in parameter order. Every
+    byte after its newline is the parameter buffer, each tensor row-major
+    and little-endian in the config dtype, so values round-trip bitwise.
+    `json.dumps` escapes every newline in a string, so `head -1` prints the header.
+    """
+    header = {
         "format": CHECKPOINT_FORMAT,
         "config": ckpt.config.to_json(),
         "vocab": ckpt.vocab.tokens,
         "mode": ckpt.mode.value,
         "markers": asdict(ckpt.markers),
-        "params": {
-            name: {
-                "shape": list(t.shape),
-                "data": base64.b64encode(t.astype(dtype, copy=False).tobytes()).decode("ascii"),
-            }
-            for name, t in ckpt.params.items()
-        },
+        "params": {name: list(t.shape) for name, t in ckpt.params.items()},
     }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    with open(path, "wb") as f:
+        f.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
+        ckpt.params.flat.astype(_wire_dtype(ckpt.config), copy=False).tofile(f)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a `save_checkpoint` file.
 
-    A missing or unknown top-level key, a `format` other than 1, a malformed
-    config (see `EncoderConfig.from_json`), a vocabulary that is not a valid
-    `Vocabulary` of `vocab_size` tokens, a mode that is not a query mode,
-    markers that are not exactly the `MarkerOptions` fields as booleans, a
-    tensor that is not among the config's `parameter_shapes` or is missing
-    from the file, and a misshapen, malformed or non-finite tensor raise
-    ValueError naming the key or tensor.
+    A first line that is not a JSON object, a missing or unknown header key,
+    a `format` other than 2, a malformed config (see `EncoderConfig.from_json`),
+    a vocabulary that is not a valid `Vocabulary` of `vocab_size` tokens, a
+    mode that is not a query mode, markers that are not exactly the
+    `MarkerOptions` fields as booleans, a tensor that is not among the
+    config's `parameter_shapes` or is missing or misshapen, and a bad body
+    (see `_read_body`) raise ValueError naming the key or tensor.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    head, _, body = Path(path).read_bytes().partition(b"\n")
+    try:
+        doc = json.loads(head)
+    except ValueError as e:  # not UTF-8 or not JSON
+        raise ValueError(f"checkpoint line 1 is not a JSON header ({e})") from None
     if not isinstance(doc, dict):
-        raise ValueError("checkpoint must be a JSON object")
+        raise ValueError("checkpoint header must be a JSON object")
     for key in (*_CHECKPOINT_KEYS, *doc):
         if (key in doc) != (key in _CHECKPOINT_KEYS):
             state = "unknown" if key in doc else "missing"
@@ -621,7 +629,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                              "another version of aged; retrain the model")
     if type(doc["format"]) is not int or doc["format"] != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint 'format' is {doc['format']!r}; this version of aged "
-                         f"reads format {CHECKPOINT_FORMAT}")
+                         f"reads format {CHECKPOINT_FORMAT}: retrain the model")
     for key in ("config", "params", "markers"):
         if not isinstance(doc[key], dict):
             raise ValueError(f"checkpoint '{key}' is not a JSON object")
@@ -649,38 +657,37 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if specs.keys() != shapes.keys():
         raise ValueError(f"checkpoint tensors missing: {sorted(shapes.keys() - specs.keys())}; "
                          f"not in this config: {sorted(specs.keys() - shapes.keys())}")
-    dtype = _wire_dtype(config)
-    params = {}
+    shapes = {name: shapes[name] for name in specs}  # the body's order
     for name, shape in shapes.items():
-        spec = specs[name] if isinstance(specs[name], dict) else {}
-        if spec.get("shape") != list(shape):
-            raise ValueError(
-                f"checkpoint tensor '{name}': shape {spec.get('shape')}, "
-                f"expected {list(shape)} for this config"
-            )
-        data = spec.get("data")
-        if not isinstance(data, str):
-            raise ValueError(
-                f"checkpoint tensor '{name}': data must be a base64 string, "
-                f"got {type(data).__name__} (decimal-list checkpoints are not read)"
-            )
-        try:
-            raw = base64.b64decode(data, validate=True)
-        except binascii.Error as e:
-            raise ValueError(
-                f"checkpoint tensor '{name}': data is not valid base64 ({e})"
-            ) from None
-        expected = math.prod(shape) * dtype.itemsize
-        if len(raw) != expected:
-            raise ValueError(
-                f"checkpoint tensor '{name}': {len(raw)} bytes, expected {expected} "
-                f"for shape {list(shape)} in {config.dtype}"
-            )
-        # astype copies, so the parameters are writable and in native byte order
-        params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(config.np_dtype)
-        if not np.isfinite(params[name]).all():
-            raise ValueError(f"checkpoint tensor '{name}': holds NaN or infinite values")
-    return Checkpoint(config, params, vocab, TemplateMode(doc["mode"]), MarkerOptions(**markers))
+        if specs[name] != list(shape):
+            raise ValueError(f"checkpoint tensor '{name}': shape {specs[name]}, "
+                             f"expected {list(shape)} for this config")
+    return Checkpoint(config, FlatTensors(shapes, _read_body(body, shapes, config)), vocab,
+                      TemplateMode(doc["mode"]), MarkerOptions(**markers))
+
+
+def _read_body(body: bytes, shapes: dict[str, tuple[int, ...]], config: EncoderConfig):
+    """The body as a new native-order parameter buffer. A body cut short, too
+    long or holding NaN or infinity raises ValueError naming the tensor."""
+    names, wire = list(shapes), _wire_dtype(config)
+    sizes = [math.prod(shape) * wire.itemsize for shape in shapes.values()]  # in bytes
+    ends = np.cumsum(sizes)
+    if len(body) > ends[-1]:
+        raise ValueError(f"checkpoint body has {len(body) - ends[-1]} byte(s) after its last "
+                         f"tensor '{names[-1]}'")
+    if len(body) < ends[-1]:
+        i = int(np.searchsorted(ends, len(body), side="right"))
+        raise ValueError(
+            f"checkpoint tensor '{names[i]}': {len(body) - ends[i] + sizes[i]} bytes, expected "
+            f"{sizes[i]} for shape {list(shapes[names[i]])} in {config.dtype}; the file is cut "
+            "short there"
+        )
+    flat = np.frombuffer(body, wire).astype(config.np_dtype)  # astype copies
+    finite = np.isfinite(flat)
+    if not finite.all():
+        i = int(np.searchsorted(ends, np.argmin(finite) * wire.itemsize, side="right"))
+        raise ValueError(f"checkpoint tensor '{names[i]}': holds NaN or infinite values")
+    return flat
 
 
 def _wire_dtype(config: EncoderConfig) -> np.dtype:

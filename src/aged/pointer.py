@@ -21,7 +21,7 @@ import numpy as np
 from .encoder import (
     ContextualEncoding,
     EncoderConfig,
-    FlatGradients,
+    FlatTensors,
     ParameterSet,
     backward_from_cache,
     forward_batch,
@@ -148,17 +148,18 @@ def score_batch(
 
 
 def batch_loss_and_gradients(
-    params: ParameterSet,
+    params: FlatTensors,
     config: EncoderConfig,
     pairs: list[EncodedPair],
     labels: list[list[SlotLabel]],
-) -> tuple[list[LossBreakdown], list[list[PointerDistribution]], FlatGradients]:
+    out: FlatTensors | None = None,
+) -> tuple[list[LossBreakdown], list[list[PointerDistribution]], FlatTensors]:
     """Forward and backward for a mini-batch: `forward_batch`, `score_batch`, backward.
 
     Returns each pair's loss and pointer distributions, and exact gradients
     of the summed loss for every parameter (encoder, embeddings, and both
-    pointer matrices) as the `FlatGradients` of `backward_from_cache`.
-    Padded slots get zero loss.
+    pointer matrices) as the `FlatTensors` of `backward_from_cache`, written
+    into `out` if given. Padded slots get zero loss.
     """
     if len(pairs) != len(labels):
         raise ValueError(f"{len(pairs)} pairs vs {len(labels)} label lists")
@@ -195,7 +196,7 @@ def batch_loss_and_gradients(
         dz[name] = dlogits @ rows
         d_queries += dz[name] @ params[name]
 
-    grads = backward_from_cache(params, config, cache, _reps_grad(scores, d_rows, d_queries))
+    grads = backward_from_cache(params, config, cache, _reps_grad(scores, d_rows, d_queries), out)
     for name, head_dz in dz.items():
         np.matmul(head_dz.reshape(-1, d).T, queries.reshape(-1, d), out=grads[name])
 
@@ -230,7 +231,7 @@ def loss_and_gradients(
     config: EncoderConfig,
     pair: EncodedPair,
     labels: list[SlotLabel],
-) -> tuple[LossBreakdown, list[PointerDistribution], FlatGradients]:
+) -> tuple[LossBreakdown, list[PointerDistribution], FlatTensors]:
     """`batch_loss_and_gradients` of the single pair, kept for the tests and the tracer."""
     [breakdown], [distributions], grads = batch_loss_and_gradients(
         params, config, [pair], [labels]

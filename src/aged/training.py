@@ -28,8 +28,7 @@ from .decoding import predict_pairs, query_pairs
 from .encoder import (
     Checkpoint,
     EncoderConfig,
-    FlatGradients,
-    ParameterSet,
+    FlatTensors,
     init_parameters,
     save_checkpoint,
 )
@@ -70,8 +69,10 @@ class TrainConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a bool is not a count
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0 < self.learning_rate < math.inf:  # nan fails both comparisons
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         if type(self.seed) is not int or self.seed < 0:
@@ -121,22 +122,21 @@ def build_training_stream(
 class Adam:
     """Plain Adam with bias correction; no schedule, no weight decay.
 
-    The moments and the update live in flat buffers laid out as
-    `FlatGradients`, whose flat buffer a step reads in place. A step runs the
-    per-tensor elementwise formula in place on preallocated buffers, op for
-    op in the same order, so its updates are bitwise those of the per-tensor
-    form.
+    The parameters and gradients are `FlatTensors`, and the moments and the
+    update flat buffers in their layout. A step runs the per-tensor
+    elementwise formula in place on these whole buffers, op for op in the
+    same order, so its updates are bitwise those of the per-tensor form.
     """
 
-    def __init__(self, params: ParameterSet, lr: float):
+    def __init__(self, params: FlatTensors, lr: float):
         self.lr = lr
         self.t = 0
-        self._update = FlatGradients(params)  # the update, with a view per parameter
-        self.m = np.zeros_like(self._update.flat)
-        self.v = np.zeros_like(self._update.flat)
-        self._tmp = np.empty_like(self._update.flat)
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self._tmp = np.empty_like(params.flat)
+        self._update = np.empty_like(params.flat)
 
-    def step(self, params: ParameterSet, grads: FlatGradients) -> None:
+    def step(self, params: FlatTensors, grads: FlatTensors) -> None:
         self.t += 1
         b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1**self.t
@@ -155,14 +155,13 @@ class Adam:
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
-        update = np.divide(m, c1, out=self._update.flat)
+        update = np.divide(m, c1, out=self._update)
         update *= self.lr
         update /= tmp
-        for k, u in self._update.items():
-            params[k] -= u
+        params.flat -= update
 
 
-def clip_gradients(grads: FlatGradients, max_norm: float) -> float:
+def clip_gradients(grads: FlatTensors, max_norm: float) -> float:
     """Scale gradients in place to a global-norm cap; returns the pre-clip norm.
 
     The norm is one dot product of the flat buffer, and the scale one
@@ -215,6 +214,7 @@ def train(
         raise ValueError("training stream is empty")
     model = model.copy()
     params, enc_config = model.params, model.config
+    grads = FlatTensors(params.shapes, np.empty_like(params.flat))  # zero-filled by each backward
     optimizer = Adam(params, config.learning_rate)
     report = TrainingReport(epochs=config.epochs, stream_size=len(stream))
     started = time.monotonic()
@@ -227,7 +227,8 @@ def train(
             batch = order[lo : lo + config.batch_size]
             examples = [stream[idx] for idx in batch]
             breakdowns, _, grads = batch_loss_and_gradients(
-                params, enc_config, [ex.pair for ex in examples], [ex.labels for ex in examples]
+                params, enc_config, [ex.pair for ex in examples], [ex.labels for ex in examples],
+                grads,
             )
             batch_loss = sum(breakdown.total for breakdown in breakdowns)
             if not math.isfinite(batch_loss):

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import math
 import types
 
 import numpy as np
@@ -321,81 +322,101 @@ def test_eval_malformed_record_names_line(capsys, tmp_path, monkeypatch, line, m
 
 
 def _tensor_data(edit):
-    """Checkpoint edit: `edit` maps the base64 data of `layer0.ffn.w1` to its new data."""
-    def apply(doc):
-        spec = doc["params"]["layer0.ffn.w1"]
-        spec["data"] = edit(spec["data"])
+    """Checkpoint body edit: `edit(body, lo, hi)` gives the new body, where
+    body[lo:hi] holds `layer0.ffn.w1`."""
+    def apply(ck):
+        lo = 0
+        for name, shape in ck.header["params"].items():
+            if name == "layer0.ffn.w1":
+                break
+            lo += 4 * math.prod(shape)
+        ck.body = edit(ck.body, lo, lo + 4 * math.prod(ck.header["params"]["layer0.ffn.w1"]))
     return apply
 
 
 def _last_f32_set_to(value):
-    """Base64 data edit: the tensor's last f32 entry becomes `value`."""
-    def edit(data):
-        tensor = np.frombuffer(base64.b64decode(data), "<f4").copy()
-        tensor[-1] = value
-        return base64.b64encode(tensor.tobytes()).decode("ascii")
-    return edit
+    """Body edit: the tensor's last f32 entry becomes `value`."""
+    return lambda body, lo, hi: body[: hi - 4] + np.array([value], "<f4").tobytes() + body[hi:]
 
 
-def _swap_first_tokens(doc):
-    doc["vocab"][:2] = doc["vocab"][1::-1]
+def _swap_first_tokens(ck):
+    ck.header["vocab"][:2] = ck.header["vocab"][1::-1]
 
 
-def _before_format(doc):
+def _before_format(ck):
     # the layout saved before `format` existed: config and params only
     for key in ("format", "vocab", "mode", "markers"):
-        del doc[key]
+        del ck.header[key]
 
 
-def _misshapen_w_end(doc):
-    doc["params"]["pointer.w_end"] = {
-        "shape": [16, 64],
-        "data": base64.b64encode(np.zeros((16, 64), "<f4").tobytes()).decode("ascii"),
-    }
+def _format_1(ck):
+    # the layout before this one: one JSON document holding base64 of each tensor
+    offset, params = 0, {}
+    for name, shape in ck.header["params"].items():
+        size = 4 * math.prod(shape)
+        data = base64.b64encode(ck.body[offset : offset + size]).decode("ascii")
+        params[name], offset = {"shape": shape, "data": data}, offset + size
+    ck.file = json.dumps({**ck.header, "format": 1, "params": params}).encode()
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_tensor_data(lambda d: d[: len(d) // 2]), "'layer0.ffn.w1': 513 bytes, expected 1024"),
-    (_tensor_data(lambda d: [0.25] * 16), "'layer0.ffn.w1': data must be a base64 string"),
+    (_tensor_data(lambda body, lo, hi: body[: lo + 513]),
+     "'layer0.ffn.w1': 513 bytes, expected 1024"),
+    (lambda ck: ck.header["params"].update({"layer0.ffn.w1": {"shape": [8, 32],
+                                                              "data": [0.25] * 16}}),
+     "'layer0.ffn.w1': shape {'shape': [8, 32], 'data': [0.25"),
     (_tensor_data(_last_f32_set_to(np.nan)), "'layer0.ffn.w1': holds NaN or infinite"),
     (_tensor_data(_last_f32_set_to(-np.inf)), "'layer0.ffn.w1': holds NaN or infinite"),
-    (lambda doc: doc["params"].pop("pointer.w_end"), "tensors missing: ['pointer.w_end']"),
-    (_misshapen_w_end, "'pointer.w_end': shape [16, 64], expected [8, 8]"),
-    (lambda doc: doc["params"].update(extra=doc["params"]["pointer.w_end"]),
-     "not in this config: ['extra']"),
-    (lambda doc: doc.pop("config"), "'config' is missing"),
-    (lambda doc: doc["config"].update(dropout=0.0), "key 'dropout' is unknown"),
-    (lambda doc: doc["config"].pop("max_len"), "missing key 'max_len'"),
-    (lambda doc: doc["config"].update(vocab_size="x"),
+    (lambda ck: ck.header["params"].pop("pointer.w_end"), "tensors missing: ['pointer.w_end']"),
+    (lambda ck: ck.header["params"].update({"pointer.w_end": [16, 64]}),
+     "'pointer.w_end': shape [16, 64], expected [8, 8]"),
+    (lambda ck: ck.header["params"].update(extra=[8, 8]), "not in this config: ['extra']"),
+    (lambda ck: ck.header.pop("config"), "'config' is missing"),
+    (lambda ck: ck.header["config"].update(dropout=0.0), "key 'dropout' is unknown"),
+    (lambda ck: ck.header["config"].pop("max_len"), "missing key 'max_len'"),
+    (lambda ck: ck.header["config"].update(vocab_size="x"),
      "vocab_size must be an integer >= 1, got 'x'"),
-    (lambda doc: doc["config"].update(dtype=["f32"]), "dtype must be one of ['f32', 'f64']"),
-    (lambda doc: doc.pop("format"), "key 'format' is missing"),
-    (lambda doc: doc.update(format=2), "'format' is 2; this version of aged reads format 1"),
-    (lambda doc: doc.pop("vocab"), "key 'vocab' is missing"),
-    (lambda doc: doc.update(vocab=doc["vocab"][:40]), "'vocab' has 40 tokens, but config vocab_size"),
+    (lambda ck: ck.header["config"].update(dtype=["f32"]), "dtype must be one of ['f32', 'f64']"),
+    (lambda ck: ck.header.pop("format"), "key 'format' is missing"),
+    (lambda ck: ck.header.update(format=3), "'format' is 3; this version of aged reads format 2"),
+    (lambda ck: ck.header.pop("vocab"), "key 'vocab' is missing"),
+    (lambda ck: ck.header.update(vocab=ck.header["vocab"][:40]),
+     "'vocab' has 40 tokens, but config vocab_size"),
     (_swap_first_tokens, "'vocab': vocabulary must start with the reserved tokens"),
-    (lambda doc: doc.update(mode="fe-def"), "'mode' must be one of ['frame-def', 'question']"),
-    (lambda doc: doc["markers"].update(frame_markers=True),
+    (lambda ck: ck.header.update(mode="fe-def"), "'mode' must be one of ['frame-def', 'question']"),
+    (lambda ck: ck.header["markers"].update(frame_markers=True),
      "'markers' must hold exactly ['target_markers', 'label_markers'] as booleans"),
-    (lambda doc: doc.update(extra=1), "key 'extra' is unknown"),
+    (lambda ck: ck.header.update(extra=1), "key 'extra' is unknown"),
     (_before_format, "key 'format' is missing: the checkpoint was saved by another version "
      "of aged; retrain the model"),
+    (_tensor_data(lambda body, lo, hi: body[:-1]), "'pointer.w_end': 255 bytes, expected 256"),
+    (_tensor_data(lambda body, lo, hi: body + b"\0"),
+     "body has 1 byte(s) after its last tensor 'pointer.w_end'"),
+    (_format_1, "'format' is 1; this version of aged reads format 2: retrain the model"),
+    (lambda ck: setattr(ck, "file", b"format = 2\n" + ck.body),
+     "checkpoint line 1 is not a JSON header"),
+    (_tensor_data(lambda body, lo, hi: body[:-4] + np.array([np.nan], "<f4").tobytes()),
+     "'pointer.w_end': holds NaN or infinite"),
 ], ids=["truncated", "decimal-list", "nan", "infinite", "missing-tensor", "misshapen-tensor",
         "extra-tensor", "no-config", "old-dropout-config", "missing-config-key",
-        "string-size", "list-dtype", "no-format", "format-2", "no-vocab", "short-vocab",
+        "string-size", "list-dtype", "no-format", "format-3", "no-vocab", "short-vocab",
         "vocab-without-reserved-tokens", "fe-def-mode", "extra-marker", "extra-key",
-        "saved-before-format"])
+        "saved-before-format", "body-one-byte-short", "trailing-byte", "format-1-file",
+        "header-not-json", "nan-in-last-tensor"])
 def test_predict_rejects_bad_checkpoint(capsys, trained, tmp_path, monkeypatch, edit, message):
+    # header edits rewrite the JSON first line, body edits the tensor bytes after it
     workdir, ckpt = trained
     monkeypatch.chdir(tmp_path)
-    doc = json.loads(ckpt.read_text())
-    edit(doc)
-    bad = tmp_path / "model.json"
-    bad.write_text(json.dumps(doc))
+    head, _, body = ckpt.read_bytes().partition(b"\n")
+    ck = types.SimpleNamespace(header=json.loads(head), body=body, file=None)
+    edit(ck)
+    bad = tmp_path / "model.ckpt"
+    bad.write_bytes(ck.file or json.dumps(ck.header).encode() + b"\n" + ck.body)
     code, _, err = run(capsys, "predict", "--checkpoint", str(bad),
                        "--out", str(tmp_path / "pred.jsonl"))
     assert code == 1
     assert message in err
+    assert "Traceback" not in err
     if "dropout" in message:
         assert "retrain" in err
     assert list(tmp_path.glob("*manifest.json")) == []
@@ -573,7 +594,17 @@ def test_config_file_bad_value(capsys, tmp_path, monkeypatch):
     config.write_text("epochs = banana\n")
     code, _, err = run(capsys, "train", "--config", str(config))
     assert code == 1
-    assert "--epochs" in err and "banana" in err
+    assert f"{config}:1: argument --epochs: invalid int value: 'banana'" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
+    # the line that holds the bad value is named, and a bad flag names no line
+    config.write_text("# settings\nseed = 3\nbatch_size = 1.5\n")
+    code, _, err = run(capsys, "train", "--config", str(config))
+    assert code == 1
+    assert f"{config}:3: argument --batch-size: invalid int value: '1.5'" in err
+    config.write_text("seed = 3\n")
+    code, _, err = run(capsys, "train", "--config", str(config), "--epochs", "banana")
+    assert code == 1
+    assert err == "error: argument --epochs: invalid int value: 'banana'\n"
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
@@ -598,7 +629,8 @@ def test_bad_mode_names_flag_and_choices(capsys, tmp_path, monkeypatch, command,
     code, out, err = run(capsys, command, *argv)
     assert code == 1
     assert out == ""
-    assert ("argument --mode: invalid choice: 'bogus' "
+    where = "" if where == "flag" else f"{config}:1: "
+    assert (f"error: {where}argument --mode: invalid choice: 'bogus' "
             "(choose from 'frame-def', 'fe-def', 'question')") in err
     assert list(tmp_path.glob("*manifest.json")) == []
 
@@ -680,13 +712,15 @@ def test_commands_take_no_eval_every(capsys, tmp_path, monkeypatch, caplog, comm
     assert f"config key 'eval_every' is not recognized by '{command}'; ignored" in caplog.text
 
 
-@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--seed", "-5")])
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--seed", "-5"),
+                                         ("--epochs", "0"), ("--batch-size", "-2")])
 def test_train_rejects_unusable_setting(capsys, tmp_path, monkeypatch, flag, value):
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, "train", flag, value, "--epochs", "1")
+    code, out, err = run(capsys, "train", "--epochs", "1", flag, value)
     assert code == 1
     assert out == ""
-    assert {"--lr": "learning_rate", "--seed": "seed"}[flag] in err and value in err
+    name = {"--lr": "learning_rate"}.get(flag, flag[2:].replace("-", "_"))
+    assert f"{name} must be" in err and f"got {value}" in err
     assert list(tmp_path.iterdir()) == []
 
 

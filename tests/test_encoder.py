@@ -234,17 +234,18 @@ def test_checkpoint_round_trip_f32(tmp_path):
 
 
 def test_checkpoint_file_schema(tmp_path):
-    import base64
     import json
 
     for dtype in ("f32", "f64"):
         config = tiny_config(dtype=dtype)
         ckpt = tiny_model(config)
-        path = tmp_path / f"model-{dtype}.json"
+        path = tmp_path / f"model-{dtype}.ckpt"
         save_checkpoint(ckpt, path)
-        doc = json.loads(path.read_text())
+        head, newline, body = path.read_bytes().partition(b"\n")
+        doc = json.loads(head)
+        assert newline == b"\n"
         assert list(doc) == ["format", "config", "vocab", "mode", "markers", "params"]
-        assert doc["format"] == 1
+        assert doc["format"] == 2
         assert doc["vocab"] == ckpt.vocab.tokens
         assert doc["mode"] == "frame-def"
         assert doc["markers"] == {"target_markers": True, "label_markers": True}
@@ -252,35 +253,41 @@ def test_checkpoint_file_schema(tmp_path):
         assert doc["config"]["dtype"] == dtype
         assert list(doc["params"]) == list(ckpt.params)
         size = np.dtype(config.np_dtype).itemsize
+        offset = 0
         for name, tensor in ckpt.params.items():
-            spec = doc["params"][name]
-            assert set(spec) == {"shape", "data"}
-            assert spec["shape"] == list(tensor.shape)
-            raw = base64.b64decode(spec["data"], validate=True)
-            assert len(raw) == tensor.size * size
-            # little-endian bit patterns of the row-major flattening
+            assert doc["params"][name] == list(tensor.shape)
+            raw = body[offset : offset + tensor.size * size]
+            # little-endian bit patterns of the row-major flattening, in header order
             stored = np.frombuffer(raw, dtype=f"<u{size}")
             assert np.array_equal(stored, tensor.ravel().view(f"=u{size}")), name
+            offset += len(raw)
+        assert offset == len(body)
 
 
-def _rewrite_tensor(path, name, data):
+def _tensor_bytes(head, name, itemsize):
+    """The byte range of tensor `name` in the body of a checkpoint with header `head`."""
     import json
+    import math
 
-    doc = json.loads(path.read_text())
-    doc["params"][name]["data"] = data(doc["params"][name]["data"])
-    path.write_text(json.dumps(doc))
+    offset = 0
+    for tensor, shape in json.loads(head)["params"].items():
+        if tensor == name:
+            return offset, offset + math.prod(shape) * itemsize
+        offset += math.prod(shape) * itemsize
 
 
-@pytest.mark.parametrize("data, message", [
-    (lambda d: d[:-8], "bytes, expected"),
-    (lambda d: "!" + d[1:], "not valid base64"),
-    (lambda d: [0.5] * 8, "base64 string, got list"),
+@pytest.mark.parametrize("edit, message", [
+    (lambda body, lo, hi: body[: hi - 8], "bytes, expected"),
+    (lambda body, lo, hi: body[:lo], ": 0 bytes, expected 2048 for shape"),
+    (lambda body, lo, hi: body[: hi - 8] + np.array([np.nan], "<f8").tobytes() + body[hi:],
+     "holds NaN or infinite"),
 ])
-def test_load_rejects_bad_tensor_data(tmp_path, data, message):
+def test_load_rejects_bad_tensor_data(tmp_path, edit, message):
     config = tiny_config()
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_checkpoint(tiny_model(config), path)
-    _rewrite_tensor(path, "layer0.ffn.w1", data)
+    head, _, body = path.read_bytes().partition(b"\n")
+    path.write_bytes(head + b"\n" + edit(body, *_tensor_bytes(head, "layer0.ffn.w1", 8)))
     with pytest.raises(ValueError, match=message) as err:
         load_checkpoint(path)
     assert "'layer0.ffn.w1'" in str(err.value)

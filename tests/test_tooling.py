@@ -12,7 +12,6 @@ from aged.corpus import mini_framenet_path
 from aged.encoder import (
     Checkpoint,
     EncoderConfig,
-    FlatGradients,
     forward,
     init_parameters,
     load_checkpoint,
@@ -77,7 +76,7 @@ def test_benchmark_observers_read_what_they_need(tracing, mini, tmp_path):
     template = build_frame_template(store.frame(inst.frame))
     pair = assemble(inst, template, vocab)
     encoding = forward(model.params, config, pair)
-    grads = FlatGradients(model.params)
+    grads = model.params.copy()
     grads.flat[:] = 1.0  # a norm above the cap of 1, so the step is clipped
     calls = {
         "encoder.forward_cached": lambda f: f(model.params, config, pair),
@@ -136,9 +135,9 @@ def _written_keys():
     model = Checkpoint(config, init_parameters(config), Vocabulary(RESERVED_TOKENS),
                        TemplateMode.FRAME_DEF, MarkerOptions())
     with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "model.json"
+        path = Path(d) / "model.ckpt"
         save_checkpoint(model, path)
-        return list(json.loads(path.read_text()))
+        return list(json.loads(path.read_bytes().partition(b"\n")[0]))
 
 
 @pytest.fixture(scope="module", params=[
@@ -153,7 +152,7 @@ def saved(request, mini, tmp_path_factory):
                                 EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2),
                                 mode=mode, markers=markers)
     model, _ = fit(untrained, train_instances[:6], store, TrainConfig(epochs=1))
-    path = tmp_path_factory.mktemp("checkpoint") / "model.json"
+    path = tmp_path_factory.mktemp("checkpoint") / "model.ckpt"
     save_checkpoint(model, path)
     return model, path
 
@@ -179,9 +178,10 @@ def test_checkpoint_round_trips_every_field(saved):
 def test_checkpoint_reader_requires_every_written_key(saved, tmp_path, key):
     # a key the writer gains but the reader does not check fails here
     _, path = saved
-    doc = json.loads(path.read_text())
+    head, newline, body = path.read_bytes().partition(b"\n")
+    doc = json.loads(head)
     del doc[key]
-    bad = tmp_path / "model.json"
-    bad.write_text(json.dumps(doc))
+    bad = tmp_path / "model.ckpt"
+    bad.write_bytes(json.dumps(doc).encode() + newline + body)
     with pytest.raises(ValueError, match=f"'{key}'"):
         load_checkpoint(bad)

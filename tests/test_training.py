@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from aged.corpus import AnnotatedInstance, Argument, load_instances, mini_framenet_path
-from aged.encoder import Checkpoint, EncoderConfig, FlatGradients, init_parameters, load_checkpoint
+from aged.encoder import (
+    Checkpoint,
+    EncoderConfig,
+    FlatTensors,
+    init_parameters,
+    load_checkpoint,
+    save_checkpoint,
+)
 from aged.encoding import PairTooLongError, assemble, build_vocabulary, gold_labels
 from aged.evaluation import evaluate
 from aged.decoding import predict_all, query_pairs
@@ -111,6 +118,13 @@ def test_bad_seed_rejected(seed):
         EncoderConfig(vocab_size=1, seed=seed)
 
 
+@pytest.mark.parametrize("name", ["epochs", "batch_size"])
+@pytest.mark.parametrize("value", [0, -2, 2.0, True])
+def test_bad_count_rejected(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {value!r}$"):
+        TrainConfig(**{name: value})
+
+
 def test_tiny_learning_rate_leaves_parameters_nearly_fixed(store, vocab, train_instances):
     # the zero-step contract, tested at the smallest usable rate
     model = small_model(vocab)
@@ -145,11 +159,9 @@ def test_loss_is_nonincreasing_at_start(store, vocab, train_instances):
 
 
 def flat_gradients(values):
-    """`FlatGradients` holding `values`, a dict of arrays."""
-    grads = FlatGradients(values)
-    for k, v in values.items():
-        grads[k][...] = v
-    return grads
+    """`FlatTensors` holding `values`, a dict of arrays."""
+    return FlatTensors({k: v.shape for k, v in values.items()},
+                       np.concatenate([v.ravel() for v in values.values()]))
 
 
 def test_clip_gradients_scales_to_cap():
@@ -220,7 +232,7 @@ class ReferenceAdam:
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_flat_adam_matches_per_tensor_reference_bitwise(vocab, dtype):
     params = small_model(vocab, dtype=dtype).params
-    ours = {k: v.copy() for k, v in params.items()}
+    ours = params.copy()  # the flat layout that training steps
     ref = {k: v.copy() for k, v in params.items()}
     adam, ref_adam = Adam(ours, 3e-3), ReferenceAdam(ref, 3e-3)
     rng = np.random.default_rng(5)
@@ -274,15 +286,7 @@ def test_gradients_are_views_of_one_flat_buffer(store, vocab, train_instances):
     _, _, grads = batch_loss_and_gradients(
         model.params, model.config, [ex.pair for ex in stream], [ex.labels for ex in stream]
     )
-    flat = grads.flat
-    assert flat.ndim == 1 and flat.flags.c_contiguous
-    assert list(grads) == list(model.params)
-    offset = 0
-    for name, g in grads.items():  # consecutive, so pairwise disjoint
-        assert g.shape == model.params[name].shape and g.base is flat
-        assert g.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
-        offset += g.size
-    assert offset == flat.size
+    assert_views_of_flat(grads, model.params)
     # clipping takes the norm of the flat buffer in one call, equal to the
     # per-tensor norm up to summation order, and scales the flat buffer once,
     # bitwise as the same scale applied to each tensor
@@ -294,6 +298,53 @@ def test_gradients_are_views_of_one_flat_buffer(store, vocab, train_instances):
     for name, g in plain.items():
         g *= 1e-3 / norm
         assert grads[name].tobytes() == g.tobytes(), name
+
+
+def assert_views_of_flat(tensors, like):
+    """`tensors` are consecutive views, in `like`'s order and shapes, of its whole `flat`."""
+    flat = tensors.flat
+    assert flat.ndim == 1 and flat.flags.c_contiguous and flat.flags.writeable
+    assert list(tensors) == list(like)
+    offset = 0
+    for name, t in tensors.items():  # consecutive, so pairwise disjoint
+        assert t.shape == like[name].shape and t.base is flat
+        assert t.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
+        offset += t.size
+    assert offset == flat.size
+
+
+def test_parameters_are_views_of_one_flat_buffer(store, vocab, train_instances, tmp_path,
+                                                  monkeypatch):
+    import aged.training
+
+    model = small_model(vocab, n_layers=2)
+    assert_views_of_flat(model.params, model.params)
+    copied = model.copy()
+    assert_views_of_flat(copied.params, model.params)
+    assert not np.shares_memory(copied.params.flat, model.params.flat)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    # the body is the buffer's little-endian bytes, after the one header line
+    assert path.read_bytes().partition(b"\n")[2] == model.params.flat.astype("<f4").tobytes()
+    assert_views_of_flat(load_checkpoint(path).params, model.params)
+
+    # three steps reuse one gradient buffer, and the parameters stay views of theirs
+    buffers = []
+    real = aged.training.batch_loss_and_gradients
+
+    def recording(*args):
+        result = real(*args)
+        buffers.append(result[2])
+        return result
+
+    monkeypatch.setattr(aged.training, "batch_loss_and_gradients", recording)
+    config = TrainConfig(epochs=1, batch_size=2)
+    stream = build_training_stream(train_instances[:6], store, model, config)
+    trained, _ = train(stream, model, config)
+    assert len(buffers) == 3 and all(b is buffers[0] for b in buffers)
+    assert not np.shares_memory(buffers[0].flat, trained.params.flat)
+    assert_views_of_flat(trained.params, model.params)
+    assert not np.array_equal(trained.params.flat, model.params.flat)
 
 
 def test_report_records_gradient_norms_per_epoch(store, vocab, train_instances, monkeypatch):
