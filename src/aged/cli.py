@@ -41,7 +41,7 @@ from .decoding import SpanPrediction, predict_pairs, query_pairs
 from .encoder import EncoderConfig, load_checkpoint
 from .evaluation import evaluate
 from .experiments import run_holdout_experiment
-from .templates import MarkerOptions, TemplateMode, build_template, render_surface
+from .templates import QUERY_MODES, MarkerOptions, TemplateMode, build_template, render_surface
 from .training import TrainConfig, fit, untrained_model
 
 logger = logging.getLogger(__name__)
@@ -100,13 +100,13 @@ DEFAULTS: dict[str, dict] = {
         "frames": _bundled("frames"),
         "train": _bundled("train"),
         "dev": "",
-        "checkpoint": "checkpoint.json",
+        "checkpoint": "model.ckpt",
         **_TRAIN_DEFAULTS,
     },
     "predict": {
         "frames": _bundled("frames"),
         "instances": _bundled("test"),
-        "checkpoint": "checkpoint.json",
+        "checkpoint": "model.ckpt",
         "out": "predictions.jsonl",
         "mode": "",  # the checkpoint's; a different mode is rejected
     },
@@ -128,7 +128,6 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
-_MODES = [mode.value for mode in TemplateMode]
 _TRUE, _FALSE = ("true", "1", "yes", "on"), ("false", "0", "no", "off")
 
 
@@ -136,13 +135,12 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _add_option(parser: _Parser, key: str, default) -> None:
+def _add_option(parser: _Parser, key: str, default, choices: list[str] | None) -> None:
     if isinstance(default, bool):  # every boolean setting is off by default
         parser.add_argument(_flag(key), dest=key, action="store_true", help="(default: off)")
     else:
         parser.add_argument(_flag(key), dest=key, type=type(default), default=default,
-                            choices=_MODES if key == "mode" else None,
-                            help=f"(default: {default})")
+                            choices=choices, help=f"(default: {default})")
 
 
 @functools.cache
@@ -155,8 +153,10 @@ def build_parser() -> _Parser:
         p = sub.add_parser(command, add_help=True)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
+        # `template` renders any mode; a model queries only in a query mode
+        modes = [mode.value for mode in (TemplateMode if command == "template" else QUERY_MODES)]
         for key, default in defaults.items():
-            _add_option(p, key, default)
+            _add_option(p, key, default, modes if key == "mode" else None)
     return parser
 
 
@@ -235,7 +235,6 @@ def _markers(cfg: dict) -> MarkerOptions:
 
 def _encoder_config(cfg: dict) -> EncoderConfig:
     return EncoderConfig(
-        vocab_size=1,  # `fit` sizes the embedding to the vocabulary it builds
         d_model=cfg["d_model"],
         n_layers=cfg["layers"],
         n_heads=cfg["heads"],

@@ -44,7 +44,8 @@ ParameterSet = dict[str, np.ndarray]
 
 @dataclass
 class EncoderConfig:
-    vocab_size: int
+    """The shape, seed and dtype of the encoder; the vocabulary sizes its embedding."""
+
     d_model: int = 32
     n_layers: int = 2
     n_heads: int = 4
@@ -56,7 +57,7 @@ class EncoderConfig:
     def __post_init__(self):
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
+        for name in ("d_model", "n_layers", "n_heads", "d_ff", "max_len"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:  # a bool is not a size
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
@@ -72,22 +73,6 @@ class EncoderConfig:
     @property
     def np_dtype(self):
         return DTYPES[self.dtype]
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(doc: dict) -> "EncoderConfig":
-        """The inverse of `to_json`; an unknown or missing key raises ValueError naming it."""
-        names = [f.name for f in fields(EncoderConfig)]
-        for key in doc:
-            if key not in names:
-                raise ValueError(f"checkpoint config key '{key}' is unknown: the checkpoint was "
-                                 "saved by another version of aged; retrain the model")
-        for name in names:
-            if name not in doc:
-                raise ValueError(f"checkpoint config is missing key '{name}'")
-        return EncoderConfig(**doc)
 
 
 class FlatTensors(dict):
@@ -118,14 +103,15 @@ class ContextualEncoding:
     reps: np.ndarray
 
 
-def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """The name and shape of every tensor, in parameter order.
+def parameter_shapes(config: EncoderConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every tensor, in parameter order: `tok_emb` has
+    a row per vocabulary token.
 
     The pointer matrices live here too so one parameter set covers the whole
     trainable model.
     """
     d, ff = config.d_model, config.d_ff
-    shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_len, d), "seg_emb": (2, d)}
+    shapes = {"tok_emb": (vocab_size, d), "pos_emb": (config.max_len, d), "seg_emb": (2, d)}
     for i in range(config.n_layers):
         p = f"layer{i}."
         shapes[p + "ln1.gain"] = shapes[p + "ln1.bias"] = (d,)
@@ -143,7 +129,7 @@ def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_parameters(config: EncoderConfig) -> FlatTensors:
+def init_parameters(config: EncoderConfig, vocab_size: int) -> FlatTensors:
     """Allocate the `parameter_shapes` tensors, deterministically in the config seed.
 
     Embeddings are uniform in +-1/sqrt(d), weight matrices Glorot-uniform,
@@ -151,7 +137,7 @@ def init_parameters(config: EncoderConfig) -> FlatTensors:
     """
     rng = np.random.default_rng(config.seed)
     scale = 1.0 / math.sqrt(config.d_model)
-    shapes = parameter_shapes(config)
+    shapes = parameter_shapes(config, vocab_size)
     params = FlatTensors(shapes, np.empty(sum(map(math.prod, shapes.values())), config.np_dtype))
     for name, shape in shapes.items():
         if name.endswith("_emb"):
@@ -398,8 +384,9 @@ def forward_batch(
         ids[b, : lengths[b]] = pair.ids
         segments[b, : lengths[b]] = pair.segment
         read[b, pair.read_rows] = True
-    if ids.max() >= config.vocab_size:
-        raise ValueError(f"token id {int(ids.max())} out of range for vocab_size {config.vocab_size}")
+    if ids.max() >= len(params["tok_emb"]):
+        raise ValueError(f"token id {int(ids.max())} out of range for a vocabulary of "
+                         f"{len(params['tok_emb'])} tokens")
     valid = np.arange(length) < lengths[:, None]
     d = config.d_model
     # each pair's read rows, then distinct unread ones (a fancy-index write in the
@@ -580,7 +567,7 @@ class Checkpoint:
         return replace(self, params=self.params.copy())
 
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 _CHECKPOINT_KEYS = ("format", "config", "vocab", "mode", "markers", "params")
 
 
@@ -593,7 +580,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """
     header = {
         "format": CHECKPOINT_FORMAT,
-        "config": ckpt.config.to_json(),
+        "config": asdict(ckpt.config),
         "vocab": ckpt.vocab.tokens,
         "mode": ckpt.mode.value,
         "markers": asdict(ckpt.markers),
@@ -607,12 +594,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a `save_checkpoint` file.
 
-    A first line that is not a JSON object, a missing or unknown header key,
-    a `format` other than 2, a malformed config (see `EncoderConfig.from_json`),
-    a vocabulary that is not a valid `Vocabulary` of `vocab_size` tokens, a
-    mode that is not a query mode, markers that are not exactly the
-    `MarkerOptions` fields as booleans, a tensor that is not among the
-    config's `parameter_shapes` or is missing or misshapen, and a bad body
+    A first line that is not a JSON object, a header or config key missing
+    or unknown, a `format` other than 3, a config value that `EncoderConfig`
+    rejects, a vocabulary that is not a valid `Vocabulary`, a mode that is
+    not a query mode, markers that are not exactly the `MarkerOptions`
+    fields as booleans, a tensor that is not among the `parameter_shapes`
+    of the config and vocabulary or is missing or misshapen, and a bad body
     (see `_read_body`) raise ValueError naming the key or tensor.
     """
     head, _, body = Path(path).read_bytes().partition(b"\n")
@@ -622,18 +609,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValueError(f"checkpoint line 1 is not a JSON header ({e})") from None
     if not isinstance(doc, dict):
         raise ValueError("checkpoint header must be a JSON object")
-    for key in (*_CHECKPOINT_KEYS, *doc):
-        if (key in doc) != (key in _CHECKPOINT_KEYS):
-            state = "unknown" if key in doc else "missing"
-            raise ValueError(f"checkpoint key '{key}' is {state}: the checkpoint was saved by "
-                             "another version of aged; retrain the model")
+    _check_keys(doc, _CHECKPOINT_KEYS, "checkpoint key")
     if type(doc["format"]) is not int or doc["format"] != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint 'format' is {doc['format']!r}; this version of aged "
                          f"reads format {CHECKPOINT_FORMAT}: retrain the model")
     for key in ("config", "params", "markers"):
         if not isinstance(doc[key], dict):
             raise ValueError(f"checkpoint '{key}' is not a JSON object")
-    config = EncoderConfig.from_json(doc["config"])
+    _check_keys(doc["config"], [f.name for f in fields(EncoderConfig)], "checkpoint config key")
+    config = EncoderConfig(**doc["config"])
     tokens = doc["vocab"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError("checkpoint 'vocab' must be a list of strings")
@@ -641,9 +625,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         vocab = Vocabulary(tokens)
     except ValueError as e:
         raise ValueError(f"checkpoint 'vocab': {e}") from None
-    if len(vocab) != config.vocab_size:
-        raise ValueError(f"checkpoint 'vocab' has {len(vocab)} tokens, "
-                         f"but config vocab_size is {config.vocab_size}")
     query_modes = [mode.value for mode in QUERY_MODES]
     if doc["mode"] not in query_modes:
         raise ValueError(f"checkpoint 'mode' must be one of {query_modes}, "
@@ -653,7 +634,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if set(markers) != set(names) or any(type(v) is not bool for v in markers.values()):
         raise ValueError(f"checkpoint 'markers' must hold exactly {names} as booleans, "
                          f"got {json.dumps(markers)}")
-    shapes, specs = parameter_shapes(config), doc["params"]
+    shapes, specs = parameter_shapes(config, len(vocab)), doc["params"]
     if specs.keys() != shapes.keys():
         raise ValueError(f"checkpoint tensors missing: {sorted(shapes.keys() - specs.keys())}; "
                          f"not in this config: {sorted(specs.keys() - shapes.keys())}")
@@ -661,9 +642,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for name, shape in shapes.items():
         if specs[name] != list(shape):
             raise ValueError(f"checkpoint tensor '{name}': shape {specs[name]}, "
-                             f"expected {list(shape)} for this config")
+                             f"expected {list(shape)} for this config and vocabulary")
     return Checkpoint(config, FlatTensors(shapes, _read_body(body, shapes, config)), vocab,
                       TemplateMode(doc["mode"]), MarkerOptions(**markers))
+
+
+def _check_keys(doc: dict, names, what: str) -> None:
+    """Raise ValueError naming the first of `names` missing from `doc`, else
+    the first key of `doc` not in `names`."""
+    for key in (*names, *doc):
+        if (key in doc) != (key in names):
+            state = "unknown" if key in doc else "missing"
+            raise ValueError(f"{what} '{key}' is {state}: the checkpoint was saved by another "
+                             "version of aged; retrain the model")
 
 
 def _read_body(body: bytes, shapes: dict[str, tuple[int, ...]], config: EncoderConfig):

@@ -46,7 +46,6 @@ RESERVED_TOKENS = (
 
 UNK_ID = 1
 CLS_ID = 2
-SEP_ID = 3
 
 TEXT_SEGMENT = 0
 DEFINITION_SEGMENT = 1

@@ -10,7 +10,7 @@ is rendered from the ontology, not learned from instances.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -112,7 +112,7 @@ def run_holdout_experiment(
         stream_size=train_report.stream_size,
         epochs=train_config.epochs,
         config={
-            "encoder": model.config.to_json(),
+            "encoder": {"vocab_size": len(model.vocab), **asdict(model.config)},
             "learning_rate": train_config.learning_rate,
             "batch_size": train_config.batch_size,
             "seed": train_config.seed,

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -277,15 +277,14 @@ def untrained_model(
 ) -> Checkpoint:
     """The model `fit` trains, the same for the same arguments.
 
-    Its vocabulary is built from `instances` and the ontology, its embedding
-    sized to it (the `vocab_size` of `encoder_config` is ignored), its
-    parameters initialised from the encoder seed, and it carries the query
-    `mode` and `markers` from which its training and prediction pairs are
-    both assembled.
+    Its vocabulary is built from `instances` and the ontology, and has a
+    `tok_emb` row per token. Its parameters are initialised from the
+    encoder seed. It carries the query `mode` and `markers` from which its
+    training and prediction pairs are both assembled.
     """
     vocab = build_vocabulary(instances, store)
-    encoder_config = replace(encoder_config, vocab_size=len(vocab))
-    return Checkpoint(encoder_config, init_parameters(encoder_config), vocab, mode, markers)
+    return Checkpoint(encoder_config, init_parameters(encoder_config, len(vocab)), vocab, mode,
+                      markers)
 
 
 def fit(

@@ -62,10 +62,10 @@ def overfit(corpus):
 
     def one_run():
         config = EncoderConfig(
-            vocab_size=len(vocab), d_model=32, n_layers=2, n_heads=4,
+            d_model=32, n_layers=2, n_heads=4,
             max_len=256, seed=7, dtype="f32",
         )
-        model = Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
+        model = Checkpoint(config, init_parameters(config, len(vocab)), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
         train_config = TrainConfig(epochs=60, batch_size=8, learning_rate=1e-3, seed=7)
         stream = build_training_stream(train_instances, store, model, train_config)
         return train(stream, model, train_config)
@@ -107,10 +107,10 @@ def test_criterion_2_gradient_fidelity(corpus):
         started = time.monotonic()
         vocab = build_vocabulary(train_instances, store)
         config = EncoderConfig(
-            vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
+            d_model=8, n_layers=1, n_heads=2,
             max_len=64, seed=13, dtype="f64",
         )
-        params = init_parameters(config)
+        params = init_parameters(config, len(vocab))
         inst = train_instances[0]
         template = build_frame_template(store.frame(inst.frame))
         pair = assemble(inst, template, vocab, max_len=64)
@@ -215,7 +215,7 @@ def test_criterion_6_augmentation_accounting(corpus):
     store, train_instances, test_instances = corpus
     with criterion(6, "augmentation accounting"):
         config = TrainConfig(epochs=1, augment_fe_defs=True)
-        model = untrained_model(train_instances, store, EncoderConfig(vocab_size=1))
+        model = untrained_model(train_instances, store, EncoderConfig())
         for dataset in (train_instances, test_instances):
             stream = build_training_stream(dataset, store, model, config)
             total_args = sum(len(inst.arguments) for inst in dataset)
@@ -227,7 +227,7 @@ def test_criterion_7_zero_shot_mechanics(corpus):
     with criterion(7, "zero-shot mechanics"):
         holdout = {"Getting"}
         encoder_config = EncoderConfig(
-            vocab_size=1, d_model=16, n_layers=1, n_heads=2, max_len=256, seed=5
+            d_model=16, n_layers=1, n_heads=2, max_len=256, seed=5
         )
         reports = {}
         for mode in (TemplateMode.FRAME_DEF, TemplateMode.QUESTION):
@@ -287,10 +287,10 @@ def test_criterion_9_checkpoint_round_trip(corpus, tmp_path):
     with criterion(9, "checkpoint round-trip"):
         vocab = build_vocabulary(train_instances, store)
         config = EncoderConfig(
-            vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2,
+            d_model=16, n_layers=1, n_heads=2,
             max_len=256, seed=21, dtype="f64",
         )
-        model = Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
+        model = Checkpoint(config, init_parameters(config, len(vocab)), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
         train_config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-3, seed=21)
         stream = build_training_stream(train_instances, store, model, train_config)
         model, _ = train(stream, model, train_config)

@@ -350,13 +350,19 @@ def _before_format(ck):
 
 
 def _format_1(ck):
-    # the layout before this one: one JSON document holding base64 of each tensor
+    # format 1: one JSON document holding base64 of each tensor
     offset, params = 0, {}
     for name, shape in ck.header["params"].items():
         size = 4 * math.prod(shape)
         data = base64.b64encode(ck.body[offset : offset + size]).decode("ascii")
         params[name], offset = {"shape": shape, "data": data}, offset + size
     ck.file = json.dumps({**ck.header, "format": 1, "params": params}).encode()
+
+
+def _format_2(ck):
+    # format 2: this layout, with the vocabulary's size also in the config
+    ck.header.update(format=2)
+    ck.header["config"] = {"vocab_size": len(ck.header["vocab"]), **ck.header["config"]}
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -373,15 +379,15 @@ def _format_1(ck):
     (lambda ck: ck.header["params"].update(extra=[8, 8]), "not in this config: ['extra']"),
     (lambda ck: ck.header.pop("config"), "'config' is missing"),
     (lambda ck: ck.header["config"].update(dropout=0.0), "key 'dropout' is unknown"),
-    (lambda ck: ck.header["config"].pop("max_len"), "missing key 'max_len'"),
-    (lambda ck: ck.header["config"].update(vocab_size="x"),
-     "vocab_size must be an integer >= 1, got 'x'"),
+    (lambda ck: ck.header["config"].pop("max_len"), "config key 'max_len' is missing"),
+    (lambda ck: ck.header["config"].update(d_model="x"),
+     "d_model must be an integer >= 1, got 'x'"),
     (lambda ck: ck.header["config"].update(dtype=["f32"]), "dtype must be one of ['f32', 'f64']"),
     (lambda ck: ck.header.pop("format"), "key 'format' is missing"),
-    (lambda ck: ck.header.update(format=3), "'format' is 3; this version of aged reads format 2"),
+    (lambda ck: ck.header.update(format=4), "'format' is 4; this version of aged reads format 3"),
     (lambda ck: ck.header.pop("vocab"), "key 'vocab' is missing"),
     (lambda ck: ck.header.update(vocab=ck.header["vocab"][:40]),
-     "'vocab' has 40 tokens, but config vocab_size"),
+     "tensor 'tok_emb': shape [225, 8], expected [40, 8] for this config and vocabulary"),
     (_swap_first_tokens, "'vocab': vocabulary must start with the reserved tokens"),
     (lambda ck: ck.header.update(mode="fe-def"), "'mode' must be one of ['frame-def', 'question']"),
     (lambda ck: ck.header["markers"].update(frame_markers=True),
@@ -392,17 +398,21 @@ def _format_1(ck):
     (_tensor_data(lambda body, lo, hi: body[:-1]), "'pointer.w_end': 255 bytes, expected 256"),
     (_tensor_data(lambda body, lo, hi: body + b"\0"),
      "body has 1 byte(s) after its last tensor 'pointer.w_end'"),
-    (_format_1, "'format' is 1; this version of aged reads format 2: retrain the model"),
+    (_format_1, "'format' is 1; this version of aged reads format 3: retrain the model"),
+    (_format_2, "'format' is 2; this version of aged reads format 3: retrain the model"),
+    (lambda ck: ck.header["config"].update(vocab_size=len(ck.header["vocab"])),
+     "config key 'vocab_size' is unknown: the checkpoint was saved by another version of "
+     "aged; retrain the model"),
     (lambda ck: setattr(ck, "file", b"format = 2\n" + ck.body),
      "checkpoint line 1 is not a JSON header"),
     (_tensor_data(lambda body, lo, hi: body[:-4] + np.array([np.nan], "<f4").tobytes()),
      "'pointer.w_end': holds NaN or infinite"),
 ], ids=["truncated", "decimal-list", "nan", "infinite", "missing-tensor", "misshapen-tensor",
         "extra-tensor", "no-config", "old-dropout-config", "missing-config-key",
-        "string-size", "list-dtype", "no-format", "format-3", "no-vocab", "short-vocab",
+        "string-size", "list-dtype", "no-format", "format-4", "no-vocab", "short-vocab",
         "vocab-without-reserved-tokens", "fe-def-mode", "extra-marker", "extra-key",
         "saved-before-format", "body-one-byte-short", "trailing-byte", "format-1-file",
-        "header-not-json", "nan-in-last-tensor"])
+        "format-2-file", "vocab-size-in-config", "header-not-json", "nan-in-last-tensor"])
 def test_predict_rejects_bad_checkpoint(capsys, trained, tmp_path, monkeypatch, edit, message):
     # header edits rewrite the JSON first line, body edits the tensor bytes after it
     workdir, ckpt = trained
@@ -619,9 +629,15 @@ def test_config_file_bad_boolean_names_line(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
-@pytest.mark.parametrize("command", ["train", "experiment", "template"])
+@pytest.mark.parametrize("command, choices", [
+    ("train", "'frame-def', 'question'"),
+    ("predict", "'frame-def', 'question'"),
+    ("experiment", "'frame-def', 'question'"),
+    ("template", "'frame-def', 'fe-def', 'question'"),
+], ids=["train", "predict", "experiment", "template"])
 @pytest.mark.parametrize("where", ["flag", "file"])
-def test_bad_mode_names_flag_and_choices(capsys, tmp_path, monkeypatch, command, where):
+def test_bad_mode_names_flag_and_choices(capsys, tmp_path, monkeypatch, command, choices, where):
+    # only `template` renders fe-def templates; the other commands take a query mode
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.cfg"
     config.write_text("mode = bogus\n")
@@ -630,8 +646,7 @@ def test_bad_mode_names_flag_and_choices(capsys, tmp_path, monkeypatch, command,
     assert code == 1
     assert out == ""
     where = "" if where == "flag" else f"{config}:1: "
-    assert (f"error: {where}argument --mode: invalid choice: 'bogus' "
-            "(choose from 'frame-def', 'fe-def', 'question')") in err
+    assert f"error: {where}argument --mode: invalid choice: 'bogus' (choose from {choices})" in err
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
@@ -688,11 +703,13 @@ def test_fe_augmentation_rejected_in_question_mode(capsys, tmp_path, monkeypatch
 
 
 def test_train_rejects_fe_def_mode(capsys, tmp_path, monkeypatch):
+    # fe-def templates only augment training, so --mode refuses them like any bad mode
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, "train", "--mode", "fe-def", "--epochs", "1")
     assert code == 1
     assert out == ""
-    assert "fe-def is an augmentation mode" in err
+    assert ("error: argument --mode: invalid choice: 'fe-def' "
+            "(choose from 'frame-def', 'question')") in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -738,7 +755,7 @@ def test_train_exits_2_on_non_finite_loss(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("runtime error: non-finite loss at epoch 0, batch 0")
-    assert not (tmp_path / "checkpoint.json").exists()
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("k", ["abc", "-1", "1.5", ""])

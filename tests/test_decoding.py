@@ -125,8 +125,8 @@ def test_decode_agrees_with_independent_argmaxes_when_valid(seed):
 
 
 def test_predict_instance_is_structurally_total(store, vocab, test_instances):
-    config = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, seed=0)
-    model = Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF,
+    config = EncoderConfig(d_model=8, n_layers=1, n_heads=2, seed=0)
+    model = Checkpoint(config, init_parameters(config, len(vocab)), vocab, TemplateMode.FRAME_DEF,
                        MarkerOptions())
     for inst in test_instances[:4]:
         predictions = predict_instance(inst, store, model)
@@ -156,9 +156,8 @@ def reference_predict(inst, store, model):
 
 
 def _f64_model(vocab, mode):
-    config = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2, seed=3,
-                           dtype="f64")
-    return Checkpoint(config, init_parameters(config), vocab, mode, MarkerOptions())
+    config = EncoderConfig(d_model=16, n_layers=2, n_heads=2, seed=3, dtype="f64")
+    return Checkpoint(config, init_parameters(config, len(vocab)), vocab, mode, MarkerOptions())
 
 
 def _assert_matches_reference(predictions, instances, store, model):

@@ -36,17 +36,21 @@ from aged.templates import (
 )
 
 
+TINY_VOCAB = 64  # tokens, where a test has no vocabulary of its own
+
+
 def tiny_config(**overrides):
-    base = dict(vocab_size=64, d_model=8, n_layers=1, n_heads=2, max_len=64, seed=3, dtype="f64")
+    base = dict(d_model=8, n_layers=1, n_heads=2, max_len=64, seed=3, dtype="f64")
     base.update(overrides)
     return EncoderConfig(**base)
 
 
-def tiny_model(config):
-    """An untrained frame-def model whose vocabulary has `config.vocab_size` tokens."""
-    words = [f"w{i}" for i in range(config.vocab_size - len(RESERVED_TOKENS))]
-    return Checkpoint(config, init_parameters(config), Vocabulary([*RESERVED_TOKENS, *words]),
-                      TemplateMode.FRAME_DEF, MarkerOptions())
+def tiny_model(config, vocab_size=TINY_VOCAB):
+    """An untrained frame-def model whose vocabulary has `vocab_size` tokens."""
+    words = [f"w{i}" for i in range(vocab_size - len(RESERVED_TOKENS))]
+    return Checkpoint(config, init_parameters(config, vocab_size),
+                      Vocabulary([*RESERVED_TOKENS, *words]), TemplateMode.FRAME_DEF,
+                      MarkerOptions())
 
 
 def make_pair(ids, n_text):
@@ -76,16 +80,16 @@ def pair(store, vocab, train_instances):
 
 def test_init_is_deterministic():
     config = tiny_config()
-    a = init_parameters(config)
-    b = init_parameters(config)
+    a = init_parameters(config, TINY_VOCAB)
+    b = init_parameters(config, TINY_VOCAB)
     assert a.keys() == b.keys()
     for k in a:
         assert np.array_equal(a[k], b[k])
 
 
 def test_different_seed_changes_parameters():
-    a = init_parameters(tiny_config(seed=3))
-    b = init_parameters(tiny_config(seed=4))
+    a = init_parameters(tiny_config(seed=3), TINY_VOCAB)
+    b = init_parameters(tiny_config(seed=4), TINY_VOCAB)
     assert any(not np.array_equal(a[k], b[k]) for k in a)
 
 
@@ -95,8 +99,8 @@ def test_head_divisibility_enforced():
 
 
 def test_forward_shape_and_determinism(vocab, pair):
-    config = tiny_config(vocab_size=len(vocab), max_len=128)
-    params = init_parameters(config)
+    config = tiny_config(max_len=128)
+    params = init_parameters(config, len(vocab))
     first = forward(params, config, pair).reps
     second = forward(params, config, pair).reps
     assert first.shape == (len(pair.ids), config.d_model)
@@ -104,8 +108,8 @@ def test_forward_shape_and_determinism(vocab, pair):
 
 
 def test_attention_rows_are_probability_vectors(vocab, pair):
-    config = tiny_config(vocab_size=len(vocab), max_len=128)
-    params = init_parameters(config)
+    config = tiny_config(max_len=128)
+    params = init_parameters(config, len(vocab))
     _, cache = forward_cached(params, config, pair)
     for layer in cache["layers"]:
         probs = layer["e"] * layer["inv_sum"]
@@ -115,14 +119,14 @@ def test_attention_rows_are_probability_vectors(vocab, pair):
 
 def test_single_cls_token_input():
     config = tiny_config()
-    params = init_parameters(config)
+    params = init_parameters(config, TINY_VOCAB)
     pair = make_pair([CLS_ID], n_text=0)
     assert forward(params, config, pair).reps.shape == (1, config.d_model)
 
 
 def test_overlength_and_out_of_range_inputs_rejected():
     config = tiny_config(max_len=4)
-    params = init_parameters(config)
+    params = init_parameters(config, TINY_VOCAB)
     with pytest.raises(ValueError, match="max_len"):
         forward(params, config, make_pair([CLS_ID] * 5, n_text=3))
     with pytest.raises(ValueError, match="out of range"):
@@ -130,8 +134,8 @@ def test_overlength_and_out_of_range_inputs_rejected():
 
 
 def test_zero_upstream_gives_zero_gradients(vocab, pair):
-    config = tiny_config(vocab_size=len(vocab), max_len=128)
-    params = init_parameters(config)
+    config = tiny_config(max_len=128)
+    params = init_parameters(config, len(vocab))
     grads = backward(params, config, pair, np.zeros((len(pair.read_rows), config.d_model)))
     assert set(grads) == set(params)
     for name, g in grads.items():
@@ -140,8 +144,8 @@ def test_zero_upstream_gives_zero_gradients(vocab, pair):
 
 
 def test_backward_is_linear_in_upstream(vocab, pair):
-    config = tiny_config(vocab_size=len(vocab), max_len=128)
-    params = init_parameters(config)
+    config = tiny_config(max_len=128)
+    params = init_parameters(config, len(vocab))
     upstream = np.random.default_rng(0).normal(size=(len(pair.read_rows), config.d_model))
     g1 = backward(params, config, pair, upstream)
     g2 = backward(params, config, pair, 2.0 * upstream)
@@ -150,8 +154,8 @@ def test_backward_is_linear_in_upstream(vocab, pair):
 
 
 def test_backward_shape_mismatch_rejected(vocab, pair):
-    config = tiny_config(vocab_size=len(vocab), max_len=128)
-    params = init_parameters(config)
+    config = tiny_config(max_len=128)
+    params = init_parameters(config, len(vocab))
     n, d = len(pair.read_rows), config.d_model
     _, cache = forward_cached(params, config, pair)
     # a transposed upstream has the right size but not the right shape, a
@@ -168,8 +172,8 @@ def test_backward_shape_mismatch_rejected(vocab, pair):
 
 def test_encoder_gradients_match_finite_differences(vocab, pair):
     # quick spot check; the full sweep lives in the acceptance suite
-    config = tiny_config(vocab_size=len(vocab), max_len=128)
-    params = init_parameters(config)
+    config = tiny_config(max_len=128)
+    params = init_parameters(config, len(vocab))
     rng = np.random.default_rng(11)
     direction = rng.normal(size=(len(pair.ids), config.d_model))
 
@@ -198,9 +202,9 @@ def test_encoder_gradients_match_finite_differences(vocab, pair):
 @settings(max_examples=25, deadline=None)
 def test_forward_and_backward_stay_finite(seed, length):
     config = tiny_config(seed=seed)
-    params = init_parameters(config)
+    params = init_parameters(config, TINY_VOCAB)
     rng = np.random.default_rng(seed)
-    ids = rng.integers(0, config.vocab_size, size=length)
+    ids = rng.integers(0, TINY_VOCAB, size=length)
     pair = make_pair(list(ids), n_text=max(0, length - 2))
     reps = forward(params, config, pair).reps
     assert np.isfinite(reps).all()
@@ -209,8 +213,8 @@ def test_forward_and_backward_stay_finite(seed, length):
 
 
 def test_checkpoint_round_trip_is_bitwise(vocab, pair, tmp_path):
-    config = tiny_config(vocab_size=len(vocab), max_len=128, dtype="f64")
-    ckpt = tiny_model(config)
+    config = tiny_config(max_len=128, dtype="f64")
+    ckpt = tiny_model(config, len(vocab))
     path = tmp_path / "model.json"
     save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
@@ -245,12 +249,14 @@ def test_checkpoint_file_schema(tmp_path):
         doc = json.loads(head)
         assert newline == b"\n"
         assert list(doc) == ["format", "config", "vocab", "mode", "markers", "params"]
-        assert doc["format"] == 2
+        assert doc["format"] == 3
         assert doc["vocab"] == ckpt.vocab.tokens
         assert doc["mode"] == "frame-def"
         assert doc["markers"] == {"target_markers": True, "label_markers": True}
-        assert doc["config"]["d_model"] == config.d_model
-        assert doc["config"]["dtype"] == dtype
+        # the vocabulary, not the config, sizes the embedding
+        assert doc["config"] == {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 32,
+                                 "max_len": 64, "seed": 3, "dtype": dtype}
+        assert doc["params"]["tok_emb"] == [len(doc["vocab"]), config.d_model]
         assert list(doc["params"]) == list(ckpt.params)
         size = np.dtype(config.np_dtype).itemsize
         offset = 0
@@ -302,8 +308,8 @@ def test_loaded_parameters_are_writable(tmp_path):
 
 
 def test_padded_reps_equal_unpadded(vocab, pair):
-    config = tiny_config(vocab_size=len(vocab), max_len=128, n_layers=2)
-    params = init_parameters(config)
+    config = tiny_config(max_len=128, n_layers=2)
+    params = init_parameters(config, len(vocab))
     short = make_pair([CLS_ID, 11, 12, 3, 13, 3], n_text=2)
     cls_only = make_pair([CLS_ID], n_text=0)
     reps, cache = forward_batch(params, config, [short, pair, cls_only])
@@ -321,8 +327,8 @@ def test_padded_reps_equal_unpadded(vocab, pair):
 
 
 def test_padded_rows_get_no_gradient(vocab, pair):
-    config = tiny_config(vocab_size=len(vocab), max_len=128)
-    params = init_parameters(config)
+    config = tiny_config(max_len=128)
+    params = init_parameters(config, len(vocab))
     short = make_pair([CLS_ID, 11, 12, 3, 13, 3], n_text=2)
     reps, cache = forward_batch(params, config, [short, pair])
     upstream = np.random.default_rng(1).normal(size=reps.shape)
@@ -353,8 +359,8 @@ def assert_close_to(actual, expected, rel=1e-12):
 @pytest.mark.parametrize("n_layers", [1, 2])
 @pytest.mark.parametrize("batched", [False, True], ids=["single", "padded-batch"])
 def test_pruned_last_layer_equals_full_pass(vocab, pair, n_layers, batched):
-    config = tiny_config(vocab_size=len(vocab), max_len=128, n_layers=n_layers)
-    params = init_parameters(config)
+    config = tiny_config(max_len=128, n_layers=n_layers)
+    params = init_parameters(config, len(vocab))
     pairs = mixed_batch(pair) if batched else [pair]
     reps, cache = forward_batch(params, config, pairs)
     full_reps, full_cache = forward_batch(params, config, [read_everything(p) for p in pairs])
@@ -384,8 +390,8 @@ def test_pruned_last_layer_equals_full_pass(vocab, pair, n_layers, batched):
 def test_last_layer_caches_only_read_rows(vocab, pair, n_layers):
     # the work saved by pruning: the last layer's queries, attention rows and
     # feed-forward cover B x N rows, N the batch's most read rows
-    config = tiny_config(vocab_size=len(vocab), max_len=128, n_layers=n_layers)
-    params = init_parameters(config)
+    config = tiny_config(max_len=128, n_layers=n_layers)
+    params = init_parameters(config, len(vocab))
     pairs = mixed_batch(pair)
     reps, cache = forward_batch(params, config, pairs)
     batch, most_read, _ = reps.shape

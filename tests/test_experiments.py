@@ -10,7 +10,7 @@ from aged.training import TrainConfig
 
 
 def quick_configs(epochs=3):
-    encoder = EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2, max_len=256, seed=5)
+    encoder = EncoderConfig(d_model=8, n_layers=1, n_heads=2, max_len=256, seed=5)
     training = TrainConfig(epochs=epochs, batch_size=8, learning_rate=1e-3, seed=5)
     return encoder, training
 
@@ -39,7 +39,7 @@ def test_experiment_builds_the_model_once(store, train_instances, test_instances
     calls = []
     init_parameters = aged.training.init_parameters
     monkeypatch.setattr(aged.training, "init_parameters",
-                        lambda config: calls.append(config) or init_parameters(config))
+                        lambda *args: calls.append(args) or init_parameters(*args))
     encoder, training = quick_configs(epochs=1)
     run_holdout_experiment(train_instances, test_instances, store, {"Getting"}, 0, encoder, training)
     assert len(calls) == 1

@@ -182,10 +182,8 @@ def test_end_to_end_gradients_match_finite_differences(store, vocab, train_insta
     template = build_frame_template(store.frame(inst.frame))
     pair = assemble(inst, template, vocab)
     labels = gold_labels(inst, template)
-    config = EncoderConfig(
-        vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, max_len=128, seed=1, dtype="f64"
-    )
-    params = init_parameters(config)
+    config = EncoderConfig(d_model=8, n_layers=1, n_heads=2, max_len=128, seed=1, dtype="f64")
+    params = init_parameters(config, len(vocab))
     _, _, grads = loss_and_gradients(params, config, pair, labels)
 
     from aged.encoder import forward
@@ -234,10 +232,8 @@ def mixed_batch(store, vocab, train_instances):
     labels.insert(2, [])
     assert len({len(p.ids) for p in pairs}) == len(pairs)
     assert len({len(p.slot_pos) for p in pairs}) >= 3
-    config = EncoderConfig(
-        vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, max_len=128, seed=4, dtype="f64"
-    )
-    return config, init_parameters(config), pairs, labels
+    config = EncoderConfig(d_model=8, n_layers=2, n_heads=2, max_len=128, seed=4, dtype="f64")
+    return config, init_parameters(config, len(vocab)), pairs, labels
 
 
 def test_score_batch_equals_per_pair_reference(store, vocab, train_instances):
@@ -330,9 +326,8 @@ def test_one_hot_scatters_equal_add_at_exactly():
         EncodedPair(ids=(2, 4, 4, 3, 6, 6, 3), sentence_pos=(1, 2),
                     slot_pos=((4, 5),), slot_fes=("A",), segment=(0, 0, 0, 0, 1, 1, 1)),
     ]
-    config = EncoderConfig(vocab_size=12, d_model=8, n_layers=1, n_heads=2, max_len=16,
-                           seed=1, dtype="f64")
-    params = init_parameters(config)
+    config = EncoderConfig(d_model=8, n_layers=1, n_heads=2, max_len=16, seed=1, dtype="f64")
+    params = init_parameters(config, 12)
     reps, cache = forward_batch(params, config, pairs)
     assert reps.shape[1] == 9  # the (B, N, d) read rows; pair 1 has 4 rows of padding
     reps[0, 6] = reps[0, 7]  # positions 7 and 8 tie in the maxpool: the first row wins

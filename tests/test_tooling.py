@@ -69,8 +69,8 @@ def test_benchmark_observers_read_what_they_need(tracing, mini, tmp_path):
     # renamed argument or a changed result fails here, not in the benchmark
     store, train_instances, _ = mini
     vocab = build_vocabulary(train_instances, store)
-    config = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2)
-    model = Checkpoint(config, init_parameters(config), vocab, TemplateMode.FRAME_DEF,
+    config = EncoderConfig(d_model=8, n_layers=1, n_heads=2)
+    model = Checkpoint(config, init_parameters(config, len(vocab)), vocab, TemplateMode.FRAME_DEF,
                        MarkerOptions())
     inst = train_instances[0]
     template = build_frame_template(store.frame(inst.frame))
@@ -102,9 +102,8 @@ def test_benchmark_observers_read_what_they_need(tracing, mini, tmp_path):
                      "training.clipped", "decoding.candidates", "encoding.pair_tokens"}
 
 
-# EncoderConfig fields that no flag sets: `fit` sizes the vocabulary, and the
-# gradient tests run in f64
-NOT_FROM_FLAGS = {"vocab_size", "dtype"}
+# EncoderConfig fields that no flag sets: the gradient tests run in f64
+NOT_FROM_FLAGS = {"dtype"}
 
 
 def test_every_encoder_config_field_is_set_from_flags(monkeypatch):
@@ -116,7 +115,7 @@ def test_every_encoder_config_field_is_set_from_flags(monkeypatch):
     assert unreachable <= NOT_FROM_FLAGS
 
 
-# ROADMAP item 2 decides whether clipping stays
+# ROADMAP item 3 decides whether clipping stays
 TRAIN_NOT_FROM_FLAGS = {"grad_clip"}
 
 
@@ -124,16 +123,16 @@ def test_every_train_config_field_is_set_from_flags(monkeypatch):
     # a training setting that no command can set is reachable only from tests
     set_by_cli = {}
     monkeypatch.setattr(aged.cli, "TrainConfig", lambda **fields: set_by_cli.update(fields))
-    aged.cli._train_config(aged.cli.DEFAULTS["train"], "checkpoint.json")
+    aged.cli._train_config(aged.cli.DEFAULTS["train"], "model.ckpt")
     unreachable = {f.name for f in dataclasses.fields(TrainConfig)} - set(set_by_cli)
     assert unreachable <= TRAIN_NOT_FROM_FLAGS
 
 
 def _written_keys():
     """The top-level keys that `save_checkpoint` writes, read back from a saved file."""
-    config = EncoderConfig(vocab_size=len(RESERVED_TOKENS), d_model=2, n_layers=1, n_heads=1)
-    model = Checkpoint(config, init_parameters(config), Vocabulary(RESERVED_TOKENS),
-                       TemplateMode.FRAME_DEF, MarkerOptions())
+    config = EncoderConfig(d_model=2, n_layers=1, n_heads=1)
+    model = Checkpoint(config, init_parameters(config, len(RESERVED_TOKENS)),
+                       Vocabulary(RESERVED_TOKENS), TemplateMode.FRAME_DEF, MarkerOptions())
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "model.ckpt"
         save_checkpoint(model, path)
@@ -149,7 +148,7 @@ def saved(request, mini, tmp_path_factory):
     store, train_instances, _ = mini
     mode, markers = request.param
     untrained = untrained_model(train_instances[:6], store,
-                                EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2),
+                                EncoderConfig(d_model=8, n_layers=1, n_heads=2),
                                 mode=mode, markers=markers)
     model, _ = fit(untrained, train_instances[:6], store, TrainConfig(epochs=1))
     path = tmp_path_factory.mktemp("checkpoint") / "model.ckpt"

@@ -33,11 +33,9 @@ from aged.training import (
 
 def small_model(vocab, d_model=8, n_layers=1, n_heads=2, seed=0, dtype="f32",
                 mode=TemplateMode.FRAME_DEF, markers=MarkerOptions()):
-    config = EncoderConfig(
-        vocab_size=len(vocab), d_model=d_model, n_layers=n_layers,
-        n_heads=n_heads, max_len=256, seed=seed, dtype=dtype,
-    )
-    return Checkpoint(config, init_parameters(config), vocab, mode, markers)
+    config = EncoderConfig(d_model=d_model, n_layers=n_layers, n_heads=n_heads, max_len=256,
+                           seed=seed, dtype=dtype)
+    return Checkpoint(config, init_parameters(config, len(vocab)), vocab, mode, markers)
 
 
 def test_stream_frame_def_with_augmentation(store, vocab):
@@ -115,7 +113,7 @@ def test_bad_seed_rejected(seed):
     with pytest.raises(ValueError, match=message):
         TrainConfig(seed=seed)
     with pytest.raises(ValueError, match=message):
-        EncoderConfig(vocab_size=1, seed=seed)
+        EncoderConfig(seed=seed)
 
 
 @pytest.mark.parametrize("name", ["epochs", "batch_size"])
@@ -254,9 +252,9 @@ def test_training_matches_per_tensor_adam_bitwise(store, vocab, train_instances,
 
     config = TrainConfig(epochs=2, batch_size=4, learning_rate=3e-3, seed=4,
                          augment_fe_defs=True, grad_clip=0.5)
-    enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
-                        max_len=256, seed=0, dtype=dtype)
-    model = Checkpoint(enc, init_parameters(enc), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
+    enc = EncoderConfig(d_model=8, n_layers=1, n_heads=2, max_len=256, seed=0, dtype=dtype)
+    model = Checkpoint(enc, init_parameters(enc, len(vocab)), vocab, TemplateMode.FRAME_DEF,
+                       MarkerOptions())
     stream = build_training_stream(train_instances[:8], store, model, config)
     trained, report = train(stream, model, config)
     monkeypatch.setattr(aged.training, "Adam", ReferenceAdam)
@@ -382,19 +380,20 @@ def test_fit_equals_hand_built_pipeline_bitwise(store, train_instances, test_ins
     instances, dev = train_instances[:6], test_instances[:2]
     config = TrainConfig(epochs=2, batch_size=4, seed=3)
     shape = dict(d_model=8, n_layers=1, n_heads=2, max_len=256, seed=2)
-    untrained = untrained_model(instances, store, EncoderConfig(vocab_size=1, **shape), mode=mode)
+    encoder_config = EncoderConfig(**shape)
+    untrained = untrained_model(instances, store, encoder_config, mode=mode)
     model, report = fit(untrained, instances, store, config, dev=dev)
 
     expected_vocab = build_vocabulary(instances, store)
-    sized = EncoderConfig(vocab_size=len(expected_vocab), **shape)
-    initial = Checkpoint(sized, init_parameters(sized), expected_vocab, mode, MarkerOptions())
+    initial = Checkpoint(encoder_config, init_parameters(encoder_config, len(expected_vocab)),
+                         expected_vocab, mode, MarkerOptions())
     stream = build_training_stream(instances, store, initial, config)
     expected, expected_report = train(
         stream, initial, config, dev=(dev, query_pairs(dev, store, initial)),
     )
     assert model.vocab.tokens == expected_vocab.tokens
     assert (model.mode, model.markers) == (mode, MarkerOptions())
-    assert model.config == sized
+    assert model.config == encoder_config
     assert report.stream_size == len(stream)
     assert report.epoch_losses == expected_report.epoch_losses
     assert [epoch for epoch, _ in report.dev_f1_history] == [0, 1]
@@ -405,7 +404,7 @@ def test_fit_equals_hand_built_pipeline_bitwise(store, train_instances, test_ins
 
 
 def test_fit_scores_a_dev_set_every_epoch(store, train_instances, test_instances):
-    encoder_config = EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2)
+    encoder_config = EncoderConfig(d_model=8, n_layers=1, n_heads=2)
     config = TrainConfig(epochs=3)
     model = untrained_model(train_instances[:4], store, encoder_config)
     _, report = fit(model, train_instances[:4], store, config, dev=test_instances[:2])
@@ -421,7 +420,7 @@ def test_fit_checks_dev_set_before_training(store, train_instances, tmp_path, mo
     dev_path = tmp_path / "dev.jsonl"
     dev_path.write_text(f"{json.dumps(first)}\n\n{json.dumps(long)}\n")  # long is on line 3
     monkeypatch.setattr(aged.training, "train", lambda *a, **k: pytest.fail("trained"))
-    encoder_config = EncoderConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2)
+    encoder_config = EncoderConfig(d_model=8, n_layers=1, n_heads=2)
     config = TrainConfig(epochs=1)
     model = untrained_model(train_instances[:4], store, encoder_config)
     with pytest.raises(PairTooLongError, match="max_len is 256") as err:
