@@ -135,12 +135,21 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _k_shot(value: str) -> str:
+    """--k: an integer >= 0 or 'full', in any case and with spaces around;
+    returned stripped and lower-cased."""
+    k = value.strip().lower()
+    if k != "full" and not k.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0 or 'full', got {value!r}")
+    return k
+
+
 def _add_option(parser: _Parser, key: str, default, choices: list[str] | None) -> None:
     if isinstance(default, bool):  # every boolean setting is off by default
         parser.add_argument(_flag(key), dest=key, action="store_true", help="(default: off)")
     else:
-        parser.add_argument(_flag(key), dest=key, type=type(default), default=default,
-                            choices=choices, help=f"(default: {default})")
+        parser.add_argument(_flag(key), dest=key, type=_k_shot if key == "k" else type(default),
+                            default=default, choices=choices, help=f"(default: {default})")
 
 
 @functools.cache
@@ -338,19 +347,22 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
     """Read `aged predict` output aligned with the gold file, one record per line.
 
     Rejects, naming the 1-based line, a record or prediction that is not an
-    object, a `predictions` that is not a list, a record past the last gold
-    instance, a frame that differs from the gold instance's, an FE outside
-    that frame or predicted twice, a span that is neither null nor a list of
-    two integers 1 <= start <= end <= len(tokens), and a score that is not a
-    finite number. A boolean is not a number here. Fewer records than gold
-    instances are rejected too.
+    object, a missing `predictions`, `fe`, `span` or `score` (`aged predict`
+    writes them all), a `predictions` that is not a list, a record past the
+    last gold instance, a frame that differs from the gold instance's, an FE
+    outside that frame or predicted twice, a span that is neither null nor a
+    list of two integers 1 <= start <= end <= len(tokens), and a score that
+    is not a finite number. A boolean is not a number here. Fewer records
+    than gold instances are rejected too.
     """
     gold = iter(enumerate(gold_instances, start=1))
 
     def parse(rec: object, where: str) -> list[SpanPrediction]:
         if not isinstance(rec, dict):
             raise CorpusError("a prediction record must be a JSON object")
-        raw_preds = rec.get("predictions", [])
+        if "predictions" not in rec:
+            raise CorpusError("a prediction record needs 'predictions'")
+        raw_preds = rec["predictions"]
         if not isinstance(raw_preds, list):
             raise CorpusError("'predictions' must be a list")
         i, inst = next(gold, (None, None))
@@ -368,12 +380,14 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
         for p in raw_preds:
             if not isinstance(p, dict):
                 raise CorpusError(f"a prediction must be a JSON object, got {p!r}")
-            fe = p.get("fe")
+            for key in ("fe", "span", "score"):
+                if key not in p:
+                    raise CorpusError(f"a prediction needs '{key}', got {json.dumps(p)}")
+            fe, span, score = p["fe"], p["span"], p["score"]
             if not isinstance(fe, str) or fe not in frame.fes:
                 raise CorpusError(f"FE {fe!r} is not in frame '{inst.frame}'")
             if any(prev.fe == fe for prev in preds):
                 raise CorpusError(f"FE '{fe}' is predicted more than once")
-            span = p.get("span")
             if span is not None:
                 if (
                     not isinstance(span, list) or len(span) != 2
@@ -386,7 +400,6 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
                 if not (1 <= span[0] and span[1] <= n):
                     raise CorpusError(f"span {span} for FE '{fe}' outside 1..{n}")
                 span = tuple(span)
-            score = p.get("score", 0.0)
             if type(score) not in (int, float) or not math.isfinite(score):
                 raise CorpusError(f"score {score!r} for FE '{fe}' is not a finite number")
             preds.append(SpanPrediction(fe, span, float(score)))
@@ -420,13 +433,7 @@ def cmd_eval(cfg: dict, force: bool) -> int:
 def cmd_experiment(cfg: dict, force: bool) -> int:
     out_path = cfg["out"]
     _check_output(out_path, force)
-    k_raw = str(cfg["k"]).strip().lower()
-    if k_raw == "full":
-        k = None
-    elif k_raw.isdecimal():
-        k = int(k_raw)
-    else:
-        raise UsageError(f"--k must be an integer >= 0 or 'full', got {cfg['k']!r}")
+    k = None if cfg["k"] == "full" else int(cfg["k"])
     encoder_config, train_config = _encoder_config(cfg), _train_config(cfg, None)
     store = load_ontology(cfg["frames"])
     train_instances = load_instances(cfg["train"], store)

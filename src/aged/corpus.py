@@ -59,6 +59,18 @@ def _read_jsonl(path: str | Path, parse: Callable[[object, str], object]) -> lis
     return out
 
 
+def name_tokens(name: str) -> list[str]:
+    """Tokenize a frame name, FE name or mention surface; underscores become
+    token boundaries."""
+    return name.replace("_", " ").split()
+
+
+def _check_name(what: str, name: str) -> None:
+    """Refuse a name that templates would render as no tokens at all."""
+    if not name_tokens(name):
+        raise CorpusError(f"{what} {name!r} gives no tokens (split at spaces and underscores)")
+
+
 @dataclass(frozen=True)
 class TextSegment:
     text: str
@@ -102,6 +114,8 @@ class MarkedText:
                 raise CorpusError(f"segment keys must be {{text}} or {{fe, surface}}, got {sorted(seg)}")
             if set(map(type, seg.values())) != {str} or "" in (seg.get("text"), seg.get("surface")):
                 raise CorpusError(f"segment {json.dumps(seg)} needs non-empty strings")
+            if "surface" in seg:
+                _check_name(f"mention of FE '{seg['fe']}': surface", seg["surface"])
             segments.append(TextSegment(**seg) if "text" in seg else MentionSegment(**seg))
         return MarkedText(tuple(segments))
 
@@ -184,6 +198,7 @@ def _parse_frame(rec: object) -> Frame:
     name = rec.get("name")
     if not name or not isinstance(name, str):
         raise CorpusError("frame record needs a non-empty 'name'")
+    _check_name("frame name", name)
     definition = MarkedText.from_json(rec.get("definition", []))
     fe_order = rec.get("fe_order")
     fes_raw = rec.get("fes")
@@ -199,8 +214,7 @@ def _parse_frame(rec: object) -> Frame:
         )
     fes: dict[str, FrameElement] = {}
     for fe_name, fe_rec in fes_raw.items():
-        if not fe_name:
-            raise CorpusError(f"frame '{name}' has an FE with an empty name")
+        _check_name(f"frame '{name}': FE name", fe_name)
         if not isinstance(fe_rec, dict):
             raise CorpusError(f"FE '{fe_name}' of '{name}' must be a JSON object, got {fe_rec!r}")
         try:

@@ -96,13 +96,6 @@ class FlatTensors(dict):
         return FlatTensors(self.shapes, self.flat.copy())
 
 
-@dataclass
-class ContextualEncoding:
-    """Per-position representations for one assembled pair, shape (len, d_model)."""
-
-    reps: np.ndarray
-
-
 def parameter_shapes(config: EncoderConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """The name and shape of every tensor, in parameter order: `tok_emb` has
     a row per vocabulary token.
@@ -378,16 +371,17 @@ def forward_batch(
     if length > config.max_len:
         raise ValueError(f"input length {length} exceeds max_len {config.max_len}")
     ids = np.zeros((batch, length), dtype=np.intp)
-    segments = np.zeros((batch, length), dtype=np.intp)
     read = np.zeros((batch, length), dtype=bool)
     for b, pair in enumerate(pairs):
         ids[b, : lengths[b]] = pair.ids
-        segments[b, : lengths[b]] = pair.segment
         read[b, pair.read_rows] = True
     if ids.max() >= len(params["tok_emb"]):
         raise ValueError(f"token id {int(ids.max())} out of range for a vocabulary of "
                          f"{len(params['tok_emb'])} tokens")
     valid = np.arange(length) < lengths[:, None]
+    # segment 1 is the definition; padded positions stay in segment 0
+    starts = np.array([pair.definition_start for pair in pairs])
+    segments = ((np.arange(length) >= starts[:, None]) & valid).astype(np.intp)
     d = config.d_model
     # each pair's read rows, then distinct unread ones (a fancy-index write in the
     # backward drops duplicates) up to the batch's most read rows; as flat (B*L) rows
@@ -452,7 +446,7 @@ def forward_cached(
     params: ParameterSet,
     config: EncoderConfig,
     pair: EncodedPair,
-) -> tuple[ContextualEncoding, dict]:
+) -> tuple[np.ndarray, dict]:
     """`forward_batch` of the single pair, its rows at their positions: (len, d_model) reps.
 
     Kept for the tests and the per-layer benchmark tracer.
@@ -460,17 +454,16 @@ def forward_cached(
     rows, cache = forward_batch(params, config, [pair])
     reps = np.zeros((len(pair.ids), rows.shape[2]), rows.dtype)
     reps[pair.read_rows] = rows[0]
-    return ContextualEncoding(reps), cache
+    return reps, cache
 
 
-def forward(params: ParameterSet, config: EncoderConfig, pair: EncodedPair) -> ContextualEncoding:
+def forward(params: ParameterSet, config: EncoderConfig, pair: EncodedPair) -> np.ndarray:
     """Contextual representations of one pair, (len, d_model); the per-pair reference.
 
     As in `forward_batch`, only the pair's `read_rows` are computed; here
     every other row is 0.
     """
-    encoding, _ = forward_cached(params, config, pair)
-    return encoding
+    return forward_cached(params, config, pair)[0]
 
 
 def backward_from_cache(

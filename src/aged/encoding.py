@@ -47,9 +47,6 @@ RESERVED_TOKENS = (
 UNK_ID = 1
 CLS_ID = 2
 
-TEXT_SEGMENT = 0
-DEFINITION_SEGMENT = 1
-
 # Slot labels are (start, end) sentence indices; (0, 0) means no argument.
 SlotLabel = tuple[int, int]
 
@@ -123,27 +120,24 @@ class EncodedPair:
     """An assembled sentence/template pair with index maps.
 
     `sentence_pos[i-1]` is the assembled position of sentence token w_i;
-    together with `cls_pos` these are the n+1 pointer candidate positions.
-    `slot_pos` holds the assembled (start, end) of each template slot, in
-    slot order, always inside the definition segment.
+    with [CLS] at 0 these are the n+1 pointer candidate positions.
+    `definition_start` is the first position after the first [SEP]: the
+    definition segment runs from there to the end. `slot_pos` holds the
+    assembled (start, end) of each template slot, in slot order, always
+    inside the definition segment.
     """
 
     ids: tuple[int, ...]
     sentence_pos: tuple[int, ...]
     slot_pos: tuple[tuple[int, int], ...]
     slot_fes: tuple[str, ...]
-    segment: tuple[int, ...]
-
-    cls_pos = 0
-
-    def candidate_positions(self) -> tuple[int, ...]:
-        return (self.cls_pos,) + self.sentence_pos
+    definition_start: int
 
     @functools.cached_property
     def read_rows(self) -> np.ndarray:
-        """The sorted assembled positions the pointer heads read: the candidate
-        positions and every row of every slot span. Derived once per pair."""
-        read = {self.cls_pos, *self.sentence_pos}
+        """The sorted assembled positions the pointer heads read: [CLS], the
+        sentence tokens and every row of every slot span. Derived once per pair."""
+        read = {0, *self.sentence_pos}
         for start, end in self.slot_pos:
             read.update(range(start, end + 1))
         rows = np.array(sorted(read), np.intp)
@@ -184,13 +178,12 @@ def assemble(
     if len(toks) > max_len:
         where = f"{instance.origin}: " if instance.origin else ""
         raise PairTooLongError(f"{where}assembled pair has {len(toks)} tokens, max_len is {max_len}")
-    segment = (TEXT_SEGMENT,) * text_len + (DEFINITION_SEGMENT,) * (len(toks) - text_len)
     return EncodedPair(
         ids=vocab.encode(toks),
         sentence_pos=sentence_pos,
         slot_pos=slot_pos,
         slot_fes=template.slot_fes,
-        segment=segment,
+        definition_start=text_len,
     )
 
 

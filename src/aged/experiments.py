@@ -37,19 +37,9 @@ class ExperimentReport:
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "holdout_frames": self.holdout_frames,
-            "mode": self.mode,
-            "train_counts": self.train_counts,
-            "holdout_certified": self.holdout_certified,
-            "predictions_complete": self.predictions_complete,
-            "overall": self.overall.to_json(),
-            "per_frame": {f: m.to_json() for f, m in self.per_frame.items()},
-            "stream_size": self.stream_size,
-            "epochs": self.epochs,
-            "config": self.config,
-        }
+        """The fields in order, the metrics in their `Metrics.to_json` form."""
+        return {**asdict(self), "overall": self.overall.to_json(),
+                "per_frame": {f: m.to_json() for f, m in self.per_frame.items()}}
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2), encoding="utf-8")

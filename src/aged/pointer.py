@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import (
-    ContextualEncoding,
     EncoderConfig,
     FlatTensors,
     ParameterSet,
@@ -39,29 +38,18 @@ class PointerDistribution:
     end_probs: np.ndarray
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    loss_start: float
-    loss_end: float
-    total: float
-
-    @staticmethod
-    def combine(loss_start: float, loss_end: float) -> "LossBreakdown":
-        return LossBreakdown(loss_start, loss_end, 0.5 * loss_start + 0.5 * loss_end)
-
-
-def make_queries(encoding: ContextualEncoding, pair: EncodedPair) -> np.ndarray:
-    """Maxpool each slot's contextual rows (mention tokens only, no markers).
+def make_queries(reps: np.ndarray, pair: EncodedPair) -> np.ndarray:
+    """Maxpool each slot's rows of `reps` (mention tokens only, no markers).
 
     Returns one row per slot, in `pair.slot_fes` order. Per-slot reference for
     `score_batch`, kept for the tests and the tracer.
     """
-    return np.array([encoding.reps[start : end + 1].max(axis=0) for start, end in pair.slot_pos])
+    return np.array([reps[start : end + 1].max(axis=0) for start, end in pair.slot_pos])
 
 
 def pointer_distributions(
     params: ParameterSet,
-    encoding: ContextualEncoding,
+    reps: np.ndarray,
     pair: EncodedPair,
     queries: np.ndarray,
 ) -> list[PointerDistribution]:
@@ -69,7 +57,7 @@ def pointer_distributions(
 
     Per-slot reference for `score_batch`, kept for the tests and the tracer.
     """
-    rows = encoding.reps[np.asarray(pair.candidate_positions())]  # [CLS] + sentence
+    rows = reps[[0, *pair.sentence_pos]]  # [CLS] + sentence
     w_start, w_end = params["pointer.w_start"], params["pointer.w_end"]
     out = []
     for fe, q in zip(pair.slot_fes, queries):
@@ -79,7 +67,7 @@ def pointer_distributions(
     return out
 
 
-def slot_loss(distributions: list[PointerDistribution], labels: list[SlotLabel]) -> LossBreakdown:
+def slot_loss(distributions: list[PointerDistribution], labels: list[SlotLabel]) -> float:
     """Cross entropy summed over slots: 0.5 * sum(-log p_start) + 0.5 * sum(-log p_end).
 
     Per-pair reference for the loss of `batch_loss_and_gradients`.
@@ -94,7 +82,7 @@ def slot_loss(distributions: list[PointerDistribution], labels: list[SlotLabel])
             raise ValueError(f"label ({s}, {e}) outside 0..{n_plus_1 - 1}")
         loss_start += -float(np.log(dist.start_probs[s]))
         loss_end += -float(np.log(dist.end_probs[e]))
-    return LossBreakdown.combine(loss_start, loss_end)
+    return 0.5 * loss_start + 0.5 * loss_end
 
 
 def score_batch(
@@ -153,7 +141,7 @@ def batch_loss_and_gradients(
     pairs: list[EncodedPair],
     labels: list[list[SlotLabel]],
     out: FlatTensors | None = None,
-) -> tuple[list[LossBreakdown], list[list[PointerDistribution]], FlatTensors]:
+) -> tuple[list[float], list[list[PointerDistribution]], FlatTensors]:
     """Forward and backward for a mini-batch: `forward_batch`, `score_batch`, backward.
 
     Returns each pair's loss and pointer distributions, and exact gradients
@@ -200,11 +188,8 @@ def batch_loss_and_gradients(
     for name, head_dz in dz.items():
         np.matmul(head_dz.reshape(-1, d).T, queries.reshape(-1, d), out=grads[name])
 
-    breakdowns = [
-        LossBreakdown.combine(float(nll[0][b].sum()), float(nll[1][b].sum()))
-        for b in range(batch)
-    ]
-    return breakdowns, distributions, grads
+    losses = [0.5 * float(nll[0][b].sum()) + 0.5 * float(nll[1][b].sum()) for b in range(batch)]
+    return losses, distributions, grads
 
 
 def _reps_grad(scores: dict, d_rows: np.ndarray, d_queries: np.ndarray):
@@ -231,9 +216,7 @@ def loss_and_gradients(
     config: EncoderConfig,
     pair: EncodedPair,
     labels: list[SlotLabel],
-) -> tuple[LossBreakdown, list[PointerDistribution], FlatTensors]:
+) -> tuple[float, list[PointerDistribution], FlatTensors]:
     """`batch_loss_and_gradients` of the single pair, kept for the tests and the tracer."""
-    [breakdown], [distributions], grads = batch_loss_and_gradients(
-        params, config, [pair], [labels]
-    )
-    return breakdown, distributions, grads
+    [loss], [distributions], grads = batch_loss_and_gradients(params, config, [pair], [labels])
+    return loss, distributions, grads

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import CorpusError, Frame, MentionSegment
+from .corpus import CorpusError, Frame, MentionSegment, name_tokens
 
 FRAME_OPEN = "<f>"
 FRAME_CLOSE = "</f>"
@@ -72,11 +72,6 @@ class DefinitionTemplate:
     @property
     def slot_fes(self) -> tuple[str, ...]:
         return tuple(s.fe for s in self.slots)
-
-
-def name_tokens(name: str) -> list[str]:
-    """Tokenize a frame or FE name; underscores become token boundaries."""
-    return name.replace("_", " ").split()
 
 
 class _Builder:

@@ -226,11 +226,11 @@ def train(
         for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
             batch = order[lo : lo + config.batch_size]
             examples = [stream[idx] for idx in batch]
-            breakdowns, _, grads = batch_loss_and_gradients(
+            losses, _, grads = batch_loss_and_gradients(
                 params, enc_config, [ex.pair for ex in examples], [ex.labels for ex in examples],
                 grads,
             )
-            batch_loss = sum(breakdown.total for breakdown in breakdowns)
+            batch_loss = sum(losses)
             if not math.isfinite(batch_loss):
                 raise NonFiniteLossError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no} "

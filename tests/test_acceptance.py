@@ -121,7 +121,7 @@ def test_criterion_2_gradient_fidelity(corpus):
             encoding = forward(params, config, pair)
             queries = make_queries(encoding, pair)
             dists = pointer_distributions(params, encoding, pair, queries)
-            return slot_loss(dists, labels).total
+            return slot_loss(dists, labels)
 
         eps = 1e-5
         rng = np.random.default_rng(99)
@@ -301,8 +301,8 @@ def test_criterion_9_checkpoint_round_trip(corpus, tmp_path):
 
         template = build_frame_template(store.frame(test_instances[0].frame))
         pair = assemble(test_instances[0], template, vocab)
-        before = forward(model.params, model.config, pair).reps
-        after = forward(loaded.params, loaded.config, pair).reps
+        before = forward(model.params, model.config, pair)
+        after = forward(loaded.params, loaded.config, pair)
         assert before.dtype == np.float64
         assert np.array_equal(before, after)  # bitwise
 

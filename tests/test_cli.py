@@ -273,9 +273,12 @@ def _gold_as_predictions(path, edit):
     (lambda preds, inst: preds[0].update(span=5), "bad span 5"),
     (lambda preds, inst: preds[0].update(span=True), "bad span true"),
     (lambda preds, inst: preds[0].update(span=[True, True]), "bad span [true, true]"),
+    (lambda preds, inst: preds[0].pop("span"), "a prediction needs 'span'"),
+    (lambda preds, inst: preds[-1].pop("score"), "a prediction needs 'score'"),
+    (lambda preds, inst: preds[0].pop("fe"), "a prediction needs 'fe'"),
 ], ids=["duplicate-fe", "unknown-fe", "span-past-end", "span-before-start", "start-after-end",
         "not-an-object", "nan-score", "infinite-score", "string-score", "bool-score", "int-span",
-        "bool-span", "bool-pair-span"])
+        "bool-span", "bool-pair-span", "no-span", "no-score", "no-fe"])
 def test_eval_rejects_invalid_predictions(capsys, tmp_path, monkeypatch, edit, message):
     monkeypatch.chdir(tmp_path)
     pred_path = tmp_path / "bad.jsonl"
@@ -310,7 +313,9 @@ def test_eval_rejects_record_count_mismatch(capsys, tmp_path, monkeypatch, recor
     (b"[1, 2]", "a prediction record must be a JSON object"),
     (b'{"frame": "Attack", "predictions": 5}', "'predictions' must be a list"),
     (b'{"frame": "Att\xffack", "predictions": []}', "not UTF-8"),
-], ids=["truncated-json", "not-an-object", "predictions-not-a-list", "not-utf-8"])
+    (b'{"frame": "Attack"}', "a prediction record needs 'predictions'"),
+], ids=["truncated-json", "not-an-object", "predictions-not-a-list", "not-utf-8",
+        "no-predictions"])
 def test_eval_malformed_record_names_line(capsys, tmp_path, monkeypatch, line, message):
     monkeypatch.chdir(tmp_path)
     pred_path = tmp_path / "bad.jsonl"
@@ -745,8 +750,8 @@ def test_train_exits_2_on_non_finite_loss(capsys, tmp_path, monkeypatch):
     real = aged.training.batch_loss_and_gradients
 
     def nan_loss(*args, **kwargs):
-        breakdowns, rest, grads = real(*args, **kwargs)
-        return [types.SimpleNamespace(total=float("nan")) for _ in breakdowns], rest, grads
+        losses, rest, grads = real(*args, **kwargs)
+        return [float("nan")] * len(losses), rest, grads
 
     monkeypatch.setattr(aged.training, "batch_loss_and_gradients", nan_loss)
     monkeypatch.chdir(tmp_path)
@@ -758,11 +763,27 @@ def test_train_exits_2_on_non_finite_loss(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "model.ckpt").exists()
 
 
-@pytest.mark.parametrize("k", ["abc", "-1", "1.5", ""])
+@pytest.mark.parametrize("k", ["abc", "-1", "1.5", "", "2 full"])
 def test_experiment_rejects_bad_k(capsys, tmp_path, monkeypatch, k):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, "experiment", "--k", k, "--epochs", "1")
     assert code == 1
-    assert "--k must be an integer >= 0 or 'full'" in err
-    assert repr(k) in err
+    assert f"argument --k: must be an integer >= 0 or 'full', got {k!r}" in err
     assert list(tmp_path.glob("*manifest.json")) == []
+    # a config-file line is checked by the same parser, and named
+    (tmp_path / "run.cfg").write_text(f"k = {k}\n")
+    code, _, err = run(capsys, "experiment", "--config", "run.cfg", "--epochs", "1")
+    assert code == 1
+    assert f"run.cfg:1: argument --k: must be an integer >= 0 or 'full', got {k.strip()!r}" in err
+    assert list(tmp_path.glob("*manifest.json")) == []
+
+
+@pytest.mark.parametrize("k, report_k", [("0", 0), (" 2 ", 2), ("full", None), ("FULL", None)])
+def test_experiment_k_in_manifest_and_report(capsys, tmp_path, monkeypatch, k, report_k):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "experiment", "--k", k, "--epochs", "1", "--d-model", "8",
+                     "--layers", "1", "--heads", "2")
+    assert code == 0
+    manifest = json.loads((tmp_path / "experiment.json.manifest.json").read_text())
+    assert manifest["config"]["k"] == k.strip().lower()
+    assert json.loads((tmp_path / "experiment.json").read_text())["k"] == report_k

@@ -103,6 +103,34 @@ def test_malformed_line_reports_line_number(tmp_path, line, message):
         load_ontology(path)
 
 
+def _add_fe(record, fe):
+    record["fe_order"].append(fe)
+    record["fes"][fe] = {"core_type": "core", "definition": []}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: r["definition"][1].update(surface="_"),
+     "mention of FE 'Assailant': surface '_' gives no tokens"),
+    (lambda r: r["definition"][3].update(surface=" "),
+     "mention of FE 'Victim': surface ' ' gives no tokens"),
+    (lambda r: r["fes"]["Victim"]["definition"].append({"fe": "Assailant", "surface": "_ _"}),
+     "mention of FE 'Assailant': surface '_ _' gives no tokens"),
+    (lambda r: _add_fe(r, "__"), "frame 'Attack2': FE name '__' gives no tokens"),
+    (lambda r: _add_fe(r, ""), "frame 'Attack2': FE name '' gives no tokens"),
+    (lambda r: r.update(name="_"), "frame name '_' gives no tokens"),
+], ids=["underscore-surface", "space-surface", "fe-definition-surface", "underscore-fe",
+        "empty-fe", "underscore-frame"])
+def test_name_that_gives_no_tokens_is_refused(tmp_path, edit, message):
+    # such a name would render as no tokens, and its slot end before its start
+    bad = json.loads(json.dumps(ATTACK_RECORD))
+    bad["name"] = "Attack2"
+    edit(bad)
+    path = tmp_path / "frames.jsonl"
+    write_lines(path, [ATTACK_RECORD, bad])
+    with pytest.raises(CorpusError, match=re.escape(f"frames.jsonl:2: {message}")):
+        load_ontology(path)
+
+
 @pytest.fixture
 def attack_store(tmp_path):
     path = tmp_path / "frames.jsonl"

@@ -55,13 +55,12 @@ def tiny_model(config, vocab_size=TINY_VOCAB):
 
 def make_pair(ids, n_text):
     """A minimal EncodedPair: [CLS] w_1..w_n [SEP] defn [SEP] without markers."""
-    length = len(ids)
     return EncodedPair(
         ids=tuple(ids),
         sentence_pos=tuple(range(1, n_text + 1)),
         slot_pos=(),
         slot_fes=(),
-        segment=tuple(0 if i <= n_text + 1 else 1 for i in range(length)),
+        definition_start=n_text + 2,
     )
 
 
@@ -101,8 +100,8 @@ def test_head_divisibility_enforced():
 def test_forward_shape_and_determinism(vocab, pair):
     config = tiny_config(max_len=128)
     params = init_parameters(config, len(vocab))
-    first = forward(params, config, pair).reps
-    second = forward(params, config, pair).reps
+    first = forward(params, config, pair)
+    second = forward(params, config, pair)
     assert first.shape == (len(pair.ids), config.d_model)
     assert np.array_equal(first, second)
 
@@ -121,7 +120,7 @@ def test_single_cls_token_input():
     config = tiny_config()
     params = init_parameters(config, TINY_VOCAB)
     pair = make_pair([CLS_ID], n_text=0)
-    assert forward(params, config, pair).reps.shape == (1, config.d_model)
+    assert forward(params, config, pair).shape == (1, config.d_model)
 
 
 def test_overlength_and_out_of_range_inputs_rejected():
@@ -178,7 +177,7 @@ def test_encoder_gradients_match_finite_differences(vocab, pair):
     direction = rng.normal(size=(len(pair.ids), config.d_model))
 
     def objective(ps):
-        return float((forward(ps, config, pair).reps * direction).sum())
+        return float((forward(ps, config, pair) * direction).sum())
 
     grads = backward(params, config, pair, direction[pair.read_rows])
     eps = 1e-6
@@ -206,7 +205,7 @@ def test_forward_and_backward_stay_finite(seed, length):
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, TINY_VOCAB, size=length)
     pair = make_pair(list(ids), n_text=max(0, length - 2))
-    reps = forward(params, config, pair).reps
+    reps = forward(params, config, pair)
     assert np.isfinite(reps).all()
     grads = backward(params, config, pair, rng.normal(size=(len(pair.read_rows), config.d_model)))
     assert all(np.isfinite(g).all() for g in grads.values())
@@ -222,8 +221,8 @@ def test_checkpoint_round_trip_is_bitwise(vocab, pair, tmp_path):
     for k in ckpt.params:
         assert np.array_equal(loaded.params[k], ckpt.params[k])
         assert loaded.params[k].dtype == ckpt.params[k].dtype
-    before = forward(ckpt.params, config, pair).reps
-    after = forward(loaded.params, loaded.config, pair).reps
+    before = forward(ckpt.params, config, pair)
+    after = forward(loaded.params, loaded.config, pair)
     assert np.array_equal(before, after)
 
 
@@ -316,9 +315,12 @@ def test_padded_reps_equal_unpadded(vocab, pair):
     assert reps.shape == (3, len(pair.read_rows), config.d_model)
     for b, p in enumerate((short, pair, cls_only)):
         n = len(p.read_rows)
-        np.testing.assert_allclose(reps[b, :n], forward(params, config, p).reps[p.read_rows],
+        np.testing.assert_allclose(reps[b, :n], forward(params, config, p)[p.read_rows],
                                    rtol=0, atol=1e-12)
         assert not reps[b, n:].any()  # rows that only pad the read rows are 0
+        # segment 1 runs from the definition's start to the pair's end; padding is 0
+        segments = [int(p.definition_start <= i < len(p.ids)) for i in range(len(pair.ids))]
+        assert cache["segments"][b].tolist() == segments
     for layer in cache["layers"]:
         # padded keys get exactly zero attention
         probs = layer["e"] * layer["inv_sum"]
@@ -431,7 +433,7 @@ def test_candidates_lead_the_read_rows_and_slot_spans_are_runs(store, vocab, tra
             pair = assemble(inst, template, vocab, opts)
             rows = list(pair.read_rows)
             n = len(pair.sentence_pos)
-            assert rows[: n + 1] == list(pair.candidate_positions())
+            assert rows[: n + 1] == [0, *pair.sentence_pos]
             for start, end in pair.slot_pos:
                 lo = rows.index(start)
                 assert rows[lo : lo + end - start + 1] == list(range(start, end + 1))

@@ -3,11 +3,9 @@ import pytest
 from aged.corpus import AnnotatedInstance, Argument
 from aged.encoding import (
     CLS_TOKEN,
-    DEFINITION_SEGMENT,
     PairTooLongError,
     RESERVED_TOKENS,
     SEP_TOKEN,
-    TEXT_SEGMENT,
     UNK_ID,
     Vocabulary,
     assemble,
@@ -58,7 +56,6 @@ def test_assemble_layout_with_target_markers(store, vocab):
     text = [vocab.tokens[i] for i in pair.ids[: len(inst.tokens) + 4]]
     assert text == ["[CLS]", "he", "was", "<t>", "invading", "</t>", "iraq", "[SEP]"]
     assert pair.sentence_pos == (1, 2, 4, 6)
-    assert pair.cls_pos == 0
 
 
 def test_assemble_layout_without_target_markers(store, vocab):
@@ -80,7 +77,7 @@ def test_assemble_target_at_either_end(store, vocab, target):
     text = [vocab.tokens[i] for i in pair.ids[: len(inst.tokens) + 4]]
     assert text[pair.sentence_pos[target - 1] - 1 : pair.sentence_pos[target - 1] + 2] == [
         "<t>", inst.tokens[target - 1], "</t>"]
-    assert pair.segment == (TEXT_SEGMENT,) * 8 + (DEFINITION_SEGMENT,) * (len(pair.ids) - 8)
+    assert pair.definition_start == 8
 
 
 def test_assemble_single_token_sentence(store, vocab):
@@ -96,8 +93,7 @@ def test_assemble_has_two_seps_splitting_segments(store, vocab, train_instances)
     sep_positions = [i for i, t in enumerate(pair.ids) if t == sep_id]
     assert len(sep_positions) == 2
     assert sep_positions[1] == len(pair.ids) - 1
-    assert pair.segment[sep_positions[0]] == TEXT_SEGMENT
-    assert all(s == DEFINITION_SEGMENT for s in pair.segment[sep_positions[0] + 1 :])
+    assert pair.definition_start == sep_positions[0] + 1
 
 
 def test_index_maps_point_at_the_right_tokens(store, vocab, train_instances):
@@ -110,7 +106,7 @@ def test_index_maps_point_at_the_right_tokens(store, vocab, train_instances):
         for slot, (start, end) in zip(template.slots, pair.slot_pos):
             expected = [vocab.id_of(t) for t in template.tokens[slot.start : slot.end + 1]]
             assert list(pair.ids[start : end + 1]) == expected
-            assert all(pair.segment[p] == DEFINITION_SEGMENT for p in range(start, end + 1))
+            assert pair.definition_start <= start
 
 
 def test_target_markers_balanced_and_adjacent(store, vocab, train_instances):

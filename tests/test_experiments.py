@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from aged.corpus import CorpusError
 from aged.encoder import EncoderConfig
-from aged.experiments import run_holdout_experiment
+from aged.evaluation import Metrics
+from aged.experiments import ExperimentReport, run_holdout_experiment
 from aged.templates import TemplateMode
 from aged.training import TrainConfig
 
@@ -30,6 +32,20 @@ def test_zero_shot_mechanics(store, train_instances, test_instances, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["k"] == 0 and doc["holdout_frames"] == ["Getting"]
     assert set(doc["overall"]) == {"precision", "recall", "f1", "tp", "pred", "gold"}
+
+
+def test_report_json_keys_are_the_fields_in_order():
+    metrics = Metrics.from_counts(2, 3, 4)
+    report = ExperimentReport(k=1, holdout_frames=["Getting"], mode="frame-def",
+                              train_counts={"Getting": 1}, holdout_certified=True,
+                              predictions_complete=True, overall=metrics,
+                              per_frame={"Getting": metrics}, stream_size=9, epochs=2,
+                              config={"seed": 5})
+    doc = report.to_json()
+    assert list(doc) == [f.name for f in dataclasses.fields(ExperimentReport)]
+    assert doc["overall"] == metrics.to_json()
+    assert doc["per_frame"] == {"Getting": metrics.to_json()}
+    assert doc["config"] == {"seed": 5} and doc["k"] == 1
 
 
 def test_experiment_builds_the_model_once(store, train_instances, test_instances, monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aged.encoder import (
-    ContextualEncoding,
     EncoderConfig,
     _embedding_grad,
     forward,
@@ -16,7 +15,6 @@ from aged.encoder import (
 )
 from aged.encoding import CLS_ID, EncodedPair, assemble, gold_labels
 from aged.pointer import (
-    LossBreakdown,
     PointerDistribution,
     batch_loss_and_gradients,
     loss_and_gradients,
@@ -36,14 +34,14 @@ def pair_with_slots(n, slot_pos, total_len):
         sentence_pos=tuple(range(1, n + 1)),
         slot_pos=tuple(slot_pos),
         slot_fes=tuple(f"FE{i}" for i in range(len(slot_pos))),
-        segment=tuple(0 if i <= n + 1 else 1 for i in range(total_len)),
+        definition_start=n + 2,
     )
 
 
 def test_maxpool_single_row_slot():
     reps = np.arange(24, dtype=np.float64).reshape(6, 4)
     pair = pair_with_slots(2, [(5, 5)], 6)
-    [q] = make_queries(ContextualEncoding(reps), pair)
+    [q] = make_queries(reps, pair)
     assert np.array_equal(q, reps[5])
 
 
@@ -52,7 +50,7 @@ def test_maxpool_elementwise_example():
     reps[4] = [1.0, -2.0]
     reps[5] = [0.0, 5.0]
     pair = pair_with_slots(2, [(4, 5)], 6)
-    [q] = make_queries(ContextualEncoding(reps), pair)
+    [q] = make_queries(reps, pair)
     assert q.tolist() == [1.0, 5.0]
 
 
@@ -62,7 +60,7 @@ def test_maxpool_elementwise_example():
 def test_maxpool_matches_brute_force_oracle(block):
     reps = np.vstack([np.zeros((2, 3)), block])
     pair = pair_with_slots(0, [(2, 6)], 7)
-    [q] = make_queries(ContextualEncoding(reps), pair)
+    [q] = make_queries(reps, pair)
     brute = [max(block[r][c] for r in range(5)) for c in range(3)]
     assert q.tolist() == brute
     assert all((q >= block[r]).all() for r in range(5))
@@ -76,9 +74,8 @@ def test_pointer_distribution_hand_computed():
     # d=1, identity weights, candidate rows [0, ln 2, ln 4] -> softmax [1/7, 2/7, 4/7]
     reps = np.array([[0.0], [math.log(2)], [math.log(4)], [1.0]])
     pair = pair_with_slots(2, [(3, 3)], 4)
-    encoding = ContextualEncoding(reps)
-    queries = make_queries(encoding, pair)
-    [dist] = pointer_distributions(pointer_params([[1.0]], [[1.0]]), encoding, pair, queries)
+    queries = make_queries(reps, pair)
+    [dist] = pointer_distributions(pointer_params([[1.0]], [[1.0]]), reps, pair, queries)
     np.testing.assert_allclose(dist.start_probs, [1 / 7, 2 / 7, 4 / 7], rtol=1e-12)
     np.testing.assert_allclose(dist.end_probs, [1 / 7, 2 / 7, 4 / 7], rtol=1e-12)
 
@@ -88,11 +85,8 @@ def test_zero_query_gives_uniform_distributions():
     reps = rng.normal(size=(6, 3))
     reps[5] = 0.0  # slot row -> zero query
     pair = pair_with_slots(3, [(5, 5)], 6)
-    encoding = ContextualEncoding(reps)
-    queries = make_queries(encoding, pair)
-    [dist] = pointer_distributions(
-        pointer_params(np.eye(3), np.eye(3)), encoding, pair, queries
-    )
+    queries = make_queries(reps, pair)
+    [dist] = pointer_distributions(pointer_params(np.eye(3), np.eye(3)), reps, pair, queries)
     np.testing.assert_allclose(dist.start_probs, np.full(4, 0.25), rtol=1e-12)
 
 
@@ -103,11 +97,9 @@ def test_distributions_sum_to_one(seed):
     n = int(rng.integers(1, 8))
     reps = rng.normal(size=(n + 4, 5))
     pair = pair_with_slots(n, [(n + 2, n + 3)], n + 4)
-    encoding = ContextualEncoding(reps)
-    queries = make_queries(encoding, pair)
+    queries = make_queries(reps, pair)
     dists = pointer_distributions(
-        pointer_params(rng.normal(size=(5, 5)), rng.normal(size=(5, 5))),
-        encoding, pair, queries,
+        pointer_params(rng.normal(size=(5, 5)), rng.normal(size=(5, 5))), reps, pair, queries
     )
     for dist in dists:
         assert len(dist.start_probs) == n + 1
@@ -121,15 +113,13 @@ def make_dist(fe, start, end):
 
 def test_loss_zero_on_one_hot_gold():
     dist = make_dist("A", [0, 1, 0], [0, 0, 1])
-    breakdown = slot_loss([dist], [(1, 2)])
-    assert breakdown.total == 0.0
+    assert slot_loss([dist], [(1, 2)]) == 0.0
 
 
 def test_loss_uniform_analytic_value():
     m, n = 3, 4
     dists = [make_dist(f"FE{i}", np.full(n + 1, 1 / (n + 1)), np.full(n + 1, 1 / (n + 1))) for i in range(m)]
-    breakdown = slot_loss(dists, [(0, 0)] * m)
-    assert breakdown.total == pytest.approx(m * math.log(n + 1), rel=1e-12)
+    assert slot_loss(dists, [(0, 0)] * m) == pytest.approx(m * math.log(n + 1), rel=1e-12)
 
 
 def test_loss_two_slots_matches_scalar_oracle():
@@ -137,13 +127,10 @@ def test_loss_two_slots_matches_scalar_oracle():
     start_b, end_b = [0.1, 0.1, 0.2, 0.6], [0.05, 0.05, 0.3, 0.6]
     dists = [make_dist("A", start_a, end_a), make_dist("B", start_b, end_b)]
     labels = [(1, 2), (3, 3)]
-    breakdown = slot_loss(dists, labels)
     # independent scalar recomputation
     ls = -(math.log(start_a[1]) + math.log(start_b[3]))
     le = -(math.log(end_a[2]) + math.log(end_b[3]))
-    assert breakdown.loss_start == pytest.approx(ls, rel=1e-12)
-    assert breakdown.loss_end == pytest.approx(le, rel=1e-12)
-    assert breakdown.total == pytest.approx(0.5 * ls + 0.5 * le, rel=1e-12)
+    assert slot_loss(dists, labels) == pytest.approx(0.5 * ls + 0.5 * le, rel=1e-12)
 
 
 def test_loss_label_out_of_range():
@@ -161,19 +148,17 @@ def test_loss_decomposition_identity():
         m = int(rng.integers(1, 5))
         dists = []
         labels = []
+        loss_start = loss_end = 0.0
         for j in range(m):
             s = rng.dirichlet(np.ones(n + 1))
             e = rng.dirichlet(np.ones(n + 1))
             dists.append(make_dist(f"FE{j}", s, e))
             labels.append((int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))))
-        breakdown = slot_loss(dists, labels)
-        assert breakdown.total == 0.5 * breakdown.loss_start + 0.5 * breakdown.loss_end
-        assert breakdown.loss_start >= 0 and breakdown.loss_end >= 0
-
-
-def test_combine_is_exact():
-    b = LossBreakdown.combine(1.25, 2.5)
-    assert b.total == 0.5 * 1.25 + 0.5 * 2.5
+            loss_start += -float(np.log(s[labels[-1][0]]))
+            loss_end += -float(np.log(e[labels[-1][1]]))
+        # bitwise: each head summed over slots in order, then combined 0.5 / 0.5
+        assert slot_loss(dists, labels) == 0.5 * loss_start + 0.5 * loss_end
+        assert loss_start >= 0 and loss_end >= 0
 
 
 def test_end_to_end_gradients_match_finite_differences(store, vocab, train_instances):
@@ -189,10 +174,9 @@ def test_end_to_end_gradients_match_finite_differences(store, vocab, train_insta
     from aged.encoder import forward
 
     def total_loss():
-        encoding = forward(params, config, pair)
-        queries = make_queries(encoding, pair)
-        dists = pointer_distributions(params, encoding, pair, queries)
-        return slot_loss(dists, labels).total
+        reps = forward(params, config, pair)
+        dists = pointer_distributions(params, reps, pair, make_queries(reps, pair))
+        return slot_loss(dists, labels)
 
     rng = np.random.default_rng(2)
     eps = 1e-5
@@ -227,7 +211,8 @@ def mixed_batch(store, vocab, train_instances):
     ]
     pairs = [assemble(i, t, vocab) for i, t in templates]
     labels = [gold_labels(i, t) for i, t in templates]
-    cls_only = EncodedPair(ids=(CLS_ID,), sentence_pos=(), slot_pos=(), slot_fes=(), segment=(0,))
+    cls_only = EncodedPair(ids=(CLS_ID,), sentence_pos=(), slot_pos=(), slot_fes=(),
+                           definition_start=1)
     pairs.insert(2, cls_only)
     labels.insert(2, [])
     assert len({len(p.ids) for p in pairs}) == len(pairs)
@@ -242,8 +227,8 @@ def test_score_batch_equals_per_pair_reference(store, vocab, train_instances):
     distributions, cache = score_batch(params, reps, pairs)
     assert len(distributions) == len(pairs)
     for pair, dists in zip(pairs, distributions):
-        encoding = forward(params, config, pair)
-        reference = pointer_distributions(params, encoding, pair, make_queries(encoding, pair))
+        pair_reps = forward(params, config, pair)
+        reference = pointer_distributions(params, pair_reps, pair, make_queries(pair_reps, pair))
         assert [d.fe for d in dists] == [r.fe for r in reference]
         for d, r in zip(dists, reference):
             assert len(d.start_probs) == len(r.start_probs) == len(pair.sentence_pos) + 1
@@ -259,11 +244,11 @@ def test_score_batch_equals_per_pair_reference(store, vocab, train_instances):
 
 def test_batched_loss_and_gradients_equal_sum_of_single_pairs(store, vocab, train_instances):
     config, params, pairs, labels = mixed_batch(store, vocab, train_instances)
-    breakdowns, distributions, grads = batch_loss_and_gradients(params, config, pairs, labels)
+    losses, distributions, grads = batch_loss_and_gradients(params, config, pairs, labels)
     summed = {k: np.zeros_like(v) for k, v in params.items()}
-    for pair, pair_labels, breakdown, dists in zip(pairs, labels, breakdowns, distributions):
+    for pair, pair_labels, loss, dists in zip(pairs, labels, losses, distributions):
         single, single_dists, single_grads = loss_and_gradients(params, config, pair, pair_labels)
-        assert breakdown.total == pytest.approx(single.total, rel=1e-9)
+        assert loss == pytest.approx(single, rel=1e-9)
         assert [d.fe for d in dists] == [d.fe for d in single_dists]
         for d, s in zip(dists, single_dists):
             np.testing.assert_allclose(d.start_probs, s.start_probs, rtol=1e-9, atol=1e-15)
@@ -286,9 +271,9 @@ def test_batched_gradients_match_finite_differences(store, vocab, train_instance
     def total_loss():
         total = 0.0
         for pair, pair_labels in zip(pairs, labels):
-            encoding = forward(params, config, pair)
-            dists = pointer_distributions(params, encoding, pair, make_queries(encoding, pair))
-            total += slot_loss(dists, pair_labels).total
+            reps = forward(params, config, pair)
+            dists = pointer_distributions(params, reps, pair, make_queries(reps, pair))
+            total += slot_loss(dists, pair_labels)
         return total
 
     rng = np.random.default_rng(8)
@@ -322,9 +307,9 @@ def test_one_hot_scatters_equal_add_at_exactly():
     pairs = [
         EncodedPair(ids=(2, 5, 5, 7, 5, 3, 9, 9, 9, 3), sentence_pos=(1, 2, 3, 4),
                     slot_pos=((6, 8), (7, 9), (8, 8)), slot_fes=("A", "B", "C"),
-                    segment=(0, 0, 0, 0, 0, 0, 1, 1, 1, 1)),
+                    definition_start=6),
         EncodedPair(ids=(2, 4, 4, 3, 6, 6, 3), sentence_pos=(1, 2),
-                    slot_pos=((4, 5),), slot_fes=("A",), segment=(0, 0, 0, 0, 1, 1, 1)),
+                    slot_pos=((4, 5),), slot_fes=("A",), definition_start=4),
     ]
     config = EncoderConfig(d_model=8, n_layers=1, n_heads=2, max_len=16, seed=1, dtype="f64")
     params = init_parameters(config, 12)
