@@ -8,6 +8,9 @@ no-argument. Among equal-product pairs the lexicographically smallest
 The search is linear in n: rounding a product of non-negative numbers is
 monotone, so the best product of a start s is start[s] times the largest
 end from s on, and no (n, n) product matrix is formed.
+
+`decode_batch` runs that search for every slot of a padded prediction batch
+at once; `decode_slot` and `decode` are its per-slot reference.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ from .encoding import EncodedPair, assemble
 from .pointer import PointerDistribution, score_batch
 from .templates import query_templates
 
-# Padded tokens (pairs x longest pair) one prediction batch may hold. Short
-# pairs share a batch to save per-call overhead; a pair longer than half of
-# it runs alone, since attention at that length is bound by compute.
-PREDICT_BATCH_TOKENS = 256
+# Padded attention scores of one layer, pairs x heads x longest pair squared,
+# one prediction batch may hold. Pairs share a batch to pay numpy's per-call
+# overhead once; at 2^17 the f32 score array (512 KB) stays well inside a
+# 2 MB per-core L2 cache. A pair whose scores pass half of it (over 128
+# tokens at 4 heads) runs alone.
+PREDICT_BATCH_SCORES = 2**17
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,41 @@ def decode_slot(start_probs: np.ndarray, end_probs: np.ndarray) -> tuple[tuple[i
     # the smallest end with that product: a smaller end can round to it too
     e = s + int(np.argmax(start[s + 1] * end[s + 1 :] == score))
     return (s + 1, e + 1), score
+
+
+def decode_batch(probs: np.ndarray, pairs: list[EncodedPair]) -> list[list[SpanPrediction]]:
+    """`decode_slot` of every slot of a padded batch, in one vectorized pass.
+
+    `probs` is the (2, B, M, C) output of `score_batch` on `pairs`. Returns
+    each pair's predictions in slot order, spans and scores bitwise those
+    of `decode_slot` on the slot's own n+1 candidates. That holds for finite
+    probabilities that are not negative, as softmax gives: a padded
+    candidate's 0 neither raises the largest end from a real start on nor
+    beats a real start's product, and a best product of 0 never beats the
+    no-argument product.
+    """
+    start, end = probs.astype(np.float64).reshape(2, -1, probs.shape[3])  # (B*M, C) each
+    score = start[:, 0] * end[:, 0]  # the no-argument product
+    emit = np.zeros(len(score), dtype=bool)
+    s = e = np.zeros(len(score), dtype=np.intp)
+    if probs.shape[3] > 1:  # some pair has a sentence token
+        best = start[:, 1:] * np.maximum.accumulate(end[:, :0:-1], axis=1)[:, ::-1]
+        s = best.argmax(axis=1)
+        slots = np.arange(len(score))
+        best_score = best[slots, s]
+        # the smallest end from s on with that product
+        hit = start[slots, s + 1, None] * end[:, 1:] == best_score[:, None]
+        hit &= np.arange(best.shape[1]) >= s[:, None]
+        e = hit.argmax(axis=1)
+        emit = best_score > score
+        score = np.where(emit, best_score, score)
+    emit, score, starts, ends = emit.tolist(), score.tolist(), (s + 1).tolist(), (e + 1).tolist()
+    n_slot = probs.shape[2]
+    return [
+        [SpanPrediction(fe, (starts[i], ends[i]) if emit[i] else None, score[i])
+         for i, fe in enumerate(pair.slot_fes, b * n_slot)]
+        for b, pair in enumerate(pairs)
+    ]
 
 
 def decode(distributions: list[PointerDistribution]) -> list[SpanPrediction]:
@@ -87,23 +127,26 @@ def predict_pairs(model: Checkpoint, pairs: list[list[EncodedPair]]) -> list[lis
     """Predictions for each instance's `query_pairs`, in instance and slot order.
 
     The pairs of all instances are sorted by length (stably) and consecutive
-    runs are cut into batches whose padded size, pairs x longest pair, stays
-    within PREDICT_BATCH_TOKENS; a pair over half of it runs alone. Each
-    batch runs `forward_batch`, one `score_batch` and `decode`.
+    runs are cut into batches whose padded attention scores, pairs x heads x
+    longest pair squared, stay within PREDICT_BATCH_SCORES; a pair over half
+    of it runs alone. Each batch runs `forward_batch` without a backward
+    cache, one `score_batch` and one `decode_batch`.
     """
     flat = [pair for instance_pairs in pairs for pair in instance_pairs]
     order = sorted(range(len(flat)), key=lambda i: len(flat[i].ids))
+    n_heads = model.config.n_heads
     decoded = [None] * len(flat)
     lo = 0
     while lo < len(order):
         hi = lo + 1
-        while hi < len(order) and (hi - lo + 1) * len(flat[order[hi]].ids) <= PREDICT_BATCH_TOKENS:
+        while (hi < len(order) and
+               (hi - lo + 1) * n_heads * len(flat[order[hi]].ids) ** 2 <= PREDICT_BATCH_SCORES):
             hi += 1
         batch = [flat[i] for i in order[lo:hi]]
-        reps, _ = forward_batch(model.params, model.config, batch)
-        distributions, _ = score_batch(model.params, reps, batch)
-        for i, dists in zip(order[lo:hi], distributions):
-            decoded[i] = decode(dists)
+        reps, _ = forward_batch(model.params, model.config, batch, backward=False)
+        probs, _ = score_batch(model.params, reps, batch)
+        for i, predictions in zip(order[lo:hi], decode_batch(probs, batch)):
+            decoded[i] = predictions
         lo = hi
     spans = iter(decoded)
     return [[p for _ in instance_pairs for p in next(spans)] for instance_pairs in pairs]

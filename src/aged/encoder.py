@@ -86,10 +86,12 @@ class FlatTensors(dict):
     def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray):
         super().__init__()
         self.shapes, self.flat = shapes, flat
+        self.offsets = {}  # where each tensor starts in `flat`
         offset = 0
         for name, shape in shapes.items():
             size = math.prod(shape)
             self[name] = flat[offset : offset + size].reshape(shape)
+            self.offsets[name] = offset
             offset += size
 
     def copy(self) -> "FlatTensors":
@@ -353,11 +355,14 @@ def forward_batch(
     params: ParameterSet,
     config: EncoderConfig,
     pairs: list[EncodedPair],
-) -> tuple[np.ndarray, dict]:
+    backward: bool = True,
+) -> tuple[np.ndarray, dict | None]:
     """One forward pass over a mini-batch padded to its longest pair.
 
     Returns reps of shape (B, N, d_model), N the batch's most read rows, and
-    the cache for `backward_from_cache`. Row i of pair b is its position
+    the cache for `backward_from_cache`, or None in its place if not
+    `backward`: then each layer's activations are freed as the next layer
+    runs, and the reps are bitwise the same. Row i of pair b is its position
     `pairs[b].read_rows[i]`, so its n+1 pointer candidates are its first
     rows; rows past its read rows only pad it and are exactly 0. The last
     layer computes queries, attention, feed-forward and final norm only at
@@ -427,13 +432,14 @@ def forward_batch(
         x = g @ params[p + "ffn.w2"]
         x += params[p + "ffn.b2"]
         x += x1  # x = x1 + f
-        lc.update(a=a, a_q=a_q, qh=qh, kh=kh, vh=vh, e=e, inv_sum=inv_sum, ctx=ctx, a2=a2,
-                  h1=h1, t=t, g=g)
-        cache["layers"].append(lc)
+        if backward:
+            lc.update(a=a, a_q=a_q, qh=qh, kh=kh, vh=vh, e=e, inv_sum=inv_sum, ctx=ctx, a2=a2,
+                      h1=h1, t=t, g=g)
+            cache["layers"].append(lc)
 
     out, cache["final_ln"] = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     out *= picked_read  # rows picked only to pad the batch's read rows are 0
-    return out.reshape(batch, -1, d), cache
+    return out.reshape(batch, -1, d), cache if backward else None
 
 
 def _query_rows(config: EncoderConfig, layer: int, picked: np.ndarray):

@@ -144,6 +144,14 @@ class EncodedPair:
         rows.flags.writeable = False
         return rows
 
+    @functools.cached_property
+    def slot_rows(self) -> np.ndarray:
+        """(slots, 2): the indices into `read_rows` of each slot span's first
+        and last row. Derived once per pair."""
+        rows = np.searchsorted(self.read_rows, self.slot_pos).reshape(-1, 2)
+        rows.flags.writeable = False
+        return rows
+
 
 def assemble(
     instance: AnnotatedInstance,

@@ -7,9 +7,10 @@ the n+1 candidate start and end positions. Position 0 means "no argument".
 Cross-entropy on gold starts and ends, equally weighted, is the training
 loss.
 
-`score_batch` scores every slot of a padded batch at once; training and
-prediction both call it. `make_queries`, `pointer_distributions` and
-`slot_loss` are its per-pair reference in the tests.
+`score_batch` scores every slot of a padded batch at once, both heads in
+one stacked pass; training and prediction both call it. `make_queries`,
+`pointer_distributions` and `slot_loss` are its per-pair reference in the
+tests.
 """
 
 from __future__ import annotations
@@ -86,28 +87,29 @@ def slot_loss(distributions: list[PointerDistribution], labels: list[SlotLabel])
 
 
 def score_batch(
-    params: ParameterSet,
+    params: FlatTensors,
     reps: np.ndarray,
     pairs: list[EncodedPair],
-) -> tuple[list[list[PointerDistribution]], dict]:
-    """Pointer distributions for every slot of every pair of a padded batch.
+) -> tuple[np.ndarray, dict]:
+    """Start and end probabilities for every slot of every pair of a padded batch.
 
     `reps` is the (B, N, d) output of `forward_batch` on `pairs`: a pair's n+1
     candidates are its first rows, and each slot span a run of later rows.
     Slots are padded to the batch's most slots (M) and candidates to its most
-    (C). Returns each pair's distributions over its own n+1 candidates, and
-    the cache for the backward pass, whose "probs" holds the padded (B, M, C)
-    start and end probabilities; padded candidates get probability 0.
+    (C). Returns the padded (2, B, M, C) probabilities, start head first,
+    and the cache for the backward pass. Padded candidates get probability 0;
+    padded slots hold probabilities that nothing reads. Both heads run as
+    one stacked chain of matmuls and softmaxes.
     """
     batch = len(pairs)
-    n_cands = [len(pair.sentence_pos) + 1 for pair in pairs]
-    n_slots = [len(pair.slot_pos) for pair in pairs]
-    n_cand, n_slot = max(n_cands), max(n_slots)
+    n_cands = np.array([len(pair.sentence_pos) + 1 for pair in pairs])
+    n_slots = np.array([len(pair.slot_pos) for pair in pairs])
+    n_cand, n_slot = int(n_cands.max()), int(n_slots.max())
+    slot_ok = np.arange(n_slot) < n_slots[:, None]
     spans = np.zeros((2, batch, n_slot), dtype=np.intp)  # each slot's first and last read row
-    for b, pair in enumerate(pairs):
-        spans[:, b, : n_slots[b]] = np.searchsorted(pair.read_rows, pair.slot_pos).T
+    spans[:, slot_ok] = np.concatenate([pair.slot_rows for pair in pairs]).T
     span_lo, span_hi = spans
-    cand_ok = np.arange(n_cand) < np.array(n_cands)[:, None]
+    cand_ok = np.arange(n_cand) < n_cands[:, None]
 
     rows = reps[:, :n_cand]  # (B, C, d); rows past a pair's candidates get probability 0
     # maxpool over each slot span, padded to the widest span by repeating
@@ -118,21 +120,27 @@ def score_batch(
     queries = pooled.max(axis=2)
 
     cand_bias = np.where(cand_ok, 0.0, -np.inf).astype(reps.dtype)[:, None, :]
-    z, probs = [], []
-    for name in ("pointer.w_start", "pointer.w_end"):
-        z.append(queries @ params[name].T)  # (B, M, d): w @ q for every slot
-        probs.append(_softmax(z[-1] @ rows.transpose(0, 2, 1) + cand_bias))  # (B, M, C)
-    distributions = [
-        [
-            PointerDistribution(fe, probs[0][b, m, : n_cands[b]], probs[1][b, m, : n_cands[b]])
-            for m, fe in enumerate(pair.slot_fes)
-        ]
-        for b, pair in enumerate(pairs)
-    ]
-    cache = {"n_rows": reps.shape[1], "n_cands": n_cands, "n_slots": n_slots, "rows": rows,
-             "span_rows": span_rows, "pooled": pooled, "queries": queries, "z": z,
-             "probs": probs}
-    return distributions, cache
+    heads = _head_pair(params)  # (2, d, d)
+    z = queries @ heads[:, None].transpose(0, 1, 3, 2)  # (2, B, M, d): w @ q for every slot
+    probs = _softmax(z @ rows.transpose(0, 2, 1) + cand_bias)  # (2, B, M, C)
+    cache = {"n_rows": reps.shape[1], "n_cands": n_cands, "slot_ok": slot_ok, "rows": rows,
+             "span_rows": span_rows, "pooled": pooled, "queries": queries, "heads": heads,
+             "z": z}
+    return probs, cache
+
+
+def _head_pair(tensors: FlatTensors) -> np.ndarray:
+    """`pointer.w_start` and `pointer.w_end` as one (2, d, d) array.
+
+    `parameter_shapes` puts the two next to each other, so in tensors laid
+    out in that order this is a view of `flat`, and a write into it writes
+    both. A checkpoint whose header lists them apart gets a stacked copy.
+    """
+    start, offsets = tensors["pointer.w_start"], tensors.offsets
+    lo = offsets["pointer.w_start"]
+    if offsets["pointer.w_end"] == lo + start.size:
+        return tensors.flat[lo : lo + 2 * start.size].reshape(2, *start.shape)
+    return np.stack([start, tensors["pointer.w_end"]])
 
 
 def batch_loss_and_gradients(
@@ -141,55 +149,53 @@ def batch_loss_and_gradients(
     pairs: list[EncodedPair],
     labels: list[list[SlotLabel]],
     out: FlatTensors | None = None,
-) -> tuple[list[float], list[list[PointerDistribution]], FlatTensors]:
+) -> tuple[list[float], FlatTensors]:
     """Forward and backward for a mini-batch: `forward_batch`, `score_batch`, backward.
 
-    Returns each pair's loss and pointer distributions, and exact gradients
-    of the summed loss for every parameter (encoder, embeddings, and both
-    pointer matrices) as the `FlatTensors` of `backward_from_cache`, written
-    into `out` if given. Padded slots get zero loss.
+    Returns each pair's loss, and exact gradients of the summed loss for
+    every parameter (encoder, embeddings, and both pointer matrices) as the
+    `FlatTensors` of `backward_from_cache`, written into `out` if given.
+    Padded slots get zero loss.
     """
     if len(pairs) != len(labels):
         raise ValueError(f"{len(pairs)} pairs vs {len(labels)} label lists")
+    for pair, pair_labels in zip(pairs, labels):
+        if len(pair_labels) != len(pair.slot_pos):
+            raise ValueError(f"{len(pair.slot_pos)} distributions vs {len(pair_labels)} labels")
     reps, cache = forward_batch(params, config, pairs)
-    distributions, scores = score_batch(params, reps, pairs)
-    batch, _, d = reps.shape
-    n_cands, n_slots = scores["n_cands"], scores["n_slots"]
-    rows, queries = scores["rows"], scores["queries"]
-    n_cand, n_slot = rows.shape[1], queries.shape[1]
-    gold = np.zeros((2, batch, n_slot), dtype=np.intp)
-    for b, pair_labels in enumerate(labels):
-        if len(pair_labels) != n_slots[b]:
-            raise ValueError(f"{n_slots[b]} distributions vs {len(pair_labels)} labels")
-        for s, e in pair_labels:
-            if not (0 <= s < n_cands[b] and 0 <= e < n_cands[b]):
-                raise ValueError(f"label ({s}, {e}) outside 0..{n_cands[b] - 1}")
-        if n_slots[b]:
-            gold[:, b, : n_slots[b]] = np.array(pair_labels).T
-    slot_ok = np.arange(n_slot) < np.array(n_slots)[:, None]
+    probs, scores = score_batch(params, reps, pairs)
+    d = reps.shape[2]
+    slot_ok, rows, queries, z = scores["slot_ok"], scores["rows"], scores["queries"], scores["z"]
+    # every real slot's (start, end) label, in pair and slot order
+    flat = np.array([label for pair_labels in labels for label in pair_labels],
+                    dtype=np.intp).reshape(-1, 2)
+    n_cands = np.repeat(scores["n_cands"], slot_ok.sum(axis=1))
+    bad = ((flat < 0) | (flat >= n_cands[:, None])).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"label {tuple(flat[i].tolist())} outside 0..{n_cands[i] - 1}")
+    gold = np.zeros(probs.shape[:3], dtype=np.intp)  # (2, B, M), 0 at padded slots
+    gold[:, slot_ok] = flat.T
 
-    d_rows = np.zeros_like(rows)
-    d_queries = np.zeros_like(queries)
-    dz = {}
-    nll = []
-    for name, head_gold, z, head_probs in zip(
-        ("pointer.w_start", "pointer.w_end"), gold, scores["z"], scores["probs"]
-    ):
-        p_gold = np.take_along_axis(head_probs, head_gold[..., None], axis=2)[..., 0]
-        nll.append(-np.log(np.where(slot_ok, p_gold, 1.0)).astype(np.float64))
-        # loss contribution 0.5 * -log softmax(rows @ (w @ q))[gold]
-        dlogits = 0.5 * (head_probs - (np.arange(n_cand) == head_gold[..., None]))
-        dlogits *= slot_ok[..., None]
-        d_rows += dlogits.transpose(0, 2, 1) @ z
-        dz[name] = dlogits @ rows
-        d_queries += dz[name] @ params[name]
+    p_gold = np.take_along_axis(probs, gold[..., None], axis=3)[..., 0]
+    nll = -np.log(np.where(slot_ok, p_gold, 1.0)).astype(np.float64)
+    # loss contribution 0.5 * -log softmax(rows @ (w @ q))[gold] of each head
+    dlogits = 0.5 * (probs - (np.arange(rows.shape[1]) == gold[..., None]))
+    dlogits *= slot_ok[..., None]
+    d_rows = dlogits.transpose(0, 1, 3, 2) @ z  # (2, B, C, d)
+    dz = dlogits @ rows  # (2, B, M, d)
+    d_queries = dz @ scores["heads"][:, None]
+    d_reps = _reps_grad(scores, d_rows[0] + d_rows[1], d_queries[0] + d_queries[1])
 
-    grads = backward_from_cache(params, config, cache, _reps_grad(scores, d_rows, d_queries), out)
-    for name, head_dz in dz.items():
-        np.matmul(head_dz.reshape(-1, d).T, queries.reshape(-1, d), out=grads[name])
+    grads = backward_from_cache(params, config, cache, d_reps, out)
+    w_grads = _head_pair(grads)
+    np.matmul(dz.reshape(2, -1, d).transpose(0, 2, 1), queries.reshape(-1, d), out=w_grads)
+    if w_grads.base is not grads.flat:  # a stacked copy: the heads lie apart in `flat`
+        grads["pointer.w_start"][...], grads["pointer.w_end"][...] = w_grads
 
-    losses = [0.5 * float(nll[0][b].sum()) + 0.5 * float(nll[1][b].sum()) for b in range(batch)]
-    return losses, distributions, grads
+    head_sums = nll.sum(axis=2)  # (2, B)
+    losses = (0.5 * head_sums[0] + 0.5 * head_sums[1]).tolist()
+    return losses, grads
 
 
 def _reps_grad(scores: dict, d_rows: np.ndarray, d_queries: np.ndarray):
@@ -212,11 +218,17 @@ def _reps_grad(scores: dict, d_rows: np.ndarray, d_queries: np.ndarray):
 
 
 def loss_and_gradients(
-    params: ParameterSet,
+    params: FlatTensors,
     config: EncoderConfig,
     pair: EncodedPair,
     labels: list[SlotLabel],
 ) -> tuple[float, list[PointerDistribution], FlatTensors]:
-    """`batch_loss_and_gradients` of the single pair, kept for the tests and the tracer."""
-    [loss], [distributions], grads = batch_loss_and_gradients(params, config, [pair], [labels])
+    """`batch_loss_and_gradients` of the single pair, with the pointer
+    distributions `score_batch` gives it; kept for the tests and the tracer."""
+    [loss], grads = batch_loss_and_gradients(params, config, [pair], [labels])
+    reps, _ = forward_batch(params, config, [pair], backward=False)
+    probs, _ = score_batch(params, reps, [pair])
+    n_cand = len(pair.sentence_pos) + 1
+    distributions = [PointerDistribution(fe, probs[0, 0, m, :n_cand], probs[1, 0, m, :n_cand])
+                     for m, fe in enumerate(pair.slot_fes)]
     return loss, distributions, grads

@@ -226,7 +226,7 @@ def train(
         for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
             batch = order[lo : lo + config.batch_size]
             examples = [stream[idx] for idx in batch]
-            losses, _, grads = batch_loss_and_gradients(
+            losses, grads = batch_loss_and_gradients(
                 params, enc_config, [ex.pair for ex in examples], [ex.labels for ex in examples],
                 grads,
             )

@@ -750,8 +750,8 @@ def test_train_exits_2_on_non_finite_loss(capsys, tmp_path, monkeypatch):
     real = aged.training.batch_loss_and_gradients
 
     def nan_loss(*args, **kwargs):
-        losses, rest, grads = real(*args, **kwargs)
-        return [float("nan")] * len(losses), rest, grads
+        losses, grads = real(*args, **kwargs)
+        return [float("nan")] * len(losses), grads
 
     monkeypatch.setattr(aged.training, "batch_loss_and_gradients", nan_loss)
     monkeypatch.chdir(tmp_path)

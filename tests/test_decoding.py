@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 import aged.decoding
 from aged.decoding import (
-    PREDICT_BATCH_TOKENS,
+    PREDICT_BATCH_SCORES,
     SpanPrediction,
     decode,
+    decode_batch,
     decode_slot,
     predict_all,
     predict_instance,
     query_pairs,
 )
 from aged.encoder import Checkpoint, EncoderConfig, forward, forward_batch, init_parameters
-from aged.encoding import assemble
+from aged.encoding import EncodedPair, assemble
 from aged.pointer import PointerDistribution, make_queries, pointer_distributions
 from aged.templates import (
     MarkerOptions,
@@ -155,8 +156,8 @@ def reference_predict(inst, store, model):
     return predictions
 
 
-def _f64_model(vocab, mode):
-    config = EncoderConfig(d_model=16, n_layers=2, n_heads=2, seed=3, dtype="f64")
+def _f64_model(vocab, mode, n_heads=2):
+    config = EncoderConfig(d_model=16, n_layers=2, n_heads=n_heads, seed=3, dtype="f64")
     return Checkpoint(config, init_parameters(config, len(vocab)), vocab, mode, MarkerOptions())
 
 
@@ -207,29 +208,129 @@ def test_query_pairs_builds_each_frame_templates_once(store, vocab, test_instanc
     ]
 
 
-@pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
-def test_predict_all_batches_within_the_token_budget(store, vocab, test_instances, monkeypatch,
-                                                     mode):
-    model = _f64_model(vocab, mode)
-    # pairs of 150+ tokens: longer than half the budget, so each must run alone
-    long = replace(test_instances[0], tokens=test_instances[0].tokens + ("filler",) * 140)
-    instances = [long, *test_instances, long]
-    batches = []
+def _recording_forward_batch(monkeypatch):
+    """Patch prediction's `forward_batch` to record each batch's pair lengths and cache."""
+    batches, caches = [], []
 
-    def counting_forward_batch(params, config, pairs):
+    def recording(params, config, pairs, *args, **kwargs):
         batches.append([len(pair.ids) for pair in pairs])
-        return forward_batch(params, config, pairs)
+        reps, cache = forward_batch(params, config, pairs, *args, **kwargs)
+        caches.append(cache)
+        return reps, cache
 
-    monkeypatch.setattr(aged.decoding, "forward_batch", counting_forward_batch)
+    monkeypatch.setattr(aged.decoding, "forward_batch", recording)
+    return batches, caches
+
+
+def _padded_scores(lengths, n_heads=4):
+    """One layer's padded attention scores of a batch: pairs x heads x longest squared."""
+    return len(lengths) * n_heads * max(lengths) ** 2
+
+
+@pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
+def test_predict_all_batches_within_the_attention_bound(store, vocab, test_instances,
+                                                         monkeypatch, mode):
+    model = _f64_model(vocab, mode, n_heads=4)
+    # pairs of 128 tokens may share a batch (2 x 4 x 128^2 is the bound); pairs
+    # over 128 tokens run alone
+    base = len(query_pairs(test_instances[:1], store, model)[0][0].ids)
+    longer = [replace(test_instances[0], tokens=test_instances[0].tokens + ("filler",) * k)
+              for k in (128 - base, 129 - base, 200, 128 - base, 129 - base)]
+    instances = [longer[0], *test_instances[:6], *longer[1:], *test_instances[6:]]
+    batches, caches = _recording_forward_batch(monkeypatch)
     predictions = predict_all(instances, store, model)
-    assert all(len(lengths) * max(lengths) <= PREDICT_BATCH_TOKENS for lengths in batches)
-    assert max(len(lengths) for lengths in batches) > 1
-    long_batches = [lengths for lengths in batches if max(lengths) > PREDICT_BATCH_TOKENS // 2]
+    # a pair over the bound on its own (the 200 fillers) still runs, alone
+    assert all(_padded_scores(lengths) <= PREDICT_BATCH_SCORES for lengths in batches
+               if len(lengths) > 1)
+    assert any(_padded_scores(lengths) > PREDICT_BATCH_SCORES for lengths in batches)
+    long_batches = [lengths for lengths in batches if max(lengths) > 128]
     assert long_batches and all(len(lengths) == 1 for lengths in long_batches)
+    assert max(len(lengths) for lengths in batches) > 1
+    if mode is TemplateMode.FRAME_DEF:
+        assert [128, 128] in batches
+        assert [129] in batches
     n_pairs = len(instances) if mode is TemplateMode.FRAME_DEF else sum(
         len(store.frame(inst.frame).fe_order) for inst in instances)
     assert sum(map(len, batches)) == n_pairs
+    assert caches == [None] * len(batches)  # prediction keeps no per-layer cache
     _assert_matches_reference(predictions, instances, store, model)
+
+
+@pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
+def test_bundled_test_set_predicts_as_one_batch(store, vocab, test_instances, monkeypatch,
+                                                mode):
+    model = _f64_model(vocab, mode, n_heads=4)
+    batches, _ = _recording_forward_batch(monkeypatch)
+    predictions = predict_all(test_instances, store, model)
+    assert len(batches) == 1
+    assert _padded_scores(batches[0]) <= PREDICT_BATCH_SCORES
+    _assert_matches_reference(predictions, test_instances, store, model)
+
+
+def _batch_of(ns, slots):
+    """Synthetic pairs with n sentence tokens and the given slot count each."""
+    return [EncodedPair(ids=(), sentence_pos=tuple(range(1, n + 1)), slot_pos=((0, 0),) * m,
+                        slot_fes=tuple(f"FE{j}" for j in range(m)), definition_start=0)
+            for n, m in zip(ns, slots)]
+
+
+def _distribution(rng, kind, size):
+    """Non-negative start or end probabilities of one `kind` over `size` candidates."""
+    if kind == "random":
+        return rng.dirichlet(np.full(size, 0.5))
+    if kind == "ties":  # a few repeated values, some a few ulps apart
+        values = rng.choice([0.0, 0.1, 0.3, 0.7, rng.random()], size=size)
+        bumped = rng.random(size) < 0.3
+        values[bumped] = np.nextafter(values[bumped], 1.0)
+        return values
+    if kind == "zeros":
+        return np.zeros(size)
+    return np.full(size, 1.0 / size)  # uniform
+
+
+def _assert_decode_batch_matches_decode_slot(probs, pairs):
+    decoded = decode_batch(probs, pairs)
+    assert len(decoded) == len(pairs)
+    for b, (pair, predictions) in enumerate(zip(pairs, decoded)):
+        n_cand = len(pair.sentence_pos) + 1
+        assert [p.fe for p in predictions] == list(pair.slot_fes)
+        for m, prediction in enumerate(predictions):
+            span, score = decode_slot(probs[0, b, m, :n_cand], probs[1, b, m, :n_cand])
+            assert prediction.span == span
+            assert type(prediction.score) is float
+            assert np.float64(prediction.score).tobytes() == np.float64(score).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["random", "ties", "zeros", "uniform"])
+def test_decode_batch_equals_decode_slot_bitwise(dtype, kind):
+    rng = np.random.default_rng(31)
+    ns = list(range(1, 251))
+    rng.shuffle(ns)
+    for lo in range(0, len(ns), 5):  # batches of 5 pairs: padded candidates and slots
+        batch_ns = ns[lo : lo + 5]
+        pairs = _batch_of(batch_ns, rng.integers(0, 4, size=len(batch_ns)))
+        n_slot, n_cand = max(len(p.slot_fes) for p in pairs), max(batch_ns) + 1
+        # padded slots hold noise that must not matter; padded candidates are 0
+        probs = rng.random((2, len(pairs), n_slot, n_cand))
+        for b, (n, pair) in enumerate(zip(batch_ns, pairs)):
+            probs[:, b, :, n + 1 :] = 0.0
+            for m in range(len(pair.slot_fes)):
+                for head in range(2):
+                    probs[head, b, m, : n + 1] = _distribution(rng, kind, n + 1)
+        _assert_decode_batch_matches_decode_slot(probs.astype(dtype), pairs)
+
+
+def test_decode_batch_edge_cases_equal_decode_slot():
+    rng = np.random.default_rng(8)
+    # a pair with no sentence tokens next to longer ones, and an all-n=0 batch
+    pairs = _batch_of([0, 3, 7], [2, 1, 3])
+    probs = rng.random((2, 3, 3, 8))
+    probs[:, 0, :, 1:] = 0.0
+    probs[:, 1, :, 4:] = 0.0
+    _assert_decode_batch_matches_decode_slot(probs, pairs)
+    _assert_decode_batch_matches_decode_slot(rng.random((2, 2, 1, 1)), _batch_of([0, 0], [1, 0]))
+    assert decode_batch(np.zeros((2, 1, 0, 3)), _batch_of([2], [0])) == [[]]
 
 
 def test_decode_matches_oracle_on_long_distributions():

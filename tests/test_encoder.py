@@ -408,6 +408,19 @@ def test_last_layer_caches_only_read_rows(vocab, pair, n_layers):
     assert len(last["a"]) == batch * length  # keys and values cover every row
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_forward_without_backward_cache_gives_the_same_reps(vocab, pair, n_layers, dtype):
+    config = tiny_config(max_len=128, n_layers=n_layers, dtype=dtype)
+    params = init_parameters(config, len(vocab))
+    pairs = mixed_batch(pair)
+    reps, cache = forward_batch(params, config, pairs)
+    bare, none = forward_batch(params, config, pairs, backward=False)
+    assert none is None and len(cache["layers"]) == n_layers
+    assert bare.dtype == reps.dtype and bare.shape == reps.shape
+    assert bare.tobytes() == reps.tobytes()
+
+
 def test_read_rows_are_candidates_and_slot_spans(pair):
     spans = {i for start, end in pair.slot_pos for i in range(start, end + 1)}
     assert list(pair.read_rows) == sorted({0, *pair.sentence_pos, *spans})
@@ -437,6 +450,10 @@ def test_candidates_lead_the_read_rows_and_slot_spans_are_runs(store, vocab, tra
             for start, end in pair.slot_pos:
                 lo = rows.index(start)
                 assert rows[lo : lo + end - start + 1] == list(range(start, end + 1))
+            # each slot span's first and last read row, derived once per pair
+            assert pair.slot_rows.tolist() == [[rows.index(start), rows.index(end)]
+                                               for start, end in pair.slot_pos]
+            assert pair.slot_rows is pair.slot_rows and pair.slot_rows.shape[1] == 2
             checked += 1
     assert checked > 100
 

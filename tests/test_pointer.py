@@ -8,7 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from aged.encoder import (
     EncoderConfig,
+    FlatTensors,
     _embedding_grad,
+    _softmax,
+    backward_from_cache,
     forward,
     forward_batch,
     init_parameters,
@@ -18,6 +21,7 @@ from aged.pointer import (
     PointerDistribution,
     batch_loss_and_gradients,
     loss_and_gradients,
+    _head_pair,
     _reps_grad,
     make_queries,
     pointer_distributions,
@@ -196,8 +200,8 @@ def test_end_to_end_gradients_match_finite_differences(store, vocab, train_insta
             assert rel <= 1e-4, (name, idx, an, fd)
 
 
-def mixed_batch(store, vocab, train_instances):
-    """f64 pairs of mixed length and slot count: frame-def, question, FE-def, bare [CLS]."""
+def mixed_batch(store, vocab, train_instances, dtype="f64"):
+    """Pairs of mixed length and slot count: frame-def, question, FE-def, bare [CLS]."""
     from aged.templates import build_fe_template, build_question_template
 
     inst = train_instances[0]
@@ -217,42 +221,45 @@ def mixed_batch(store, vocab, train_instances):
     labels.insert(2, [])
     assert len({len(p.ids) for p in pairs}) == len(pairs)
     assert len({len(p.slot_pos) for p in pairs}) >= 3
-    config = EncoderConfig(d_model=8, n_layers=2, n_heads=2, max_len=128, seed=4, dtype="f64")
+    config = EncoderConfig(d_model=8, n_layers=2, n_heads=2, max_len=128, seed=4, dtype=dtype)
     return config, init_parameters(config, len(vocab)), pairs, labels
 
 
 def test_score_batch_equals_per_pair_reference(store, vocab, train_instances):
     config, params, pairs, _ = mixed_batch(store, vocab, train_instances)
     reps, _ = forward_batch(params, config, pairs)
-    distributions, cache = score_batch(params, reps, pairs)
-    assert len(distributions) == len(pairs)
-    for pair, dists in zip(pairs, distributions):
+    probs, _ = score_batch(params, reps, pairs)
+    n_cands = np.array([len(pair.sentence_pos) + 1 for pair in pairs])
+    assert probs.shape == (2, len(pairs), max(len(p.slot_pos) for p in pairs), n_cands.max())
+    for b, pair in enumerate(pairs):
         pair_reps = forward(params, config, pair)
         reference = pointer_distributions(params, pair_reps, pair, make_queries(pair_reps, pair))
-        assert [d.fe for d in dists] == [r.fe for r in reference]
-        for d, r in zip(dists, reference):
-            assert len(d.start_probs) == len(r.start_probs) == len(pair.sentence_pos) + 1
-            np.testing.assert_allclose(d.start_probs, r.start_probs, rtol=1e-9, atol=0)
-            np.testing.assert_allclose(d.end_probs, r.end_probs, rtol=1e-9, atol=0)
-    n_cands = np.array([len(pair.sentence_pos) + 1 for pair in pairs])
+        assert len(reference) == len(pair.slot_pos)
+        for m, r in enumerate(reference):
+            np.testing.assert_allclose(probs[0, b, m, : n_cands[b]], r.start_probs, rtol=1e-9,
+                                       atol=0)
+            np.testing.assert_allclose(probs[1, b, m, : n_cands[b]], r.end_probs, rtol=1e-9,
+                                       atol=0)
     padded = np.arange(n_cands.max()) >= n_cands[:, None]  # (B, C)
     assert padded.any()
-    for head_probs in cache["probs"]:
-        assert head_probs.shape[::2] == padded.shape
-        assert (head_probs * padded[:, None, :] == 0).all()
+    assert (probs * padded[:, None, :] == 0).all()
 
 
 def test_batched_loss_and_gradients_equal_sum_of_single_pairs(store, vocab, train_instances):
     config, params, pairs, labels = mixed_batch(store, vocab, train_instances)
-    losses, distributions, grads = batch_loss_and_gradients(params, config, pairs, labels)
+    losses, grads = batch_loss_and_gradients(params, config, pairs, labels)
+    probs, _ = score_batch(params, forward_batch(params, config, pairs)[0], pairs)
     summed = {k: np.zeros_like(v) for k, v in params.items()}
-    for pair, pair_labels, loss, dists in zip(pairs, labels, losses, distributions):
+    for b, (pair, pair_labels, loss) in enumerate(zip(pairs, labels, losses)):
         single, single_dists, single_grads = loss_and_gradients(params, config, pair, pair_labels)
         assert loss == pytest.approx(single, rel=1e-9)
-        assert [d.fe for d in dists] == [d.fe for d in single_dists]
-        for d, s in zip(dists, single_dists):
-            np.testing.assert_allclose(d.start_probs, s.start_probs, rtol=1e-9, atol=1e-15)
-            np.testing.assert_allclose(d.end_probs, s.end_probs, rtol=1e-9, atol=1e-15)
+        assert [d.fe for d in single_dists] == list(pair.slot_fes)
+        n_cand = len(pair.sentence_pos) + 1
+        for m, s in enumerate(single_dists):
+            np.testing.assert_allclose(probs[0, b, m, :n_cand], s.start_probs, rtol=1e-9,
+                                       atol=1e-15)
+            np.testing.assert_allclose(probs[1, b, m, :n_cand], s.end_probs, rtol=1e-9,
+                                       atol=1e-15)
         for k in summed:
             summed[k] += single_grads[k]
     assert set(grads) == set(params)
@@ -261,10 +268,83 @@ def test_batched_loss_and_gradients_equal_sum_of_single_pairs(store, vocab, trai
         assert np.abs(grads[k] - expected).max() <= 1e-9 * scale, k
 
 
+def two_head_reference(params, config, pairs, labels):
+    """Losses and gradients with each pointer head run on its own: the per-head
+    chain of matmuls and softmaxes, summed into zeroed buffers head by head."""
+    reps, cache = forward_batch(params, config, pairs)
+    _, scores = score_batch(params, reps, pairs)
+    rows, queries = scores["rows"], scores["queries"]
+    batch, n_cand, d = rows.shape
+    n_slot = queries.shape[1]
+    n_cands = [len(pair.sentence_pos) + 1 for pair in pairs]
+    n_slots = [len(pair.slot_pos) for pair in pairs]
+    gold = np.zeros((2, batch, n_slot), dtype=np.intp)
+    for b, pair_labels in enumerate(labels):
+        if pair_labels:
+            gold[:, b, : n_slots[b]] = np.array(pair_labels).T
+    slot_ok = np.arange(n_slot) < np.array(n_slots)[:, None]
+    cand_ok = np.arange(n_cand) < np.array(n_cands)[:, None]
+    cand_bias = np.where(cand_ok, 0.0, -np.inf).astype(reps.dtype)[:, None, :]
+
+    d_rows = np.zeros_like(rows)
+    d_queries = np.zeros_like(queries)
+    nll, w_grads = [], {}
+    for name, head_gold in zip(("pointer.w_start", "pointer.w_end"), gold):
+        z = queries @ params[name].T
+        probs = _softmax(z @ rows.transpose(0, 2, 1) + cand_bias)
+        p_gold = np.take_along_axis(probs, head_gold[..., None], axis=2)[..., 0]
+        nll.append(-np.log(np.where(slot_ok, p_gold, 1.0)).astype(np.float64))
+        dlogits = 0.5 * (probs - (np.arange(n_cand) == head_gold[..., None]))
+        dlogits *= slot_ok[..., None]
+        d_rows += dlogits.transpose(0, 2, 1) @ z
+        dz = dlogits @ rows
+        d_queries += dz @ params[name]
+        w_grads[name] = dz.reshape(-1, d).T @ queries.reshape(-1, d)
+    grads = backward_from_cache(params, config, cache, _reps_grad(scores, d_rows, d_queries))
+    for name, w_grad in w_grads.items():
+        grads[name][...] = w_grad
+    losses = [0.5 * float(nll[0][b].sum()) + 0.5 * float(nll[1][b].sum()) for b in range(batch)]
+    return losses, grads
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_stacked_heads_equal_two_head_reference_bitwise(store, vocab, train_instances, dtype):
+    config, params, pairs, labels = mixed_batch(store, vocab, train_instances, dtype)
+    losses, grads = batch_loss_and_gradients(params, config, pairs, labels)
+    ref_losses, ref_grads = two_head_reference(params, config, pairs, labels)
+    assert losses == ref_losses
+    assert all(type(loss) is float for loss in losses)
+    for name in ("pointer.w_start", "pointer.w_end"):
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+
+
+def test_pointer_heads_are_one_view_of_the_flat_buffer(store, vocab, train_instances):
+    # both heads are scored, and both gradients written, through one (2, d, d)
+    # view; tensors listed apart in the buffer give the same numbers via a copy
+    config, params, pairs, labels = mixed_batch(store, vocab, train_instances)
+    heads = _head_pair(params)
+    assert heads.shape == (2, 8, 8) and np.shares_memory(heads, params.flat)
+    assert heads[0].tobytes() == params["pointer.w_start"].tobytes()
+    assert heads[1].tobytes() == params["pointer.w_end"].tobytes()
+    losses, grads = batch_loss_and_gradients(params, config, pairs, labels)
+
+    names = list(params.shapes)
+    names.remove("pointer.w_end")
+    names.insert(0, "pointer.w_end")  # now apart from pointer.w_start
+    shapes = {name: params.shapes[name] for name in names}
+    apart = FlatTensors(shapes, np.concatenate([params[name].ravel() for name in names]))
+    assert not np.shares_memory(_head_pair(apart), apart.flat)
+    apart_losses, apart_grads = batch_loss_and_gradients(apart, config, pairs, labels)
+    assert apart_losses == losses
+    for name in params:
+        assert apart_grads[name].tobytes() == grads[name].tobytes(), name
+
+
 def test_batched_gradients_match_finite_differences(store, vocab, train_instances):
     # the padded batch's gradient against the per-pair reference loss
     config, params, pairs, labels = mixed_batch(store, vocab, train_instances)
-    _, _, grads = batch_loss_and_gradients(params, config, pairs, labels)
+    _, grads = batch_loss_and_gradients(params, config, pairs, labels)
 
     from aged.encoder import forward
 
@@ -295,10 +375,20 @@ def test_batched_gradients_match_finite_differences(store, vocab, train_instance
 
 def test_batch_label_count_mismatch_rejected(store, vocab, train_instances):
     config, params, pairs, labels = mixed_batch(store, vocab, train_instances)
-    with pytest.raises(ValueError, match="distributions"):
+    n_slots = len(labels[0])
+    with pytest.raises(ValueError, match=f"^{n_slots} distributions vs {n_slots - 1} labels$"):
         batch_loss_and_gradients(params, config, pairs, [labels[0][:-1]] + labels[1:])
-    with pytest.raises(ValueError, match="outside"):
-        batch_loss_and_gradients(params, config, pairs[:1], [[(0, 999)] * len(labels[0])])
+    with pytest.raises(ValueError, match="pairs vs"):
+        batch_loss_and_gradients(params, config, pairs, labels[:-1])
+    n = len(pairs[0].sentence_pos)
+    for bad in ((0, 999), (-1, 0), (n + 1, 1)):
+        with pytest.raises(ValueError, match=rf"^label \({bad[0]}, {bad[1]}\) outside 0\.\.{n}$"):
+            batch_loss_and_gradients(params, config, pairs[:1], [[bad] * n_slots])
+    # the first bad label is named, counted over the pairs in order
+    later = [list(pair_labels) for pair_labels in labels]
+    later[3][0] = (0, 500)
+    with pytest.raises(ValueError, match=r"^label \(0, 500\) outside"):
+        batch_loss_and_gradients(params, config, pairs, later)
 
 
 def test_one_hot_scatters_equal_add_at_exactly():

@@ -268,7 +268,7 @@ def test_gradients_own_their_arrays(store, vocab, train_instances):
     # training scales gradients in place, so no two may share memory
     model = small_model(vocab, n_layers=2)
     stream = build_training_stream(train_instances[:3], store, model, TrainConfig(epochs=1))
-    _, _, grads = batch_loss_and_gradients(
+    _, grads = batch_loss_and_gradients(
         model.params, model.config, [ex.pair for ex in stream], [ex.labels for ex in stream]
     )
     arrays = list(grads.values()) + list(model.params.values())
@@ -281,7 +281,7 @@ def test_gradients_own_their_arrays(store, vocab, train_instances):
 def test_gradients_are_views_of_one_flat_buffer(store, vocab, train_instances):
     model = small_model(vocab, n_layers=2)
     stream = build_training_stream(train_instances[:3], store, model, TrainConfig(epochs=1))
-    _, _, grads = batch_loss_and_gradients(
+    _, grads = batch_loss_and_gradients(
         model.params, model.config, [ex.pair for ex in stream], [ex.labels for ex in stream]
     )
     assert_views_of_flat(grads, model.params)
@@ -332,7 +332,7 @@ def test_parameters_are_views_of_one_flat_buffer(store, vocab, train_instances, 
 
     def recording(*args):
         result = real(*args)
-        buffers.append(result[2])
+        buffers.append(result[1])
         return result
 
     monkeypatch.setattr(aged.training, "batch_loss_and_gradients", recording)
