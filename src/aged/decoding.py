@@ -20,17 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import AnnotatedInstance, FrameStore
-from .encoder import Checkpoint, forward_batch
+from .encoder import ARRAY_BUDGET, Checkpoint, forward_batch
 from .encoding import EncodedPair, assemble
 from .pointer import PointerDistribution, score_batch
 from .templates import query_templates
-
-# Padded attention scores of one layer, pairs x heads x longest pair squared,
-# one prediction batch may hold. Pairs share a batch to pay numpy's per-call
-# overhead once; at 2^17 the f32 score array (512 KB) stays well inside a
-# 2 MB per-core L2 cache. A pair whose scores pass half of it (over 128
-# tokens at 4 heads) runs alone.
-PREDICT_BATCH_SCORES = 2**17
 
 
 @dataclass(frozen=True)
@@ -127,20 +120,23 @@ def predict_pairs(model: Checkpoint, pairs: list[list[EncodedPair]]) -> list[lis
     """Predictions for each instance's `query_pairs`, in instance and slot order.
 
     The pairs of all instances are sorted by length (stably) and consecutive
-    runs are cut into batches whose padded attention scores, pairs x heads x
-    longest pair squared, stay within PREDICT_BATCH_SCORES; a pair over half
-    of it runs alone. Each batch runs `forward_batch` without a backward
-    cache, one `score_batch` and one `decode_batch`.
+    runs are cut into batches whose feed-forward hidden rows, pairs x longest
+    pair x d_ff, stay within `encoder.ARRAY_BUDGET` (1024 rows at d_ff 128),
+    so numpy's per-call floor of the row-wise layers is paid once per batch;
+    a pair over the budget runs alone. `forward_batch` keeps each attention
+    score array within the same budget by running attention per length
+    chunk. Each batch runs `forward_batch` without a backward cache, one
+    `score_batch` and one `decode_batch`.
     """
     flat = [pair for instance_pairs in pairs for pair in instance_pairs]
     order = sorted(range(len(flat)), key=lambda i: len(flat[i].ids))
-    n_heads = model.config.n_heads
+    d_ff = model.config.d_ff
     decoded = [None] * len(flat)
     lo = 0
     while lo < len(order):
         hi = lo + 1
         while (hi < len(order) and
-               (hi - lo + 1) * n_heads * len(flat[order[hi]].ids) ** 2 <= PREDICT_BATCH_SCORES):
+               (hi - lo + 1) * len(flat[order[hi]].ids) * d_ff <= ARRAY_BUDGET):
             hi += 1
         batch = [flat[i] for i in order[lo:hi]]
         reps, _ = forward_batch(model.params, model.config, batch, backward=False)

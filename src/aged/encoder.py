@@ -33,9 +33,15 @@ _GELU_A = 0.044715
 # `_attention` skips the row max while no score exceeds _MAX_UNSHIFTED_SCORE
 # (exp(30) times a row of max_len keys stays far below the f32 maximum, and
 # 1 / rowsum stays a normal number) and no row sum of exp(s) falls below
-# _MIN_UNSHIFTED_SUM
+# _MIN_UNSHIFTED_SUM; it checks each attention chunk on its own
 _MAX_UNSHIFTED_SCORE = 30.0
 _MIN_UNSHIFTED_SUM = 1e-20
+
+# The most elements one activation array of a batch may hold: a prediction
+# batch's feed-forward hidden rows (pairs x longest pair x d_ff), and one
+# attention chunk's padded scores (pairs x heads x longest pair squared). At
+# 2^17 an f32 array (512 KB) stays well inside a 2 MB per-core L2 cache.
+ARRAY_BUDGET = 2**17
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -298,8 +304,9 @@ def _attention(qh, kh, vh, key_bias):
     e = exp(s) cannot overflow, and if a row sum falls below
     `_MIN_UNSHIFTED_SUM` (exp underflow would cost precision, or give
     1 / 0), the scores are computed again and shifted. Both checks see only
-    the call's query rows: in the last layer of `forward_batch`, the read
-    rows (and the unread rows that pad them).
+    the call's scores: `forward_batch` calls this once per attention chunk,
+    and in its last layer the query rows are the read rows (and the unread
+    rows that pad them).
     """
     e = _scores(qh, kh, key_bias)
     shift = bool(e.max() > _MAX_UNSHIFTED_SCORE)
@@ -325,6 +332,69 @@ def _attention_backward(dctx, qh, kh, vh, e, inv_sum):
     dscores -= _row_sums(dscores * e) * inv_sum
     dscores *= e
     return dscores @ kh, dscores.transpose(0, 1, 3, 2) @ qh, dvh
+
+
+def _attention_chunks(lengths: list[int], n_heads: int) -> list[tuple[int, int]]:
+    """Runs [lo, hi) of consecutive pairs that cover the batch in order.
+
+    A run grows while its padded scores, pairs x heads x its longest pair
+    squared, stay within ARRAY_BUDGET; a pair over the budget is a run of its
+    own, and a batch within it is one run.
+    """
+    chunks, lo, longest = [], 0, 0
+    for b, length in enumerate(lengths):
+        longest = max(longest, length)
+        if b > lo and (b + 1 - lo) * n_heads * longest**2 > ARRAY_BUDGET:
+            chunks.append((lo, b))
+            lo, longest = b, length
+    chunks.append((lo, len(lengths)))
+    return chunks
+
+
+def _chunked_attention(qh, kh, vh, chunks, keep: bool):
+    """`_attention` of each chunk's (rows, keys, key_bias) slices, into one context.
+
+    Query rows outside every chunk (padding only) get a zero context.
+    Returns the context and, if `keep`, each chunk's slices, e and inv_sum
+    for `_chunked_attention_backward`; else each chunk's scores are freed
+    once its context is written.
+    """
+    ctx = np.zeros_like(qh)
+    kept = []
+    for rows, keys, key_bias in chunks:
+        ctx[rows], e, inv_sum = _attention(qh[rows], kh[keys], vh[keys], key_bias)
+        if keep:
+            kept.append((rows, keys, e, inv_sum))
+        del e
+    return ctx, kept
+
+
+def _chunked_attention_backward(dctx, qh, kh, vh, kept):
+    """d qh, d kh and d vh of `_chunked_attention`; zero outside the chunks."""
+    dqh, dkh, dvh = np.zeros_like(qh), np.zeros_like(kh), np.zeros_like(vh)
+    for rows, keys, e, inv_sum in kept:
+        dqh[rows], dkh[keys], dvh[keys] = _attention_backward(
+            dctx[rows], qh[rows], kh[keys], vh[keys], e, inv_sum
+        )
+    return dqh, dkh, dvh
+
+
+def _chunk_slices(lengths, n_read, n_heads, key_bias):
+    """Each attention chunk's (rows, keys, key_bias) slices of (B, H, rows, dh)
+    arrays, below the last layer and in it.
+
+    A chunk spans its own longest pair for keys and values, and for queries
+    below the last layer; in the last layer its queries are its most read
+    rows. It gets its slice of the batch's key mask only if it has padding.
+    """
+    inner, last = [], []
+    for lo, hi in _attention_chunks(lengths.tolist(), n_heads):
+        n_keys = int(lengths[lo:hi].max())
+        keys = (slice(lo, hi), slice(None), slice(n_keys))
+        bias = key_bias[lo:hi, ..., :n_keys] if lengths[lo:hi].min() < n_keys else None
+        inner.append((keys, keys, bias))
+        last.append(((slice(lo, hi), slice(None), slice(int(n_read[lo:hi].max()))), keys, bias))
+    return inner, last
 
 
 def _embedding_grad(index, dx, out):
@@ -370,6 +440,12 @@ def forward_batch(
     still cover every position. A key-padding mask gives padded positions
     zero attention probability, so each pair's read rows equal its unpadded
     encoding. Training and prediction run this same pass.
+
+    Row-wise layers run over the whole batch. Attention runs over the whole
+    batch too if its padded scores, pairs x heads x longest pair squared,
+    fit ARRAY_BUDGET; otherwise it runs per `_attention_chunks` chunk, each
+    sliced to its own longest pair (and in the last layer its most read
+    rows), so no chunk's score array outgrows the budget.
     """
     lengths = np.array([len(pair.ids) for pair in pairs])
     batch, length = len(pairs), int(lengths.max())
@@ -402,6 +478,9 @@ def forward_batch(
     key_bias = None
     if not valid.all():
         key_bias = np.where(valid, 0.0, -np.inf).astype(x.dtype)[:, None, None, :]
+    chunks = None  # the whole batch attends as one chunk
+    if batch > 1 and batch * config.n_heads * length**2 > ARRAY_BUDGET:
+        chunks = _chunk_slices(lengths, n_read, config.n_heads, key_bias)
     cache: dict = {"ids": ids, "segments": segments, "picked": picked,
                    "picked_read": picked_read, "shape": (batch, length, d), "layers": []}
     dh = d // config.n_heads
@@ -410,6 +489,7 @@ def forward_batch(
     for i in range(config.n_layers):
         p = f"layer{i}."
         rows = _query_rows(config, i, picked)
+        last = i == config.n_layers - 1
         lc: dict = {}
         a, lc["ln1"] = _layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
         a_q = a[rows]
@@ -420,7 +500,10 @@ def forward_batch(
         v = a @ params[p + "attn.w_v"]
         v += params[p + "attn.b_v"]
         qh, kh, vh = (_split_heads(m, batch, config.n_heads) for m in (q, k, v))
-        ctx, e, inv_sum = _attention(qh, kh, vh, key_bias)
+        if chunks is None:
+            ctx, lc["e"], lc["inv_sum"] = _attention(qh, kh, vh, key_bias)
+        else:
+            ctx, lc["chunks"] = _chunked_attention(qh, kh, vh, chunks[last], backward)
         ctx = _merge_heads(ctx)
         x1 = ctx @ params[p + "attn.w_o"]
         x1 += params[p + "attn.b_o"]
@@ -433,8 +516,7 @@ def forward_batch(
         x += params[p + "ffn.b2"]
         x += x1  # x = x1 + f
         if backward:
-            lc.update(a=a, a_q=a_q, qh=qh, kh=kh, vh=vh, e=e, inv_sum=inv_sum, ctx=ctx, a2=a2,
-                      h1=h1, t=t, g=g)
+            lc.update(a=a, a_q=a_q, qh=qh, kh=kh, vh=vh, ctx=ctx, a2=a2, h1=h1, t=t, g=g)
             cache["layers"].append(lc)
 
     out, cache["final_ln"] = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
@@ -525,9 +607,14 @@ def backward_from_cache(
         np.matmul(lc["ctx"].T, dx1, out=grads[p + "attn.w_o"])
         _column_sums(dx1, grads[p + "attn.b_o"])
         dctx = _split_heads(dx1 @ params[p + "attn.w_o"].T, batch, config.n_heads)
-        dqh, dkh, dvh = _attention_backward(
-            dctx, lc["qh"], lc["kh"], lc["vh"], lc["e"], lc["inv_sum"]
-        )
+        if "chunks" in lc:
+            dqh, dkh, dvh = _chunked_attention_backward(
+                dctx, lc["qh"], lc["kh"], lc["vh"], lc["chunks"]
+            )
+        else:
+            dqh, dkh, dvh = _attention_backward(
+                dctx, lc["qh"], lc["kh"], lc["vh"], lc["e"], lc["inv_sum"]
+            )
         dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
         dq *= inv_sqrt_dh  # the queries were scaled by 1/sqrt(dh) before the scores
         a = lc["a"]

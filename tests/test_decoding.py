@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import aged.decoding
 from aged.decoding import (
-    PREDICT_BATCH_SCORES,
     SpanPrediction,
     decode,
     decode_batch,
@@ -17,7 +16,14 @@ from aged.decoding import (
     predict_instance,
     query_pairs,
 )
-from aged.encoder import Checkpoint, EncoderConfig, forward, forward_batch, init_parameters
+from aged.encoder import (
+    ARRAY_BUDGET,
+    Checkpoint,
+    EncoderConfig,
+    forward,
+    forward_batch,
+    init_parameters,
+)
 from aged.encoding import EncodedPair, assemble
 from aged.pointer import PointerDistribution, make_queries, pointer_distributions
 from aged.templates import (
@@ -222,37 +228,56 @@ def _recording_forward_batch(monkeypatch):
     return batches, caches
 
 
+def _padded_rows(lengths, d_ff):
+    """A batch's padded feed-forward hidden elements: pairs x longest pair x d_ff."""
+    return len(lengths) * max(lengths) * d_ff
+
+
 def _padded_scores(lengths, n_heads=4):
     """One layer's padded attention scores of a batch: pairs x heads x longest squared."""
     return len(lengths) * n_heads * max(lengths) ** 2
 
 
 @pytest.mark.parametrize("mode", [TemplateMode.FRAME_DEF, TemplateMode.QUESTION])
-def test_predict_all_batches_within_the_attention_bound(store, vocab, test_instances,
-                                                         monkeypatch, mode):
+def test_predict_all_batches_within_the_row_budget(store, vocab, test_instances, monkeypatch,
+                                                   mode):
     model = _f64_model(vocab, mode, n_heads=4)
-    # pairs of 128 tokens may share a batch (2 x 4 x 128^2 is the bound); pairs
-    # over 128 tokens run alone
+    d_ff = model.config.d_ff  # 64: 2048 rows, so 8 pairs of 256 tokens share a batch
     base = len(query_pairs(test_instances[:1], store, model)[0][0].ids)
     longer = [replace(test_instances[0], tokens=test_instances[0].tokens + ("filler",) * k)
-              for k in (128 - base, 129 - base, 200, 128 - base, 129 - base)]
+              for k in (129 - base, 200, 150, 256 - base, 129 - base, 200, 256 - base)]
     instances = [longer[0], *test_instances[:6], *longer[1:], *test_instances[6:]]
     batches, caches = _recording_forward_batch(monkeypatch)
     predictions = predict_all(instances, store, model)
-    # a pair over the bound on its own (the 200 fillers) still runs, alone
-    assert all(_padded_scores(lengths) <= PREDICT_BATCH_SCORES for lengths in batches
-               if len(lengths) > 1)
-    assert any(_padded_scores(lengths) > PREDICT_BATCH_SCORES for lengths in batches)
+    assert all(_padded_rows(lengths, d_ff) <= ARRAY_BUDGET for lengths in batches)
+    # each batch but the last is cut where the next, longer pair would pass the budget
+    for lengths, following in zip(batches, batches[1:]):
+        assert max(lengths) <= min(following)
+        assert _padded_rows([*lengths, following[0]], d_ff) > ARRAY_BUDGET
+    # pairs over 128 tokens share batches; their attention runs per chunk
     long_batches = [lengths for lengths in batches if max(lengths) > 128]
-    assert long_batches and all(len(lengths) == 1 for lengths in long_batches)
-    assert max(len(lengths) for lengths in batches) > 1
-    if mode is TemplateMode.FRAME_DEF:
-        assert [128, 128] in batches
-        assert [129] in batches
+    assert long_batches and all(len(lengths) > 1 for lengths in long_batches)
+    assert any(_padded_scores(lengths) > ARRAY_BUDGET for lengths in long_batches)
     n_pairs = len(instances) if mode is TemplateMode.FRAME_DEF else sum(
         len(store.frame(inst.frame).fe_order) for inst in instances)
     assert sum(map(len, batches)) == n_pairs
     assert caches == [None] * len(batches)  # prediction keeps no per-layer cache
+    _assert_matches_reference(predictions, instances, store, model)
+
+
+def test_a_pair_over_the_row_budget_predicts_alone(store, vocab, test_instances, monkeypatch):
+    config = EncoderConfig(d_model=8, n_layers=1, n_heads=2, d_ff=1024, seed=3, dtype="f64")
+    model = Checkpoint(config, init_parameters(config, len(vocab)), vocab, TemplateMode.FRAME_DEF,
+                       MarkerOptions())
+    # 128 rows fit the budget at d_ff 1024: two bundled pairs share a batch, and
+    # a pair of over 128 tokens runs alone
+    longer = replace(test_instances[0], tokens=test_instances[0].tokens + ("filler",) * 100)
+    instances = [longer, *test_instances[:4], longer]
+    batches, _ = _recording_forward_batch(monkeypatch)
+    predictions = predict_all(instances, store, model)
+    assert [len(lengths) for lengths in batches] == [2, 2, 1, 1]
+    assert all(_padded_rows(lengths, config.d_ff) <= ARRAY_BUDGET for lengths in batches[:2])
+    assert all(lengths[0] * config.d_ff > ARRAY_BUDGET for lengths in batches[2:])
     _assert_matches_reference(predictions, instances, store, model)
 
 
@@ -263,7 +288,9 @@ def test_bundled_test_set_predicts_as_one_batch(store, vocab, test_instances, mo
     batches, _ = _recording_forward_batch(monkeypatch)
     predictions = predict_all(test_instances, store, model)
     assert len(batches) == 1
-    assert _padded_scores(batches[0]) <= PREDICT_BATCH_SCORES
+    assert _padded_rows(batches[0], model.config.d_ff) <= ARRAY_BUDGET
+    # and the whole batch attends as one chunk
+    assert _padded_scores(batches[0]) <= ARRAY_BUDGET
     _assert_matches_reference(predictions, test_instances, store, model)
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aged.encoder
 from aged.encoder import (
+    ARRAY_BUDGET,
     LN_EPS,
     _GELU_A,
     _GELU_C,
@@ -13,6 +15,7 @@ from aged.encoder import (
     EncoderConfig,
     _attention,
     _attention_backward,
+    _attention_chunks,
     _gelu,
     _gelu_backward,
     _layer_norm,
@@ -419,6 +422,65 @@ def test_forward_without_backward_cache_gives_the_same_reps(vocab, pair, n_layer
     assert none is None and len(cache["layers"]) == n_layers
     assert bare.dtype == reps.dtype and bare.shape == reps.shape
     assert bare.tobytes() == reps.tobytes()
+
+
+def chunky_batch(pair):
+    """Pairs whose attention runs in three chunks at a budget of 600 scores and 2 heads:
+    two padded pairs (8 and 1 tokens), the fixture pair over the budget alone, and
+    two unpadded pairs of 12 tokens; then a pair of 6 tokens on its own."""
+    short = dataclasses.replace(make_pair([CLS_ID, 11, 12, 3, 13, 14, 15, 3], n_text=2),
+                                slot_pos=((5, 6),), slot_fes=("A",))
+    twelve = [make_pair([CLS_ID, *range(11, 20), 3, 3], n_text=9),
+              make_pair([CLS_ID, *range(14, 23), 3, 3], n_text=4)]
+    return [short, make_pair([CLS_ID], n_text=0), pair, *twelve,
+            make_pair([CLS_ID, 11, 3, 12, 13, 3], n_text=1)]
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_multi_chunk_batch_equals_per_pair_passes(vocab, pair, monkeypatch, n_layers):
+    monkeypatch.setattr(aged.encoder, "ARRAY_BUDGET", 600)
+    config = tiny_config(max_len=128, n_layers=n_layers)
+    params = init_parameters(config, len(vocab))
+    pairs = chunky_batch(pair)
+    assert _attention_chunks([len(p.ids) for p in pairs], config.n_heads) == [
+        (0, 2), (2, 3), (3, 5), (5, 6)]
+    reps, cache = forward_batch(params, config, pairs)
+    assert all("chunks" in layer and "e" not in layer for layer in cache["layers"])
+    bare, _ = forward_batch(params, config, pairs, backward=False)
+    assert bare.tobytes() == reps.tobytes()
+    upstream = np.random.default_rng(5).normal(size=reps.shape)
+    grads = backward_from_cache(params, config, cache, upstream)
+    summed = {name: np.zeros_like(g) for name, g in grads.items()}
+    for b, p in enumerate(pairs):
+        n = len(p.read_rows)
+        assert_close_to(reps[b, :n], forward(params, config, p)[p.read_rows])
+        assert not reps[b, n:].any()  # rows that only pad the read rows are 0
+        for name, g in backward(params, config, p, upstream[b, :n]).items():
+            summed[name] += g
+    for name in grads:
+        assert_close_to(grads[name], summed[name])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(1, 256), min_size=1, max_size=24),
+       n_heads=st.sampled_from([1, 2, 4, 8]))
+def test_attention_chunks_cover_the_batch_within_the_budget(lengths, n_heads):
+    chunks = _attention_chunks(lengths, n_heads)
+    assert [lo for lo, _ in chunks] == [0, *(hi for _, hi in chunks[:-1])]
+    assert chunks[-1][1] == len(lengths) and all(lo < hi for lo, hi in chunks)
+
+    def scores(lo, hi):
+        return (hi - lo) * n_heads * max(lengths[lo:hi]) ** 2
+
+    for lo, hi in chunks:
+        assert hi - lo == 1 or scores(lo, hi) <= ARRAY_BUDGET
+        if hi < len(lengths):  # a chunk grows until the next pair would pass the budget
+            assert scores(lo, hi + 1) > ARRAY_BUDGET
+    for b, length in enumerate(lengths):
+        if n_heads * length**2 > ARRAY_BUDGET:
+            assert (b, b + 1) in chunks
+    if scores(0, len(lengths)) <= ARRAY_BUDGET:
+        assert chunks == [(0, len(lengths))]
 
 
 def test_read_rows_are_candidates_and_slot_spans(pair):

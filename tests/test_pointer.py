@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import aged.encoder
 from aged.encoder import (
     EncoderConfig,
     FlatTensors,
+    _attention_chunks,
     _embedding_grad,
     _softmax,
     backward_from_cache,
@@ -245,8 +247,26 @@ def test_score_batch_equals_per_pair_reference(store, vocab, train_instances):
     assert (probs * padded[:, None, :] == 0).all()
 
 
+def chunk_attention(monkeypatch, config, pairs):
+    """Lower the activation budget so that `mixed_batch` attends in three chunks:
+    its first pair over the budget alone, two padded pairs, and one pair."""
+    monkeypatch.setattr(aged.encoder, "ARRAY_BUDGET", 2000)
+    assert _attention_chunks([len(p.ids) for p in pairs], config.n_heads) == [
+        (0, 1), (1, 3), (3, 4)]
+
+
 def test_batched_loss_and_gradients_equal_sum_of_single_pairs(store, vocab, train_instances):
+    assert_batch_equals_sum_of_single_pairs(*mixed_batch(store, vocab, train_instances))
+
+
+def test_multi_chunk_loss_and_gradients_equal_sum_of_single_pairs(store, vocab, train_instances,
+                                                                  monkeypatch):
     config, params, pairs, labels = mixed_batch(store, vocab, train_instances)
+    chunk_attention(monkeypatch, config, pairs)
+    assert_batch_equals_sum_of_single_pairs(config, params, pairs, labels)
+
+
+def assert_batch_equals_sum_of_single_pairs(config, params, pairs, labels):
     losses, grads = batch_loss_and_gradients(params, config, pairs, labels)
     probs, _ = score_batch(params, forward_batch(params, config, pairs)[0], pairs)
     summed = {k: np.zeros_like(v) for k, v in params.items()}
@@ -342,8 +362,18 @@ def test_pointer_heads_are_one_view_of_the_flat_buffer(store, vocab, train_insta
 
 
 def test_batched_gradients_match_finite_differences(store, vocab, train_instances):
-    # the padded batch's gradient against the per-pair reference loss
+    assert_batch_gradients_match_finite_differences(*mixed_batch(store, vocab, train_instances))
+
+
+def test_multi_chunk_gradients_match_finite_differences(store, vocab, train_instances,
+                                                        monkeypatch):
     config, params, pairs, labels = mixed_batch(store, vocab, train_instances)
+    chunk_attention(monkeypatch, config, pairs)
+    assert_batch_gradients_match_finite_differences(config, params, pairs, labels)
+
+
+def assert_batch_gradients_match_finite_differences(config, params, pairs, labels):
+    """The padded batch's gradient against the per-pair reference loss."""
     _, grads = batch_loss_and_gradients(params, config, pairs, labels)
 
     from aged.encoder import forward

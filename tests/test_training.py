@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import aged.training
 from aged.corpus import AnnotatedInstance, Argument, load_instances, mini_framenet_path
 from aged.encoder import (
+    ARRAY_BUDGET,
     Checkpoint,
     EncoderConfig,
     FlatTensors,
@@ -426,3 +428,32 @@ def test_fit_checks_dev_set_before_training(store, train_instances, tmp_path, mo
     with pytest.raises(PairTooLongError, match="max_len is 256") as err:
         fit(model, train_instances[:4], store, config, dev=load_instances(dev_path, store))
     assert str(err.value).startswith(f"{dev_path}:3: assembled pair has ")
+
+
+@pytest.mark.parametrize("mode, augment_fe_defs", [
+    (TemplateMode.FRAME_DEF, False), (TemplateMode.FRAME_DEF, True), (TemplateMode.QUESTION, False),
+], ids=["frame-def", "augment-fe-defs", "question"])
+def test_bundled_training_batches_attend_as_one_chunk(store, train_instances, monkeypatch, mode,
+                                                      augment_fe_defs):
+    # a batch whose padded attention scores fit the budget makes exactly the
+    # calls of an unchunked pass; if this fails, bundled training batches
+    # attend per chunk and training is no longer bitwise the unchunked one
+    config = EncoderConfig()
+    model = untrained_model(train_instances, store, config, mode=mode)
+    batches = []
+
+    def recording(params, enc_config, pairs, *args):
+        batches.append([len(pair.ids) for pair in pairs])
+        return batch_loss_and_gradients(params, enc_config, pairs, *args)
+
+    monkeypatch.setattr(aged.training, "batch_loss_and_gradients", recording)
+    for seed in (1, 2, 3):
+        train_config = TrainConfig(epochs=1, seed=seed, augment_fe_defs=augment_fe_defs)
+        stream = build_training_stream(train_instances, store, model, train_config)
+        # the longest pairs of the stream bound every batch of any seed and epoch
+        longest = sorted(len(ex.pair.ids) for ex in stream)[-train_config.batch_size:]
+        assert len(longest) * config.n_heads * max(longest) ** 2 <= ARRAY_BUDGET
+        fit(model, train_instances, store, train_config)
+    assert len(batches) == 3 * math.ceil(len(stream) / train_config.batch_size)
+    assert all(len(lengths) * config.n_heads * max(lengths) ** 2 <= ARRAY_BUDGET
+               for lengths in batches)
