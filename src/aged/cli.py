@@ -18,7 +18,6 @@ AGED_LOG in {error, info, debug} controls stderr log verbosity.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import datetime
 import functools
 import hashlib
@@ -473,32 +472,7 @@ def _setup_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-# glibc's mallopt parameters, from <malloc.h>
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Keep freed heap memory in the process instead of returning it to the OS.
-
-    By default glibc trims the freed top of the heap after each training
-    batch's large temporaries and serves blocks over 128 KiB with fresh
-    mmaps, so every batch faults the same pages back in. Raising both
-    thresholds keeps those pages mapped; the results are unchanged. Outside
-    glibc there is no `mallopt` and this does nothing.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
-
-
 def dispatch(argv: list[str]) -> int:
-    _keep_freed_heap()
     _setup_logging()
     parser = build_parser()
     try:

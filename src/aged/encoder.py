@@ -15,6 +15,7 @@ reverse-mode, validated against central finite differences in the tests.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import math
@@ -46,6 +47,25 @@ ARRAY_BUDGET = 2**17
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
 ParameterSet = dict[str, np.ndarray]
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process instead of returning it to the OS.
+
+    By default glibc trims the freed top of the heap after each batch's
+    large temporaries and serves blocks over 128 KiB with fresh mmaps, so
+    every batch faults the same pages back in. Raising both thresholds keeps
+    those pages mapped; the results are unchanged. `forward_batch` calls this
+    once per process. Outside glibc there is no `mallopt` and this does nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, from <malloc.h>
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
 
 
 @dataclass
@@ -84,20 +104,19 @@ class EncoderConfig:
 class FlatTensors(dict):
     """Named tensors as views, in `shapes` order, of one contiguous 1-D array `flat`.
 
-    Parameters and gradients take this layout, so saving, loading, copying,
-    scaling and the Adam update are each one operation on `flat`. Write into
-    a view (`out=`, `+=`); assigning a new array would detach it from `flat`.
+    Parameters and gradients take this layout, in `parameter_shapes` order,
+    so saving, loading, copying, scaling and the Adam update are each one
+    operation on `flat`. Write into a view (`out=`, `+=`); assigning a new
+    array would detach it from `flat`.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray):
         super().__init__()
         self.shapes, self.flat = shapes, flat
-        self.offsets = {}  # where each tensor starts in `flat`
         offset = 0
         for name, shape in shapes.items():
             size = math.prod(shape)
             self[name] = flat[offset : offset + size].reshape(shape)
-            self.offsets[name] = offset
             offset += size
 
     def copy(self) -> "FlatTensors":
@@ -354,15 +373,17 @@ def _attention_chunks(lengths: list[int], n_heads: int) -> list[tuple[int, int]]
 def _chunked_attention(qh, kh, vh, chunks, keep: bool):
     """`_attention` of each chunk's (rows, keys, key_bias) slices, into one context.
 
-    Query rows outside every chunk (padding only) get a zero context.
-    Returns the context and, if `keep`, each chunk's slices, e and inv_sum
-    for `_chunked_attention_backward`; else each chunk's scores are freed
-    once its context is written.
+    Each chunk's context is written straight into a (B, rows, H, dh) buffer,
+    returned as (B*rows, d) rows. Query rows outside every chunk (padding
+    only) get a zero context; a single chunk covers every row. Returns the
+    context and, if `keep`, each chunk's slices, e and inv_sum for
+    `_chunked_attention_backward`; else each chunk's scores are freed once
+    its context is written.
     """
-    ctx = np.zeros_like(qh)
+    ctx, ctx_heads = _row_buffer(qh, len(chunks) == 1)
     kept = []
     for rows, keys, key_bias in chunks:
-        ctx[rows], e, inv_sum = _attention(qh[rows], kh[keys], vh[keys], key_bias)
+        ctx_heads[rows], e, inv_sum = _attention(qh[rows], kh[keys], vh[keys], key_bias)
         if keep:
             kept.append((rows, keys, e, inv_sum))
         del e
@@ -370,13 +391,21 @@ def _chunked_attention(qh, kh, vh, chunks, keep: bool):
 
 
 def _chunked_attention_backward(dctx, qh, kh, vh, kept):
-    """d qh, d kh and d vh of `_chunked_attention`; zero outside the chunks."""
-    dqh, dkh, dvh = np.zeros_like(qh), np.zeros_like(kh), np.zeros_like(vh)
+    """d q, d k and d v of `_chunked_attention` as (B*rows, d) rows; zero outside the chunks."""
+    (dq, dqh), (dk, dkh), (dv, dvh) = (_row_buffer(x, len(kept) == 1) for x in (qh, kh, vh))
     for rows, keys, e, inv_sum in kept:
         dqh[rows], dkh[keys], dvh[keys] = _attention_backward(
             dctx[rows], qh[rows], kh[keys], vh[keys], e, inv_sum
         )
-    return dqh, dkh, dvh
+    return dq, dk, dv
+
+
+def _row_buffer(heads: np.ndarray, covered: bool):
+    """A new buffer as (B*L, d) rows and as a view shaped like the (B, H, L, dh)
+    `heads`; uninitialized if the chunks write every row (`covered`), else 0."""
+    batch, n_heads, length, dh = heads.shape
+    buf = (np.empty if covered else np.zeros)((batch, length, n_heads, dh), heads.dtype)
+    return buf.reshape(batch * length, n_heads * dh), buf.transpose(0, 2, 1, 3)
 
 
 def _chunk_slices(lengths, n_read, n_heads, key_bias):
@@ -415,12 +444,6 @@ def _split_heads(x: np.ndarray, batch: int, n_heads: int) -> np.ndarray:
     return x.reshape(batch, rows // batch, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(B, H, L, dh) -> (B*L, d) rows."""
-    batch, n_heads, length, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(batch * length, n_heads * dh)
-
-
 def forward_batch(
     params: ParameterSet,
     config: EncoderConfig,
@@ -441,12 +464,14 @@ def forward_batch(
     zero attention probability, so each pair's read rows equal its unpadded
     encoding. Training and prediction run this same pass.
 
-    Row-wise layers run over the whole batch. Attention runs over the whole
-    batch too if its padded scores, pairs x heads x longest pair squared,
-    fit ARRAY_BUDGET; otherwise it runs per `_attention_chunks` chunk, each
-    sliced to its own longest pair (and in the last layer its most read
-    rows), so no chunk's score array outgrows the budget.
+    Row-wise layers run over the whole batch, and attention per chunk of
+    consecutive pairs: one chunk of the whole batch if it is one pair or its
+    padded scores, pairs x heads x longest pair squared, fit ARRAY_BUDGET;
+    else the `_attention_chunks` runs, each sliced to its own longest pair
+    (and in the last layer its most read rows), so no chunk's score array
+    outgrows the budget. The cache holds each layer's chunks.
     """
+    _keep_freed_heap()
     lengths = np.array([len(pair.ids) for pair in pairs])
     batch, length = len(pairs), int(lengths.max())
     if length > config.max_len:
@@ -478,8 +503,10 @@ def forward_batch(
     key_bias = None
     if not valid.all():
         key_bias = np.where(valid, 0.0, -np.inf).astype(x.dtype)[:, None, None, :]
-    chunks = None  # the whole batch attends as one chunk
-    if batch > 1 and batch * config.n_heads * length**2 > ARRAY_BUDGET:
+    if batch == 1 or batch * config.n_heads * length**2 <= ARRAY_BUDGET:
+        whole = [(slice(None), slice(None), key_bias)]  # the whole batch as one chunk
+        chunks = whole, whole
+    else:
         chunks = _chunk_slices(lengths, n_read, config.n_heads, key_bias)
     cache: dict = {"ids": ids, "segments": segments, "picked": picked,
                    "picked_read": picked_read, "shape": (batch, length, d), "layers": []}
@@ -500,11 +527,7 @@ def forward_batch(
         v = a @ params[p + "attn.w_v"]
         v += params[p + "attn.b_v"]
         qh, kh, vh = (_split_heads(m, batch, config.n_heads) for m in (q, k, v))
-        if chunks is None:
-            ctx, lc["e"], lc["inv_sum"] = _attention(qh, kh, vh, key_bias)
-        else:
-            ctx, lc["chunks"] = _chunked_attention(qh, kh, vh, chunks[last], backward)
-        ctx = _merge_heads(ctx)
+        ctx, lc["chunks"] = _chunked_attention(qh, kh, vh, chunks[last], backward)
         x1 = ctx @ params[p + "attn.w_o"]
         x1 += params[p + "attn.b_o"]
         x1 += x[rows]  # x1 = x + o
@@ -566,7 +589,8 @@ def backward_from_cache(
     `d_reps` has the (B, N, d_model) shape of the batch's reps, rows in
     `read_rows` order; any other shape raises ValueError, even one of the
     same size. Upstream at the rows that only pad a pair's read rows is
-    ignored, as those rows are constant 0. The gradients are written into
+    ignored, as those rows are constant 0. Attention is differentiated per
+    chunk, over the chunks each layer cached. The gradients are written into
     `out`, zero-filled first, or else into new `FlatTensors` laid out as `params`.
     """
     batch, length, d = cache["shape"]
@@ -607,15 +631,7 @@ def backward_from_cache(
         np.matmul(lc["ctx"].T, dx1, out=grads[p + "attn.w_o"])
         _column_sums(dx1, grads[p + "attn.b_o"])
         dctx = _split_heads(dx1 @ params[p + "attn.w_o"].T, batch, config.n_heads)
-        if "chunks" in lc:
-            dqh, dkh, dvh = _chunked_attention_backward(
-                dctx, lc["qh"], lc["kh"], lc["vh"], lc["chunks"]
-            )
-        else:
-            dqh, dkh, dvh = _attention_backward(
-                dctx, lc["qh"], lc["kh"], lc["vh"], lc["e"], lc["inv_sum"]
-            )
-        dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
+        dq, dk, dv = _chunked_attention_backward(dctx, lc["qh"], lc["kh"], lc["vh"], lc["chunks"])
         dq *= inv_sqrt_dh  # the queries were scaled by 1/sqrt(dh) before the scores
         a = lc["a"]
         np.matmul(lc["a_q"].T, dq, out=grads[p + "attn.w_q"])
@@ -659,9 +675,10 @@ _CHECKPOINT_KEYS = ("format", "config", "vocab", "mode", "markers", "params")
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Line 1 is the compact JSON header: format, config, vocabulary, query
-    mode, markers and `params` as {name: shape} in parameter order. Every
-    byte after its newline is the parameter buffer, each tensor row-major
-    and little-endian in the config dtype, so values round-trip bitwise.
+    mode, markers and `params` as {name: shape} in `parameter_shapes` order,
+    the only order `load_checkpoint` reads. Every byte after its newline is
+    the parameter buffer, each tensor row-major and little-endian in the
+    config dtype, so values round-trip bitwise.
     `json.dumps` escapes every newline in a string, so `head -1` prints the header.
     """
     header = {
@@ -685,8 +702,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     rejects, a vocabulary that is not a valid `Vocabulary`, a mode that is
     not a query mode, markers that are not exactly the `MarkerOptions`
     fields as booleans, a tensor that is not among the `parameter_shapes`
-    of the config and vocabulary or is missing or misshapen, and a bad body
-    (see `_read_body`) raise ValueError naming the key or tensor.
+    of the config and vocabulary or is missing or misshapen, tensors listed
+    in another order than those `parameter_shapes`, and a bad body (see
+    `_read_body`) raise ValueError naming the key or the first such tensor.
     """
     head, _, body = Path(path).read_bytes().partition(b"\n")
     try:
@@ -724,11 +742,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if specs.keys() != shapes.keys():
         raise ValueError(f"checkpoint tensors missing: {sorted(shapes.keys() - specs.keys())}; "
                          f"not in this config: {sorted(specs.keys() - shapes.keys())}")
-    shapes = {name: shapes[name] for name in specs}  # the body's order
     for name, shape in shapes.items():
         if specs[name] != list(shape):
             raise ValueError(f"checkpoint tensor '{name}': shape {specs[name]}, "
                              f"expected {list(shape)} for this config and vocabulary")
+    for name, expected in zip(specs, shapes):
+        if name != expected:
+            raise ValueError(f"checkpoint tensor '{name}' is out of place: '{expected}' comes "
+                             "there in parameter order")
     return Checkpoint(config, FlatTensors(shapes, _read_body(body, shapes, config)), vocab,
                       TemplateMode(doc["mode"]), MarkerOptions(**markers))
 

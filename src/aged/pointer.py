@@ -130,17 +130,12 @@ def score_batch(
 
 
 def _head_pair(tensors: FlatTensors) -> np.ndarray:
-    """`pointer.w_start` and `pointer.w_end` as one (2, d, d) array.
+    """`pointer.w_start` and `pointer.w_end` as one (2, d, d) view of `flat`.
 
-    `parameter_shapes` puts the two next to each other, so in tensors laid
-    out in that order this is a view of `flat`, and a write into it writes
-    both. A checkpoint whose header lists them apart gets a stacked copy.
+    `parameter_shapes` ends with the two, so a write into the view writes both.
     """
-    start, offsets = tensors["pointer.w_start"], tensors.offsets
-    lo = offsets["pointer.w_start"]
-    if offsets["pointer.w_end"] == lo + start.size:
-        return tensors.flat[lo : lo + 2 * start.size].reshape(2, *start.shape)
-    return np.stack([start, tensors["pointer.w_end"]])
+    start = tensors["pointer.w_start"]
+    return tensors.flat[-2 * start.size :].reshape(2, *start.shape)
 
 
 def batch_loss_and_gradients(
@@ -188,10 +183,8 @@ def batch_loss_and_gradients(
     d_reps = _reps_grad(scores, d_rows[0] + d_rows[1], d_queries[0] + d_queries[1])
 
     grads = backward_from_cache(params, config, cache, d_reps, out)
-    w_grads = _head_pair(grads)
-    np.matmul(dz.reshape(2, -1, d).transpose(0, 2, 1), queries.reshape(-1, d), out=w_grads)
-    if w_grads.base is not grads.flat:  # a stacked copy: the heads lie apart in `flat`
-        grads["pointer.w_start"][...], grads["pointer.w_end"][...] = w_grads
+    np.matmul(dz.reshape(2, -1, d).transpose(0, 2, 1), queries.reshape(-1, d),
+              out=_head_pair(grads))
 
     head_sums = nll.sum(axis=2)  # (2, B)
     losses = (0.5 * head_sums[0] + 0.5 * head_sums[1]).tolist()

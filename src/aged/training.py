@@ -77,6 +77,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not 0 <= self.grad_clip < math.inf:  # 0 turns clipping off
+            raise ValueError(f"grad_clip must be >= 0 and finite, got {self.grad_clip!r}")
 
 
 @dataclass

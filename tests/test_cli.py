@@ -102,29 +102,6 @@ def test_template_fe_def_requires_fe(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
-@pytest.mark.parametrize("has_mallopt", [True, False])
-def test_dispatch_keeps_freed_heap_where_mallopt_exists(capsys, tmp_path, monkeypatch,
-                                                        has_mallopt):
-    monkeypatch.chdir(tmp_path)
-    calls = []
-
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
-
-    libc = types.SimpleNamespace(**({"mallopt": mallopt} if has_mallopt else {}))
-    monkeypatch.setattr(aged.cli.ctypes, "CDLL", lambda name: libc)
-    aged.cli._keep_freed_heap.cache_clear()
-    try:
-        code, out, _ = run(capsys, "template", "--frame", "Attack")
-        run(capsys, "template", "--frame", "Attack")  # once per process
-    finally:
-        aged.cli._keep_freed_heap.cache_clear()
-    assert code == 0 and "Attack" in out
-    # M_TRIM_THRESHOLD = 64 MiB, M_MMAP_THRESHOLD = 16 MiB
-    assert calls == ([(-1, 64 << 20), (-3, 16 << 20)] if has_mallopt else [])
-
-
 def test_template_no_label_markers(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "template", "--frame", "Getting", "--fe", "Theme",
@@ -412,12 +389,16 @@ def _format_2(ck):
      "checkpoint line 1 is not a JSON header"),
     (_tensor_data(lambda body, lo, hi: body[:-4] + np.array([np.nan], "<f4").tobytes()),
      "'pointer.w_end': holds NaN or infinite"),
+    (lambda ck: ck.header["params"].update(  # moved to the end, after pointer.w_end
+        {"pointer.w_start": ck.header["params"].pop("pointer.w_start")}),
+     "tensor 'pointer.w_end' is out of place: 'pointer.w_start' comes there in parameter order"),
 ], ids=["truncated", "decimal-list", "nan", "infinite", "missing-tensor", "misshapen-tensor",
         "extra-tensor", "no-config", "old-dropout-config", "missing-config-key",
         "string-size", "list-dtype", "no-format", "format-4", "no-vocab", "short-vocab",
         "vocab-without-reserved-tokens", "fe-def-mode", "extra-marker", "extra-key",
         "saved-before-format", "body-one-byte-short", "trailing-byte", "format-1-file",
-        "format-2-file", "vocab-size-in-config", "header-not-json", "nan-in-last-tensor"])
+        "format-2-file", "vocab-size-in-config", "header-not-json", "nan-in-last-tensor",
+        "permuted-tensors"])
 def test_predict_rejects_bad_checkpoint(capsys, trained, tmp_path, monkeypatch, edit, message):
     # header edits rewrite the JSON first line, body edits the tensor bytes after it
     workdir, ckpt = trained

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from aged.templates import (
     build_frame_template,
     build_question_template,
 )
+
+import reference
 
 
 TINY_VOCAB = 64  # tokens, where a test has no vocabulary of its own
@@ -114,7 +117,8 @@ def test_attention_rows_are_probability_vectors(vocab, pair):
     params = init_parameters(config, len(vocab))
     _, cache = forward_cached(params, config, pair)
     for layer in cache["layers"]:
-        probs = layer["e"] * layer["inv_sum"]
+        [(_, _, e, inv_sum)] = layer["chunks"]  # a single pair is one chunk
+        probs = e * inv_sum
         assert probs.min() >= 0
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -124,6 +128,29 @@ def test_single_cls_token_input():
     params = init_parameters(config, TINY_VOCAB)
     pair = make_pair([CLS_ID], n_text=0)
     assert forward(params, config, pair).shape == (1, config.d_model)
+
+
+@pytest.mark.parametrize("has_mallopt", [True, False])
+def test_forward_batch_keeps_freed_heap_where_mallopt_exists(monkeypatch, has_mallopt):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    libc = types.SimpleNamespace(**({"mallopt": mallopt} if has_mallopt else {}))
+    monkeypatch.setattr(aged.encoder.ctypes, "CDLL", lambda name: libc)
+    config = tiny_config()
+    params = init_parameters(config, TINY_VOCAB)
+    pair = make_pair([CLS_ID, 11, 12, 3, 13, 3], n_text=2)
+    aged.encoder._keep_freed_heap.cache_clear()
+    try:
+        forward_batch(params, config, [pair])
+        forward_batch(params, config, [pair], backward=False)  # once per process
+    finally:
+        aged.encoder._keep_freed_heap.cache_clear()
+    # M_TRIM_THRESHOLD = 64 MiB, M_MMAP_THRESHOLD = 16 MiB
+    assert calls == ([(-1, 64 << 20), (-3, 16 << 20)] if has_mallopt else [])
 
 
 def test_overlength_and_out_of_range_inputs_rejected():
@@ -325,8 +352,11 @@ def test_padded_reps_equal_unpadded(vocab, pair):
         segments = [int(p.definition_start <= i < len(p.ids)) for i in range(len(pair.ids))]
         assert cache["segments"][b].tolist() == segments
     for layer in cache["layers"]:
-        # padded keys get exactly zero attention
-        probs = layer["e"] * layer["inv_sum"]
+        # the batch fits the budget, so it attends as one chunk; padded keys get
+        # exactly zero attention
+        [(rows, keys, e, inv_sum)] = layer["chunks"]
+        assert rows == keys == slice(None)
+        probs = e * inv_sum
         assert not probs[0, :, :, len(short.ids):].any()
         assert not probs[2, :, :, 1:].any()
 
@@ -407,7 +437,8 @@ def test_last_layer_caches_only_read_rows(vocab, pair, n_layers):
         assert len(last[name]) == batch * most_read, name
         for layer in lower:
             assert len(layer[name]) == batch * length, name
-    assert last["e"].shape == (batch, config.n_heads, most_read, length)
+    [(_, _, e, _)] = last["chunks"]
+    assert e.shape == (batch, config.n_heads, most_read, length)
     assert len(last["a"]) == batch * length  # keys and values cover every row
 
 
@@ -422,6 +453,29 @@ def test_forward_without_backward_cache_gives_the_same_reps(vocab, pair, n_layer
     assert none is None and len(cache["layers"]) == n_layers
     assert bare.dtype == reps.dtype and bare.shape == reps.shape
     assert bare.tobytes() == reps.tobytes()
+
+
+@pytest.mark.parametrize("budget", [ARRAY_BUDGET, 20_000], ids=["one-chunk", "multi-chunk"])
+def test_forward_batch_equals_independent_reference(store, vocab, train_instances, monkeypatch,
+                                                    budget):
+    # a bundled training batch of 8 frame-def pairs, whole or in several chunks
+    monkeypatch.setattr(aged.encoder, "ARRAY_BUDGET", budget)
+    config = EncoderConfig(d_model=16, n_layers=2, n_heads=4, max_len=128, seed=5, dtype="f64")
+    params = init_parameters(config, len(vocab))
+    pairs = [assemble(inst, build_frame_template(store.frame(inst.frame)), vocab)
+             for inst in train_instances[:8]]
+    lengths = [len(p.ids) for p in pairs]
+    n_chunks = len(_attention_chunks(lengths, config.n_heads))
+    if budget == ARRAY_BUDGET:
+        assert len(pairs) * config.n_heads * max(lengths) ** 2 <= budget and n_chunks == 1
+    else:
+        assert 1 < n_chunks < len(pairs)
+    reps, cache = forward_batch(params, config, pairs)
+    assert all(len(layer["chunks"]) == n_chunks for layer in cache["layers"])
+    for b, p in enumerate(pairs):
+        n = len(p.read_rows)
+        assert_close_to(reps[b, :n], reference.encode(params, config, p)[list(p.read_rows)])
+        assert not reps[b, n:].any()
 
 
 def chunky_batch(pair):
@@ -445,7 +499,7 @@ def test_multi_chunk_batch_equals_per_pair_passes(vocab, pair, monkeypatch, n_la
     assert _attention_chunks([len(p.ids) for p in pairs], config.n_heads) == [
         (0, 2), (2, 3), (3, 5), (5, 6)]
     reps, cache = forward_batch(params, config, pairs)
-    assert all("chunks" in layer and "e" not in layer for layer in cache["layers"])
+    assert all(len(layer["chunks"]) == 4 for layer in cache["layers"])
     bare, _ = forward_batch(params, config, pairs, backward=False)
     assert bare.tobytes() == reps.tobytes()
     upstream = np.random.default_rng(5).normal(size=reps.shape)

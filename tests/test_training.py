@@ -109,6 +109,14 @@ def test_zero_learning_rate_rejected():
             TrainConfig(learning_rate=rate)
 
 
+@pytest.mark.parametrize("clip", [-1.0, float("nan"), float("inf"), -float("inf")])
+def test_bad_grad_clip_rejected(clip):
+    # clipping skips any cap that is not > 0, so these would train unclipped
+    with pytest.raises(ValueError, match=rf"^grad_clip must be >= 0 and finite, got {clip!r}$"):
+        TrainConfig(grad_clip=clip)
+    assert TrainConfig(grad_clip=0.0).grad_clip == 0.0  # 0 turns clipping off
+
+
 @pytest.mark.parametrize("seed", [-5, 1.0, True])
 def test_bad_seed_rejected(seed):
     message = rf"seed must be an integer >= 0, got {seed!r}"
@@ -435,9 +443,9 @@ def test_fit_checks_dev_set_before_training(store, train_instances, tmp_path, mo
 ], ids=["frame-def", "augment-fe-defs", "question"])
 def test_bundled_training_batches_attend_as_one_chunk(store, train_instances, monkeypatch, mode,
                                                       augment_fe_defs):
-    # a batch whose padded attention scores fit the budget makes exactly the
-    # calls of an unchunked pass; if this fails, bundled training batches
-    # attend per chunk and training is no longer bitwise the unchunked one
+    # a batch whose padded attention scores fit the budget attends as one
+    # whole-batch chunk; if this fails, bundled training batches attend in
+    # several chunks and training is no longer bitwise the whole-batch one
     config = EncoderConfig()
     model = untrained_model(train_instances, store, config, mode=mode)
     batches = []
