@@ -19,6 +19,7 @@ import ctypes
 import functools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -353,21 +354,21 @@ def _attention_backward(dctx, qh, kh, vh, e, inv_sum):
     return dscores @ kh, dscores.transpose(0, 1, 3, 2) @ qh, dvh
 
 
-def _attention_chunks(lengths: list[int], n_heads: int) -> list[tuple[int, int]]:
-    """Runs [lo, hi) of consecutive pairs that cover the batch in order.
+def _runs(lengths: list[int], size: Callable[[int], int]) -> list[tuple[int, int]]:
+    """Runs [lo, hi) of consecutive pairs that cover `lengths` in order.
 
-    A run grows while its padded scores, pairs x heads x its longest pair
-    squared, stay within ARRAY_BUDGET; a pair over the budget is a run of its
-    own, and a batch within it is one run.
+    A run grows while its pairs times `size(n)`, the elements of one pair
+    when the run's longest pair has n tokens, stay within ARRAY_BUDGET; a
+    pair over the budget is a run of its own, and pairs within it are one run.
     """
-    chunks, lo, longest = [], 0, 0
+    runs, lo, longest = [], 0, 0
     for b, length in enumerate(lengths):
         longest = max(longest, length)
-        if b > lo and (b + 1 - lo) * n_heads * longest**2 > ARRAY_BUDGET:
-            chunks.append((lo, b))
+        if b > lo and (b + 1 - lo) * size(longest) > ARRAY_BUDGET:
+            runs.append((lo, b))
             lo, longest = b, length
-    chunks.append((lo, len(lengths)))
-    return chunks
+    runs.append((lo, len(lengths)))
+    return runs
 
 
 def _chunked_attention(qh, kh, vh, chunks, keep: bool):
@@ -417,7 +418,7 @@ def _chunk_slices(lengths, n_read, n_heads, key_bias):
     rows. It gets its slice of the batch's key mask only if it has padding.
     """
     inner, last = [], []
-    for lo, hi in _attention_chunks(lengths.tolist(), n_heads):
+    for lo, hi in _runs(lengths.tolist(), lambda n: n_heads * n * n):
         n_keys = int(lengths[lo:hi].max())
         keys = (slice(lo, hi), slice(None), slice(n_keys))
         bias = key_bias[lo:hi, ..., :n_keys] if lengths[lo:hi].min() < n_keys else None
@@ -467,7 +468,7 @@ def forward_batch(
     Row-wise layers run over the whole batch, and attention per chunk of
     consecutive pairs: one chunk of the whole batch if it is one pair or its
     padded scores, pairs x heads x longest pair squared, fit ARRAY_BUDGET;
-    else the `_attention_chunks` runs, each sliced to its own longest pair
+    else the `_runs` of that cost, each sliced to its own longest pair
     (and in the last layer its most read rows), so no chunk's score array
     outgrows the budget. The cache holds each layer's chunks.
     """
@@ -566,15 +567,6 @@ def forward_cached(
     reps = np.zeros((len(pair.ids), rows.shape[2]), rows.dtype)
     reps[pair.read_rows] = rows[0]
     return reps, cache
-
-
-def forward(params: ParameterSet, config: EncoderConfig, pair: EncodedPair) -> np.ndarray:
-    """Contextual representations of one pair, (len, d_model); the per-pair reference.
-
-    As in `forward_batch`, only the pair's `read_rows` are computed; here
-    every other row is 0.
-    """
-    return forward_cached(params, config, pair)[0]
 
 
 def backward_from_cache(

@@ -8,9 +8,10 @@ Cross-entropy on gold starts and ends, equally weighted, is the training
 loss.
 
 `score_batch` scores every slot of a padded batch at once, both heads in
-one stacked pass; training and prediction both call it. `make_queries`,
-`pointer_distributions` and `slot_loss` are its per-pair reference in the
-tests.
+one stacked pass; training and prediction both call it, and
+`batch_loss_and_gradients` differentiates it. `pointer_distributions` and
+`loss_and_gradients` score one pair; only the tests and the benchmark
+tracer call them.
 """
 
 from __future__ import annotations
@@ -39,15 +40,6 @@ class PointerDistribution:
     end_probs: np.ndarray
 
 
-def make_queries(reps: np.ndarray, pair: EncodedPair) -> np.ndarray:
-    """Maxpool each slot's rows of `reps` (mention tokens only, no markers).
-
-    Returns one row per slot, in `pair.slot_fes` order. Per-slot reference for
-    `score_batch`, kept for the tests and the tracer.
-    """
-    return np.array([reps[start : end + 1].max(axis=0) for start, end in pair.slot_pos])
-
-
 def pointer_distributions(
     params: ParameterSet,
     reps: np.ndarray,
@@ -56,7 +48,8 @@ def pointer_distributions(
 ) -> list[PointerDistribution]:
     """Score every candidate position for every slot's query, softmax-normalized.
 
-    Per-slot reference for `score_batch`, kept for the tests and the tracer.
+    `queries` holds one row per slot, in `pair.slot_fes` order. Kept for the
+    tests and the tracer.
     """
     rows = reps[[0, *pair.sentence_pos]]  # [CLS] + sentence
     w_start, w_end = params["pointer.w_start"], params["pointer.w_end"]
@@ -66,24 +59,6 @@ def pointer_distributions(
         end_probs = _softmax(rows @ (w_end @ q))
         out.append(PointerDistribution(fe, start_probs, end_probs))
     return out
-
-
-def slot_loss(distributions: list[PointerDistribution], labels: list[SlotLabel]) -> float:
-    """Cross entropy summed over slots: 0.5 * sum(-log p_start) + 0.5 * sum(-log p_end).
-
-    Per-pair reference for the loss of `batch_loss_and_gradients`.
-    """
-    if len(distributions) != len(labels):
-        raise ValueError(f"{len(distributions)} distributions vs {len(labels)} labels")
-    loss_start = 0.0
-    loss_end = 0.0
-    for dist, (s, e) in zip(distributions, labels):
-        n_plus_1 = len(dist.start_probs)
-        if not (0 <= s < n_plus_1 and 0 <= e < n_plus_1):
-            raise ValueError(f"label ({s}, {e}) outside 0..{n_plus_1 - 1}")
-        loss_start += -float(np.log(dist.start_probs[s]))
-        loss_end += -float(np.log(dist.end_probs[e]))
-    return 0.5 * loss_start + 0.5 * loss_end
 
 
 def score_batch(

@@ -304,9 +304,12 @@ def fit(
     Builds the training stream from the model, assembles the dev set's
     query pairs, calls `on_assembled` and runs `train`, which returns a
     trained copy. A training or dev pair over `max_len` raises
-    PairTooLongError before `on_assembled` is called.
+    PairTooLongError, and an empty training stream ValueError, before
+    `on_assembled` is called.
     """
     stream = build_training_stream(instances, store, model, train_config)
+    if not stream:
+        raise ValueError("no training instance remains: the training stream is empty")
     dev_set = None if dev is None else (dev, query_pairs(dev, store, model))
     on_assembled()
     logger.info("training on %d pairs (%d instances)", len(stream), len(instances))

@@ -17,7 +17,7 @@ from aged.decoding import decode_slot, predict_all, predict_instance
 from aged.encoder import (
     Checkpoint,
     EncoderConfig,
-    forward,
+    forward_cached,
     init_parameters,
     load_checkpoint,
     save_checkpoint,
@@ -25,7 +25,7 @@ from aged.encoder import (
 from aged.encoding import assemble, build_vocabulary, gold_labels
 from aged.evaluation import evaluate
 from aged.experiments import run_holdout_experiment
-from aged.pointer import loss_and_gradients, make_queries, pointer_distributions, slot_loss
+from aged.pointer import loss_and_gradients
 from aged.templates import (
     MarkerOptions,
     TemplateMode,
@@ -33,6 +33,7 @@ from aged.templates import (
 )
 from aged.training import TrainConfig, build_training_stream, train, untrained_model
 
+import reference
 from test_decoding import brute_force_decode
 from test_evaluation import instance as make_instance
 from test_evaluation import predictions as make_predictions
@@ -118,10 +119,7 @@ def test_criterion_2_gradient_fidelity(corpus):
         _, _, grads = loss_and_gradients(params, config, pair, labels)
 
         def total_loss():
-            encoding = forward(params, config, pair)
-            queries = make_queries(encoding, pair)
-            dists = pointer_distributions(params, encoding, pair, queries)
-            return slot_loss(dists, labels)
+            return reference.loss(params, config, pair, labels)
 
         eps = 1e-5
         rng = np.random.default_rng(99)
@@ -301,8 +299,8 @@ def test_criterion_9_checkpoint_round_trip(corpus, tmp_path):
 
         template = build_frame_template(store.frame(test_instances[0].frame))
         pair = assemble(test_instances[0], template, vocab)
-        before = forward(model.params, model.config, pair)
-        after = forward(loaded.params, loaded.config, pair)
+        before = forward_cached(model.params, model.config, pair)[0]
+        after = forward_cached(loaded.params, loaded.config, pair)[0]
         assert before.dtype == np.float64
         assert np.array_equal(before, after)  # bitwise
 

@@ -528,6 +528,23 @@ def test_training_rejects_malformed_corpus_before_manifest(capsys, tmp_path, mon
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_empty_training_stream_rejected_before_manifest(capsys, tmp_path, monkeypatch, command):
+    # `train` on an empty file, `experiment` with every frame held out at k = 0
+    monkeypatch.chdir(tmp_path)
+    if command == "train":
+        (tmp_path / "empty.jsonl").write_text("")
+        argv = ["train", "--train", "empty.jsonl"]
+    else:
+        argv = ["experiment", "--holdout", "Attack,Getting,Arriving,Transition_to_state",
+                "--k", "0", "--out", "exp.json"]
+    code, out, err = run(capsys, *argv, "--epochs", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no training instance remains: the training stream is empty\n"
+    assert list(tmp_path.glob("*manifest.json")) == []
+
+
 def test_experiment_equals_train_predict_eval(capsys, trained, tmp_path, monkeypatch):
     # same flags and seed as the `trained` fixture, no frame held out
     workdir, ckpt = trained

@@ -20,12 +20,11 @@ from aged.encoder import (
     ARRAY_BUDGET,
     Checkpoint,
     EncoderConfig,
-    forward,
     forward_batch,
     init_parameters,
 )
 from aged.encoding import EncodedPair, assemble
-from aged.pointer import PointerDistribution, make_queries, pointer_distributions
+from aged.pointer import PointerDistribution
 from aged.templates import (
     MarkerOptions,
     TemplateMode,
@@ -33,6 +32,8 @@ from aged.templates import (
     build_question_template,
     query_templates,
 )
+
+import reference as ref
 
 
 def brute_force_decode(start_probs, end_probs):
@@ -147,7 +148,7 @@ def test_predict_instance_is_structurally_total(store, vocab, test_instances):
 
 
 def reference_predict(inst, store, model):
-    """Per pair, per slot: forward, make_queries, pointer_distributions, decode."""
+    """Per pair, per slot: the reference's distributions and decoder."""
     frame = store.frame(inst.frame)
     if model.mode is TemplateMode.QUESTION:
         templates = [build_question_template(frame, fe) for fe in frame.fe_order]
@@ -156,9 +157,9 @@ def reference_predict(inst, store, model):
     predictions = []
     for template in templates:
         pair = assemble(inst, template, model.vocab, max_len=model.config.max_len)
-        encoding = forward(model.params, model.config, pair)
-        queries = make_queries(encoding, pair)
-        predictions.extend(decode(pointer_distributions(model.params, encoding, pair, queries)))
+        for dist in ref.distributions(model.params, model.config, pair):
+            span, score = ref.decode_slot(dist.start_probs, dist.end_probs)
+            predictions.append(SpanPrediction(dist.fe, span, score))
     return predictions
 
 
@@ -322,7 +323,7 @@ def _assert_decode_batch_matches_decode_slot(probs, pairs):
         n_cand = len(pair.sentence_pos) + 1
         assert [p.fe for p in predictions] == list(pair.slot_fes)
         for m, prediction in enumerate(predictions):
-            span, score = decode_slot(probs[0, b, m, :n_cand], probs[1, b, m, :n_cand])
+            span, score = ref.decode_slot(probs[0, b, m, :n_cand], probs[1, b, m, :n_cand])
             assert prediction.span == span
             assert type(prediction.score) is float
             assert np.float64(prediction.score).tobytes() == np.float64(score).tobytes()

@@ -16,14 +16,13 @@ from aged.encoder import (
     EncoderConfig,
     _attention,
     _attention_backward,
-    _attention_chunks,
     _gelu,
     _gelu_backward,
     _layer_norm,
     _layer_norm_backward,
+    _runs,
     _softmax,
     backward_from_cache,
-    forward,
     forward_batch,
     forward_cached,
     init_parameters,
@@ -106,8 +105,8 @@ def test_head_divisibility_enforced():
 def test_forward_shape_and_determinism(vocab, pair):
     config = tiny_config(max_len=128)
     params = init_parameters(config, len(vocab))
-    first = forward(params, config, pair)
-    second = forward(params, config, pair)
+    first = forward_cached(params, config, pair)[0]
+    second = forward_cached(params, config, pair)[0]
     assert first.shape == (len(pair.ids), config.d_model)
     assert np.array_equal(first, second)
 
@@ -127,7 +126,7 @@ def test_single_cls_token_input():
     config = tiny_config()
     params = init_parameters(config, TINY_VOCAB)
     pair = make_pair([CLS_ID], n_text=0)
-    assert forward(params, config, pair).shape == (1, config.d_model)
+    assert forward_cached(params, config, pair)[0].shape == (1, config.d_model)
 
 
 @pytest.mark.parametrize("has_mallopt", [True, False])
@@ -157,9 +156,9 @@ def test_overlength_and_out_of_range_inputs_rejected():
     config = tiny_config(max_len=4)
     params = init_parameters(config, TINY_VOCAB)
     with pytest.raises(ValueError, match="max_len"):
-        forward(params, config, make_pair([CLS_ID] * 5, n_text=3))
+        forward_cached(params, config, make_pair([CLS_ID] * 5, n_text=3))
     with pytest.raises(ValueError, match="out of range"):
-        forward(params, config, make_pair([CLS_ID, 9999], n_text=1))
+        forward_cached(params, config, make_pair([CLS_ID, 9999], n_text=1))
 
 
 def test_zero_upstream_gives_zero_gradients(vocab, pair):
@@ -207,7 +206,7 @@ def test_encoder_gradients_match_finite_differences(vocab, pair):
     direction = rng.normal(size=(len(pair.ids), config.d_model))
 
     def objective(ps):
-        return float((forward(ps, config, pair) * direction).sum())
+        return float((forward_cached(ps, config, pair)[0] * direction).sum())
 
     grads = backward(params, config, pair, direction[pair.read_rows])
     eps = 1e-6
@@ -235,7 +234,7 @@ def test_forward_and_backward_stay_finite(seed, length):
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, TINY_VOCAB, size=length)
     pair = make_pair(list(ids), n_text=max(0, length - 2))
-    reps = forward(params, config, pair)
+    reps = forward_cached(params, config, pair)[0]
     assert np.isfinite(reps).all()
     grads = backward(params, config, pair, rng.normal(size=(len(pair.read_rows), config.d_model)))
     assert all(np.isfinite(g).all() for g in grads.values())
@@ -251,8 +250,8 @@ def test_checkpoint_round_trip_is_bitwise(vocab, pair, tmp_path):
     for k in ckpt.params:
         assert np.array_equal(loaded.params[k], ckpt.params[k])
         assert loaded.params[k].dtype == ckpt.params[k].dtype
-    before = forward(ckpt.params, config, pair)
-    after = forward(loaded.params, loaded.config, pair)
+    before = forward_cached(ckpt.params, config, pair)[0]
+    after = forward_cached(loaded.params, loaded.config, pair)[0]
     assert np.array_equal(before, after)
 
 
@@ -345,7 +344,8 @@ def test_padded_reps_equal_unpadded(vocab, pair):
     assert reps.shape == (3, len(pair.read_rows), config.d_model)
     for b, p in enumerate((short, pair, cls_only)):
         n = len(p.read_rows)
-        np.testing.assert_allclose(reps[b, :n], forward(params, config, p)[p.read_rows],
+        np.testing.assert_allclose(reps[b, :n],
+                                   forward_cached(params, config, p)[0][p.read_rows],
                                    rtol=0, atol=1e-12)
         assert not reps[b, n:].any()  # rows that only pad the read rows are 0
         # segment 1 runs from the definition's start to the pair's end; padding is 0
@@ -465,7 +465,7 @@ def test_forward_batch_equals_independent_reference(store, vocab, train_instance
     pairs = [assemble(inst, build_frame_template(store.frame(inst.frame)), vocab)
              for inst in train_instances[:8]]
     lengths = [len(p.ids) for p in pairs]
-    n_chunks = len(_attention_chunks(lengths, config.n_heads))
+    n_chunks = len(_runs(lengths, lambda n: config.n_heads * n * n))
     if budget == ARRAY_BUDGET:
         assert len(pairs) * config.n_heads * max(lengths) ** 2 <= budget and n_chunks == 1
     else:
@@ -496,7 +496,7 @@ def test_multi_chunk_batch_equals_per_pair_passes(vocab, pair, monkeypatch, n_la
     config = tiny_config(max_len=128, n_layers=n_layers)
     params = init_parameters(config, len(vocab))
     pairs = chunky_batch(pair)
-    assert _attention_chunks([len(p.ids) for p in pairs], config.n_heads) == [
+    assert _runs([len(p.ids) for p in pairs], lambda n: config.n_heads * n * n) == [
         (0, 2), (2, 3), (3, 5), (5, 6)]
     reps, cache = forward_batch(params, config, pairs)
     assert all(len(layer["chunks"]) == 4 for layer in cache["layers"])
@@ -507,7 +507,7 @@ def test_multi_chunk_batch_equals_per_pair_passes(vocab, pair, monkeypatch, n_la
     summed = {name: np.zeros_like(g) for name, g in grads.items()}
     for b, p in enumerate(pairs):
         n = len(p.read_rows)
-        assert_close_to(reps[b, :n], forward(params, config, p)[p.read_rows])
+        assert_close_to(reps[b, :n], forward_cached(params, config, p)[0][p.read_rows])
         assert not reps[b, n:].any()  # rows that only pad the read rows are 0
         for name, g in backward(params, config, p, upstream[b, :n]).items():
             summed[name] += g
@@ -519,7 +519,7 @@ def test_multi_chunk_batch_equals_per_pair_passes(vocab, pair, monkeypatch, n_la
 @given(lengths=st.lists(st.integers(1, 256), min_size=1, max_size=24),
        n_heads=st.sampled_from([1, 2, 4, 8]))
 def test_attention_chunks_cover_the_batch_within_the_budget(lengths, n_heads):
-    chunks = _attention_chunks(lengths, n_heads)
+    chunks = _runs(lengths, lambda n: n_heads * n * n)
     assert [lo for lo, _ in chunks] == [0, *(hi for _, hi in chunks[:-1])]
     assert chunks[-1][1] == len(lengths) and all(lo < hi for lo, hi in chunks)
 

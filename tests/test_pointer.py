@@ -9,11 +9,10 @@ from hypothesis.extra.numpy import arrays
 import aged.encoder
 from aged.encoder import (
     EncoderConfig,
-    _attention_chunks,
     _embedding_grad,
+    _runs,
     _softmax,
     backward_from_cache,
-    forward,
     forward_batch,
     init_parameters,
 )
@@ -24,12 +23,12 @@ from aged.pointer import (
     loss_and_gradients,
     _head_pair,
     _reps_grad,
-    make_queries,
     pointer_distributions,
     score_batch,
-    slot_loss,
 )
 from aged.templates import build_frame_template
+
+import reference as ref
 
 
 def pair_with_slots(n, slot_pos, total_len):
@@ -46,7 +45,7 @@ def pair_with_slots(n, slot_pos, total_len):
 def test_maxpool_single_row_slot():
     reps = np.arange(24, dtype=np.float64).reshape(6, 4)
     pair = pair_with_slots(2, [(5, 5)], 6)
-    [q] = make_queries(reps, pair)
+    [q] = ref.make_queries(reps, pair)
     assert np.array_equal(q, reps[5])
 
 
@@ -55,7 +54,7 @@ def test_maxpool_elementwise_example():
     reps[4] = [1.0, -2.0]
     reps[5] = [0.0, 5.0]
     pair = pair_with_slots(2, [(4, 5)], 6)
-    [q] = make_queries(reps, pair)
+    [q] = ref.make_queries(reps, pair)
     assert q.tolist() == [1.0, 5.0]
 
 
@@ -65,7 +64,7 @@ def test_maxpool_elementwise_example():
 def test_maxpool_matches_brute_force_oracle(block):
     reps = np.vstack([np.zeros((2, 3)), block])
     pair = pair_with_slots(0, [(2, 6)], 7)
-    [q] = make_queries(reps, pair)
+    [q] = ref.make_queries(reps, pair)
     brute = [max(block[r][c] for r in range(5)) for c in range(3)]
     assert q.tolist() == brute
     assert all((q >= block[r]).all() for r in range(5))
@@ -79,7 +78,7 @@ def test_pointer_distribution_hand_computed():
     # d=1, identity weights, candidate rows [0, ln 2, ln 4] -> softmax [1/7, 2/7, 4/7]
     reps = np.array([[0.0], [math.log(2)], [math.log(4)], [1.0]])
     pair = pair_with_slots(2, [(3, 3)], 4)
-    queries = make_queries(reps, pair)
+    queries = ref.make_queries(reps, pair)
     [dist] = pointer_distributions(pointer_params([[1.0]], [[1.0]]), reps, pair, queries)
     np.testing.assert_allclose(dist.start_probs, [1 / 7, 2 / 7, 4 / 7], rtol=1e-12)
     np.testing.assert_allclose(dist.end_probs, [1 / 7, 2 / 7, 4 / 7], rtol=1e-12)
@@ -90,7 +89,7 @@ def test_zero_query_gives_uniform_distributions():
     reps = rng.normal(size=(6, 3))
     reps[5] = 0.0  # slot row -> zero query
     pair = pair_with_slots(3, [(5, 5)], 6)
-    queries = make_queries(reps, pair)
+    queries = ref.make_queries(reps, pair)
     [dist] = pointer_distributions(pointer_params(np.eye(3), np.eye(3)), reps, pair, queries)
     np.testing.assert_allclose(dist.start_probs, np.full(4, 0.25), rtol=1e-12)
 
@@ -102,7 +101,7 @@ def test_distributions_sum_to_one(seed):
     n = int(rng.integers(1, 8))
     reps = rng.normal(size=(n + 4, 5))
     pair = pair_with_slots(n, [(n + 2, n + 3)], n + 4)
-    queries = make_queries(reps, pair)
+    queries = ref.make_queries(reps, pair)
     dists = pointer_distributions(
         pointer_params(rng.normal(size=(5, 5)), rng.normal(size=(5, 5))), reps, pair, queries
     )
@@ -118,13 +117,13 @@ def make_dist(fe, start, end):
 
 def test_loss_zero_on_one_hot_gold():
     dist = make_dist("A", [0, 1, 0], [0, 0, 1])
-    assert slot_loss([dist], [(1, 2)]) == 0.0
+    assert ref.slot_loss([dist], [(1, 2)]) == 0.0
 
 
 def test_loss_uniform_analytic_value():
     m, n = 3, 4
     dists = [make_dist(f"FE{i}", np.full(n + 1, 1 / (n + 1)), np.full(n + 1, 1 / (n + 1))) for i in range(m)]
-    assert slot_loss(dists, [(0, 0)] * m) == pytest.approx(m * math.log(n + 1), rel=1e-12)
+    assert ref.slot_loss(dists, [(0, 0)] * m) == pytest.approx(m * math.log(n + 1), rel=1e-12)
 
 
 def test_loss_two_slots_matches_scalar_oracle():
@@ -135,15 +134,15 @@ def test_loss_two_slots_matches_scalar_oracle():
     # independent scalar recomputation
     ls = -(math.log(start_a[1]) + math.log(start_b[3]))
     le = -(math.log(end_a[2]) + math.log(end_b[3]))
-    assert slot_loss(dists, labels) == pytest.approx(0.5 * ls + 0.5 * le, rel=1e-12)
+    assert ref.slot_loss(dists, labels) == pytest.approx(0.5 * ls + 0.5 * le, rel=1e-12)
 
 
 def test_loss_label_out_of_range():
     dist = make_dist("A", [0.5, 0.5], [0.5, 0.5])
     with pytest.raises(ValueError, match="outside"):
-        slot_loss([dist], [(2, 0)])
+        ref.slot_loss([dist], [(2, 0)])
     with pytest.raises(ValueError, match="distributions"):
-        slot_loss([dist], [])
+        ref.slot_loss([dist], [])
 
 
 def test_loss_decomposition_identity():
@@ -162,7 +161,7 @@ def test_loss_decomposition_identity():
             loss_start += -float(np.log(s[labels[-1][0]]))
             loss_end += -float(np.log(e[labels[-1][1]]))
         # bitwise: each head summed over slots in order, then combined 0.5 / 0.5
-        assert slot_loss(dists, labels) == 0.5 * loss_start + 0.5 * loss_end
+        assert ref.slot_loss(dists, labels) == 0.5 * loss_start + 0.5 * loss_end
         assert loss_start >= 0 and loss_end >= 0
 
 
@@ -176,12 +175,8 @@ def test_end_to_end_gradients_match_finite_differences(store, vocab, train_insta
     params = init_parameters(config, len(vocab))
     _, _, grads = loss_and_gradients(params, config, pair, labels)
 
-    from aged.encoder import forward
-
     def total_loss():
-        reps = forward(params, config, pair)
-        dists = pointer_distributions(params, reps, pair, make_queries(reps, pair))
-        return slot_loss(dists, labels)
+        return ref.loss(params, config, pair, labels)
 
     rng = np.random.default_rng(2)
     eps = 1e-5
@@ -233,8 +228,7 @@ def test_score_batch_equals_per_pair_reference(store, vocab, train_instances):
     n_cands = np.array([len(pair.sentence_pos) + 1 for pair in pairs])
     assert probs.shape == (2, len(pairs), max(len(p.slot_pos) for p in pairs), n_cands.max())
     for b, pair in enumerate(pairs):
-        pair_reps = forward(params, config, pair)
-        reference = pointer_distributions(params, pair_reps, pair, make_queries(pair_reps, pair))
+        reference = ref.distributions(params, config, pair)
         assert len(reference) == len(pair.slot_pos)
         for m, r in enumerate(reference):
             np.testing.assert_allclose(probs[0, b, m, : n_cands[b]], r.start_probs, rtol=1e-9,
@@ -250,7 +244,7 @@ def chunk_attention(monkeypatch, config, pairs):
     """Lower the activation budget so that `mixed_batch` attends in three chunks:
     its first pair over the budget alone, two padded pairs, and one pair."""
     monkeypatch.setattr(aged.encoder, "ARRAY_BUDGET", 2000)
-    assert _attention_chunks([len(p.ids) for p in pairs], config.n_heads) == [
+    assert _runs([len(p.ids) for p in pairs], lambda n: config.n_heads * n * n) == [
         (0, 1), (1, 3), (3, 4)]
 
 
@@ -368,15 +362,9 @@ def assert_batch_gradients_match_finite_differences(config, params, pairs, label
     """The padded batch's gradient against the per-pair reference loss."""
     _, grads = batch_loss_and_gradients(params, config, pairs, labels)
 
-    from aged.encoder import forward
-
     def total_loss():
-        total = 0.0
-        for pair, pair_labels in zip(pairs, labels):
-            reps = forward(params, config, pair)
-            dists = pointer_distributions(params, reps, pair, make_queries(reps, pair))
-            total += slot_loss(dists, pair_labels)
-        return total
+        return sum(ref.loss(params, config, pair, pair_labels)
+                   for pair, pair_labels in zip(pairs, labels))
 
     rng = np.random.default_rng(8)
     eps = 1e-5

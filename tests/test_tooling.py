@@ -12,15 +12,16 @@ from aged.corpus import mini_framenet_path
 from aged.encoder import (
     Checkpoint,
     EncoderConfig,
-    forward,
+    forward_cached,
     init_parameters,
     load_checkpoint,
     save_checkpoint,
 )
 from aged.encoding import RESERVED_TOKENS, Vocabulary, assemble, build_vocabulary
-from aged.pointer import make_queries
 from aged.templates import MarkerOptions, TemplateMode, build_frame_template
 from aged.training import TrainConfig, fit, untrained_model
+
+import reference
 
 ROOT = Path(__file__).resolve().parents[1]
 GENERATOR = ROOT / "scripts" / "make_mini_framenet.py"
@@ -75,14 +76,14 @@ def test_benchmark_observers_read_what_they_need(tracing, mini, tmp_path):
     inst = train_instances[0]
     template = build_frame_template(store.frame(inst.frame))
     pair = assemble(inst, template, vocab)
-    encoding = forward(model.params, config, pair)
+    encoding = forward_cached(model.params, config, pair)[0]
     grads = model.params.copy()
     grads.flat[:] = 1.0  # a norm above the cap of 1, so the step is clipped
     calls = {
         "encoder.forward_cached": lambda f: f(model.params, config, pair),
         "encoder.save_checkpoint": lambda f: f(model, tmp_path / "model.json"),
         "pointer.pointer_distributions":
-            lambda f: f(model.params, encoding, pair, make_queries(encoding, pair)),
+            lambda f: f(model.params, encoding, pair, reference.make_queries(encoding, pair)),
         "training.clip_gradients": lambda f: f(grads, 1.0),
         "decoding.decode_slot": lambda f: f(np.array([0.1, 0.6, 0.3]), np.array([0.1, 0.3, 0.6])),
         "encoding.assemble": lambda f: f(inst, template, vocab),
