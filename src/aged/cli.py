@@ -229,8 +229,10 @@ def write_manifest(command: str, cfg: dict, inputs: list[str], out_path: str | N
     return path
 
 
-def _check_output(path: str, force: bool) -> None:
-    if path and Path(path).exists() and not force:
+def _check_output(flag: str, path: str, force: bool) -> None:
+    if not path or Path(path).is_dir():
+        raise UsageError(f"{flag} must name a file, got {path!r}")
+    if Path(path).exists() and not force:
         raise UsageError(f"output '{path}' exists; pass --force to overwrite")
 
 
@@ -293,7 +295,7 @@ def cmd_train(cfg: dict, force: bool) -> int:
     report_path = checkpoint_path + ".report.json"
     outputs = [checkpoint_path, report_path] + ([checkpoint_path + ".best"] if cfg["dev"] else [])
     for path in outputs:
-        _check_output(path, force)
+        _check_output("--checkpoint", path, force)
     encoder_config, train_config = _encoder_config(cfg), _train_config(cfg, checkpoint_path)
     store = load_ontology(cfg["frames"])
     train_instances = load_instances(cfg["train"], store)
@@ -316,7 +318,7 @@ def cmd_train(cfg: dict, force: bool) -> int:
 
 def cmd_predict(cfg: dict, force: bool) -> int:
     out_path = cfg["out"]
-    _check_output(out_path, force)
+    _check_output("--out", out_path, force)
     model = load_checkpoint(cfg["checkpoint"])
     if cfg["mode"] and cfg["mode"] != model.mode.value:
         raise UsageError(
@@ -416,7 +418,7 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
 def cmd_eval(cfg: dict, force: bool) -> int:
     out_path = cfg["out"] or None
     if out_path:
-        _check_output(out_path, force)
+        _check_output("--out", out_path, force)
     store = load_ontology(cfg["frames"])
     gold = load_instances(cfg["gold"], store)
     predictions = _load_prediction_file(cfg["pred"], gold, store)
@@ -431,7 +433,7 @@ def cmd_eval(cfg: dict, force: bool) -> int:
 
 def cmd_experiment(cfg: dict, force: bool) -> int:
     out_path = cfg["out"]
-    _check_output(out_path, force)
+    _check_output("--out", out_path, force)
     k = None if cfg["k"] == "full" else int(cfg["k"])
     encoder_config, train_config = _encoder_config(cfg), _train_config(cfg, None)
     store = load_ontology(cfg["frames"])

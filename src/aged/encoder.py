@@ -417,13 +417,14 @@ def _chunk_slices(lengths, n_read, n_heads, key_bias):
     below the last layer; in the last layer its queries are its most read
     rows. It gets its slice of the batch's key mask only if it has padding.
     """
+    lengths, n_read = lengths.tolist(), n_read.tolist()
     inner, last = [], []
-    for lo, hi in _runs(lengths.tolist(), lambda n: n_heads * n * n):
-        n_keys = int(lengths[lo:hi].max())
+    for lo, hi in _runs(lengths, lambda n: n_heads * n * n):
+        n_keys = max(lengths[lo:hi])
         keys = (slice(lo, hi), slice(None), slice(n_keys))
-        bias = key_bias[lo:hi, ..., :n_keys] if lengths[lo:hi].min() < n_keys else None
+        bias = key_bias[lo:hi, ..., :n_keys] if min(lengths[lo:hi]) < n_keys else None
         inner.append((keys, keys, bias))
-        last.append(((slice(lo, hi), slice(None), slice(int(n_read[lo:hi].max()))), keys, bias))
+        last.append(((slice(lo, hi), slice(None), slice(max(n_read[lo:hi]))), keys, bias))
     return inner, last
 
 
@@ -465,12 +466,11 @@ def forward_batch(
     zero attention probability, so each pair's read rows equal its unpadded
     encoding. Training and prediction run this same pass.
 
-    Row-wise layers run over the whole batch, and attention per chunk of
-    consecutive pairs: one chunk of the whole batch if it is one pair or its
-    padded scores, pairs x heads x longest pair squared, fit ARRAY_BUDGET;
-    else the `_runs` of that cost, each sliced to its own longest pair
-    (and in the last layer its most read rows), so no chunk's score array
-    outgrows the budget. The cache holds each layer's chunks.
+    Row-wise layers run over the whole batch, and attention per
+    `_chunk_slices` chunk of consecutive pairs, each sliced to its own
+    longest pair (and in the last layer its most read rows), so no chunk's
+    score array outgrows ARRAY_BUDGET; a batch that fits is one chunk. The
+    cache holds each layer's chunks.
     """
     _keep_freed_heap()
     lengths = np.array([len(pair.ids) for pair in pairs])
@@ -504,11 +504,7 @@ def forward_batch(
     key_bias = None
     if not valid.all():
         key_bias = np.where(valid, 0.0, -np.inf).astype(x.dtype)[:, None, None, :]
-    if batch == 1 or batch * config.n_heads * length**2 <= ARRAY_BUDGET:
-        whole = [(slice(None), slice(None), key_bias)]  # the whole batch as one chunk
-        chunks = whole, whole
-    else:
-        chunks = _chunk_slices(lengths, n_read, config.n_heads, key_bias)
+    chunks = _chunk_slices(lengths, n_read, config.n_heads, key_bias)
     cache: dict = {"ids": ids, "segments": segments, "picked": picked,
                    "picked_read": picked_read, "shape": (batch, length, d), "layers": []}
     dh = d // config.n_heads

@@ -545,6 +545,28 @@ def test_empty_training_stream_rejected_before_manifest(capsys, tmp_path, monkey
     assert list(tmp_path.glob("*manifest.json")) == []
 
 
+@pytest.mark.parametrize("command, flag, path", [
+    ("train", "--checkpoint", ""), ("train", "--checkpoint", "adir"),
+    ("predict", "--out", ""), ("predict", "--out", "adir"),
+    ("experiment", "--out", ""), ("experiment", "--out", "adir"),
+    ("eval", "--out", "adir"),
+], ids=lambda value: value or "empty")
+def test_unusable_output_path_rejected_before_manifest(capsys, trained, tmp_path, monkeypatch,
+                                                       command, flag, path):
+    # even with --force; `eval --out ""` means no output file and is not refused
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    _gold_as_predictions(tmp_path / "pred.jsonl", lambda preds, inst: None)
+    inputs = {"train": ["--epochs", "1"], "predict": ["--checkpoint", str(trained[1])],
+              "eval": ["--pred", "pred.jsonl"], "experiment": ["--epochs", "1"]}[command]
+    code, out, err = run(capsys, command, *inputs, flag, path, "--force")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} must name a file, got {path!r}\n"
+    assert list(tmp_path.glob("*manifest.json")) == []
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
 def test_experiment_equals_train_predict_eval(capsys, trained, tmp_path, monkeypatch):
     # same flags and seed as the `trained` fixture, no frame held out
     workdir, ckpt = trained

@@ -351,11 +351,14 @@ def test_padded_reps_equal_unpadded(vocab, pair):
         # segment 1 runs from the definition's start to the pair's end; padding is 0
         segments = [int(p.definition_start <= i < len(p.ids)) for i in range(len(pair.ids))]
         assert cache["segments"][b].tolist() == segments
-    for layer in cache["layers"]:
-        # the batch fits the budget, so it attends as one chunk; padded keys get
+    for i, layer in enumerate(cache["layers"]):
+        # the batch fits the budget, so it attends as one chunk of all 3 pairs and
+        # every key, with the read rows as the last layer's queries; padded keys get
         # exactly zero attention
         [(rows, keys, e, inv_sum)] = layer["chunks"]
-        assert rows == keys == slice(None)
+        assert keys == (slice(0, 3), slice(None), slice(len(pair.ids)))
+        n_rows = len(pair.read_rows) if i == config.n_layers - 1 else len(pair.ids)
+        assert rows == (slice(0, 3), slice(None), slice(n_rows))
         probs = e * inv_sum
         assert not probs[0, :, :, len(short.ids):].any()
         assert not probs[2, :, :, 1:].any()

@@ -197,17 +197,21 @@ def test_end_to_end_gradients_match_finite_differences(store, vocab, train_insta
 
 
 def mixed_batch(store, vocab, train_instances, dtype="f64"):
-    """Pairs of mixed length and slot count: frame-def, question, FE-def, bare [CLS]."""
+    """Pairs of mixed length and slot count: frame-def, question, bare [CLS], FE-def,
+    and a frame-def pair whose gold fills two slots that span two rows each."""
     from aged.templates import build_fe_template, build_question_template
 
     inst = train_instances[0]
     frame = store.frame(inst.frame)
     other = next(i for i in train_instances if i.frame != inst.frame)
     other_frame = store.frame(other.frame)
+    wide = next(i for i in train_instances if i.frame == "Transition_to_state"
+                and {a.fe for a in i.arguments} >= {"Initial_state", "Final_state"})
     templates = [
         (inst, build_frame_template(frame)),
         (other, build_question_template(other_frame, other_frame.fe_order[0])),
         (inst, build_fe_template(frame, frame.fe_order[1])),
+        (wide, build_frame_template(store.frame(wide.frame))),
     ]
     pairs = [assemble(i, t, vocab) for i, t in templates]
     labels = [gold_labels(i, t) for i, t in templates]
@@ -217,6 +221,7 @@ def mixed_batch(store, vocab, train_instances, dtype="f64"):
     labels.insert(2, [])
     assert len({len(p.ids) for p in pairs}) == len(pairs)
     assert len({len(p.slot_pos) for p in pairs}) >= 3
+    assert [end - start for start, end in pairs[4].slot_pos] == [0, 1, 1]
     config = EncoderConfig(d_model=8, n_layers=2, n_heads=2, max_len=128, seed=4, dtype=dtype)
     return config, init_parameters(config, len(vocab)), pairs, labels
 
@@ -241,11 +246,11 @@ def test_score_batch_equals_per_pair_reference(store, vocab, train_instances):
 
 
 def chunk_attention(monkeypatch, config, pairs):
-    """Lower the activation budget so that `mixed_batch` attends in three chunks:
-    its first pair over the budget alone, two padded pairs, and one pair."""
+    """Lower the activation budget so that `mixed_batch` attends in four chunks:
+    its first pair over the budget alone, two padded pairs, and two single pairs."""
     monkeypatch.setattr(aged.encoder, "ARRAY_BUDGET", 2000)
     assert _runs([len(p.ids) for p in pairs], lambda n: config.n_heads * n * n) == [
-        (0, 1), (1, 3), (3, 4)]
+        (0, 1), (1, 3), (3, 4), (4, 5)]
 
 
 def test_batched_loss_and_gradients_equal_sum_of_single_pairs(store, vocab, train_instances):
