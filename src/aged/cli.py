@@ -79,7 +79,7 @@ _TRAIN_DEFAULTS = {
     "epochs": TrainConfig.epochs,
     "batch_size": TrainConfig.batch_size,
     "lr": TrainConfig.learning_rate,
-    "seed": TrainConfig.seed,
+    "seed": EncoderConfig.seed,
     **_MODEL_DEFAULTS,
 }
 
@@ -230,8 +230,8 @@ def write_manifest(command: str, cfg: dict, inputs: list[str], out_path: str | N
 
 
 def _check_output(flag: str, path: str, force: bool) -> None:
-    if not path or Path(path).is_dir():
-        raise UsageError(f"{flag} must name a file, got {path!r}")
+    if not path or Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise UsageError(f"{flag} must name a file in an existing directory, got {path!r}")
     if Path(path).exists() and not force:
         raise UsageError(f"output '{path}' exists; pass --force to overwrite")
 
@@ -259,7 +259,6 @@ def _train_config(cfg: dict, checkpoint_path: str | None) -> TrainConfig:
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
         learning_rate=cfg["lr"],
-        seed=cfg["seed"],
         augment_fe_defs=cfg["augment_fe_defs"],
         checkpoint_path=checkpoint_path,
     )

@@ -71,14 +71,18 @@ def _keep_freed_heap() -> None:
 
 @dataclass
 class EncoderConfig:
-    """The shape, seed and dtype of the encoder; the vocabulary sizes its embedding."""
+    """The shape, seed and dtype of the encoder; the vocabulary sizes its embedding.
+
+    The seed draws the initial weights, and also orders training batches and
+    samples k-shot instances, so a checkpoint records every seed of its run.
+    """
 
     d_model: int = 32
     n_layers: int = 2
     n_heads: int = 4
     d_ff: int = 0  # 0 means 4 * d_model
     max_len: int = 256
-    seed: int = 0
+    seed: int = 7
     dtype: str = "f32"
 
     def __post_init__(self):

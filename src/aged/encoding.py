@@ -65,9 +65,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        return self.index.get(token, UNK_ID)
-
     def encode(self, tokens: Iterable[str]) -> tuple[int, ...]:
         index = self.index
         return tuple([index.get(t, UNK_ID) for t in tokens])

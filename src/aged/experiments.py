@@ -65,7 +65,7 @@ def run_holdout_experiment(
     if k is None:
         sampled = list(train_instances)
     else:
-        sampled = sample_k_shot(train_instances, frames, k, train_config.seed)
+        sampled = sample_k_shot(train_instances, frames, k, encoder_config.seed)
 
     train_counts = {name: sum(1 for i in sampled if i.frame == name) for name in sorted(frames)}
     available = {name: sum(1 for i in train_instances if i.frame == name) for name in frames}
@@ -105,7 +105,7 @@ def run_holdout_experiment(
             "encoder": {"vocab_size": len(model.vocab), **asdict(model.config)},
             "learning_rate": train_config.learning_rate,
             "batch_size": train_config.batch_size,
-            "seed": train_config.seed,
+            "seed": encoder_config.seed,
             "augment_fe_defs": train_config.augment_fe_defs,
         },
     )

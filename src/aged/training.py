@@ -1,14 +1,14 @@
 """Training-stream construction, the seeded mini-batch training loop, and
 `fit`, the one pipeline from an untrained model to a trained one.
 
-The model holds the query settings and `TrainConfig` only how to train. A
-model's training pairs are the pairs it predicts on: each instance gives its
-`query_pairs`. In frame-def mode that is one (sentence, frame-definition)
-pair per instance; with FE augmentation on, each gold argument adds a
-(sentence, FE-definition) pair for its role, so stream size is exactly
-|instances| + total gold arguments. The question baseline instead has one
-single-slot pair per FE of the frame, and takes no FE augmentation. A dev
-set, when given, is scored every epoch.
+The model holds the query settings and the seed, and `TrainConfig` only how
+to train. A model's training pairs are the pairs it predicts on: each
+instance gives its `query_pairs`. In frame-def mode that is one (sentence,
+frame-definition) pair per instance; with FE augmentation on, each gold
+argument adds a (sentence, FE-definition) pair for its role, so stream size
+is exactly |instances| + total gold arguments. The question baseline
+instead has one single-slot pair per FE of the frame, and takes no FE
+augmentation. A dev set, when given, is scored every epoch.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ logger = logging.getLogger(__name__)
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+GRAD_CLIP = 1.0  # global-norm cap on every training step's gradients
 
 
 class NonFiniteLossError(RuntimeError):
@@ -63,10 +64,8 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 8
     learning_rate: float = 1e-3
-    seed: int = 7
     augment_fe_defs: bool = False
     checkpoint_path: str | Path | None = None
-    grad_clip: float = 1.0
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
@@ -75,10 +74,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0 < self.learning_rate < math.inf:  # nan fails both comparisons
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0 <= self.grad_clip < math.inf:  # 0 turns clipping off
-            raise ValueError(f"grad_clip must be >= 0 and finite, got {self.grad_clip!r}")
 
 
 @dataclass
@@ -170,7 +165,7 @@ def clip_gradients(grads: FlatTensors, max_norm: float) -> float:
     multiply of it.
     """
     total = math.sqrt(float(np.vdot(grads.flat, grads.flat)))
-    if max_norm > 0 and total > max_norm:
+    if total > max_norm:
         grads.flat *= max_norm / total
     return total
 
@@ -205,9 +200,11 @@ def train(
     *,
     dev: tuple[list[AnnotatedInstance], list[list[EncodedPair]]] | None = None,
 ) -> tuple[Checkpoint, TrainingReport]:
-    """Run seeded shuffled mini-batch training; returns a trained copy of the model.
+    """Run shuffled mini-batch training; returns a trained copy of the model.
 
-    Per-example losses are summed over slots; batches average over examples.
+    Each epoch's batch order is drawn from the model's seed and the epoch.
+    Per-example losses are summed over slots; batches average over examples,
+    and each step's gradients are clipped to a global norm of `GRAD_CLIP`.
     Each mini-batch runs as one padded forward and backward pass.
     `dev` is a dev set and its `query_pairs`; its F1 is computed every
     epoch, and the best-dev checkpoint is saved alongside the final one.
@@ -222,7 +219,7 @@ def train(
     started = time.monotonic()
 
     for epoch in range(config.epochs):
-        order = np.random.default_rng((config.seed, epoch)).permutation(len(stream))
+        order = np.random.default_rng((enc_config.seed, epoch)).permutation(len(stream))
         epoch_loss = 0.0
         norms = []
         for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
@@ -239,14 +236,14 @@ def train(
                     f"(examples {[int(i) for i in batch]})"
                 )
             grads.flat *= 1.0 / len(batch)
-            norms.append(clip_gradients(grads, config.grad_clip))
+            norms.append(clip_gradients(grads, GRAD_CLIP))
             optimizer.step(params, grads)
             epoch_loss += batch_loss
         mean_loss = epoch_loss / len(order)
         report.epoch_losses.append(mean_loss)
         report.grad_norm_mean.append(sum(norms) / len(norms))
         report.grad_norm_max.append(max(norms))
-        report.clipped_steps.append(sum(0 < config.grad_clip < n for n in norms))
+        report.clipped_steps.append(sum(n > GRAD_CLIP for n in norms))
         logger.info("epoch %d: mean loss %.6f", epoch, mean_loss)
 
         if dev is not None:

@@ -67,7 +67,7 @@ def overfit(corpus):
             max_len=256, seed=7, dtype="f32",
         )
         model = Checkpoint(config, init_parameters(config, len(vocab)), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
-        train_config = TrainConfig(epochs=60, batch_size=8, learning_rate=1e-3, seed=7)
+        train_config = TrainConfig(epochs=60, batch_size=8, learning_rate=1e-3)
         stream = build_training_stream(train_instances, store, model, train_config)
         return train(stream, model, train_config)
 
@@ -229,7 +229,7 @@ def test_criterion_7_zero_shot_mechanics(corpus):
         )
         reports = {}
         for mode in (TemplateMode.FRAME_DEF, TemplateMode.QUESTION):
-            train_config = TrainConfig(epochs=12, batch_size=8, learning_rate=1e-3, seed=5)
+            train_config = TrainConfig(epochs=12, batch_size=8, learning_rate=1e-3)
             report = run_holdout_experiment(
                 train_instances, test_instances, store, holdout, 0,
                 encoder_config, train_config, mode=mode,
@@ -289,7 +289,7 @@ def test_criterion_9_checkpoint_round_trip(corpus, tmp_path):
             max_len=256, seed=21, dtype="f64",
         )
         model = Checkpoint(config, init_parameters(config, len(vocab)), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
-        train_config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-3, seed=21)
+        train_config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-3)
         stream = build_training_stream(train_instances, store, model, train_config)
         model, _ = train(stream, model, train_config)
 

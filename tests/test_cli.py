@@ -547,9 +547,11 @@ def test_empty_training_stream_rejected_before_manifest(capsys, tmp_path, monkey
 
 @pytest.mark.parametrize("command, flag, path", [
     ("train", "--checkpoint", ""), ("train", "--checkpoint", "adir"),
-    ("predict", "--out", ""), ("predict", "--out", "adir"),
+    ("train", "--checkpoint", "nodir/m.ckpt"),
+    ("predict", "--out", ""), ("predict", "--out", "adir"), ("predict", "--out", "nodir/p.jsonl"),
     ("experiment", "--out", ""), ("experiment", "--out", "adir"),
-    ("eval", "--out", "adir"),
+    ("experiment", "--out", "nodir/x.json"),
+    ("eval", "--out", "adir"), ("eval", "--out", "nodir/e.json"),
 ], ids=lambda value: value or "empty")
 def test_unusable_output_path_rejected_before_manifest(capsys, trained, tmp_path, monkeypatch,
                                                        command, flag, path):
@@ -562,9 +564,10 @@ def test_unusable_output_path_rejected_before_manifest(capsys, trained, tmp_path
     code, out, err = run(capsys, command, *inputs, flag, path, "--force")
     assert code == 1
     assert out == ""
-    assert err == f"error: {flag} must name a file, got {path!r}\n"
-    assert list(tmp_path.glob("*manifest.json")) == []
+    assert err == f"error: {flag} must name a file in an existing directory, got {path!r}\n"
+    assert list(tmp_path.rglob("*manifest.json")) == []
     assert list((tmp_path / "adir").iterdir()) == []
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_experiment_equals_train_predict_eval(capsys, trained, tmp_path, monkeypatch):

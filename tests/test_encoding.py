@@ -29,7 +29,7 @@ def test_empty_corpus_vocabulary_is_reserved_only():
 
 def test_reserved_ids_are_fixed(vocab):
     for i, tok in enumerate(RESERVED_TOKENS):
-        assert vocab.id_of(tok) == i
+        assert vocab.index[tok] == i
 
 
 def test_repeated_token_gets_single_id(store):
@@ -39,7 +39,7 @@ def test_repeated_token_gets_single_id(store):
 
 
 def test_unseen_token_encodes_to_unk(vocab):
-    assert vocab.id_of("zyzzyva") == UNK_ID
+    assert vocab.encode(["zyzzyva"]) == (UNK_ID,)
 
 
 def test_vocabulary_round_trip(vocab, tmp_path):
@@ -89,7 +89,7 @@ def test_assemble_single_token_sentence(store, vocab):
 def test_assemble_has_two_seps_splitting_segments(store, vocab, train_instances):
     template = build_frame_template(store.frame(train_instances[0].frame))
     pair = assemble(train_instances[0], template, vocab)
-    sep_id = vocab.id_of(SEP_TOKEN)
+    sep_id = vocab.index[SEP_TOKEN]
     sep_positions = [i for i, t in enumerate(pair.ids) if t == sep_id]
     assert len(sep_positions) == 2
     assert sep_positions[1] == len(pair.ids) - 1
@@ -102,9 +102,9 @@ def test_index_maps_point_at_the_right_tokens(store, vocab, train_instances):
         template = build_frame_template(frame)
         pair = assemble(inst, template, vocab)
         for i, w in enumerate(inst.tokens, start=1):
-            assert pair.ids[pair.sentence_pos[i - 1]] == vocab.id_of(w)
+            assert pair.ids[pair.sentence_pos[i - 1]] == vocab.index[w]
         for slot, (start, end) in zip(template.slots, pair.slot_pos):
-            expected = [vocab.id_of(t) for t in template.tokens[slot.start : slot.end + 1]]
+            expected = [vocab.index[t] for t in template.tokens[slot.start : slot.end + 1]]
             assert list(pair.ids[start : end + 1]) == expected
             assert pair.definition_start <= start
 
@@ -112,7 +112,7 @@ def test_index_maps_point_at_the_right_tokens(store, vocab, train_instances):
 def test_target_markers_balanced_and_adjacent(store, vocab, train_instances):
     from aged.templates import TARGET_CLOSE, TARGET_OPEN
 
-    open_id, close_id = vocab.id_of(TARGET_OPEN), vocab.id_of(TARGET_CLOSE)
+    open_id, close_id = vocab.index[TARGET_OPEN], vocab.index[TARGET_CLOSE]
     for inst in train_instances:
         template = build_frame_template(store.frame(inst.frame))
         marked = assemble(inst, template, vocab)

@@ -13,7 +13,7 @@ from aged.training import TrainConfig
 
 def quick_configs(epochs=3):
     encoder = EncoderConfig(d_model=8, n_layers=1, n_heads=2, max_len=256, seed=5)
-    training = TrainConfig(epochs=epochs, batch_size=8, learning_rate=1e-3, seed=5)
+    training = TrainConfig(epochs=epochs, batch_size=8, learning_rate=1e-3)
     return encoder, training
 
 

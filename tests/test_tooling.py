@@ -116,17 +116,12 @@ def test_every_encoder_config_field_is_set_from_flags(monkeypatch):
     assert unreachable <= NOT_FROM_FLAGS
 
 
-# ROADMAP item 3 decides whether clipping stays
-TRAIN_NOT_FROM_FLAGS = {"grad_clip"}
-
-
 def test_every_train_config_field_is_set_from_flags(monkeypatch):
     # a training setting that no command can set is reachable only from tests
     set_by_cli = {}
     monkeypatch.setattr(aged.cli, "TrainConfig", lambda **fields: set_by_cli.update(fields))
     aged.cli._train_config(aged.cli.DEFAULTS["train"], "model.ckpt")
-    unreachable = {f.name for f in dataclasses.fields(TrainConfig)} - set(set_by_cli)
-    assert unreachable <= TRAIN_NOT_FROM_FLAGS
+    assert {f.name for f in dataclasses.fields(TrainConfig)} == set(set_by_cli)
 
 
 def _written_keys():
