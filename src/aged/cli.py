@@ -3,15 +3,15 @@
 Every setting is a flag with its built-in default. A --config file is flat
 ``key = value`` text whose keys are flag names with underscores for dashes;
 each line is read as its flag, ahead of the command line, so one argparse
-pass types and checks every setting and flags beat the file. Every run
-writes a RunManifest JSON (command, resolved configuration, input digests,
-seed, version, timestamp) beside its primary output before any long-running
-work starts. Every command reads and validates its input files first,
-`predict` checks its checkpoint and mode, and `train`, `predict` and
-`experiment` assemble every pair they encode, so a run rejected for those
-leaves no manifest. A checkpoint carries its vocabulary, template mode and
-marker options, so `predict` takes none of them from flags. Existing outputs
-are never overwritten unless --force is given.
+pass types and checks every setting and flags beat the file. A command
+reads and validates its inputs first (`train`, `predict` and `experiment`
+assemble every pair they encode), and writes its files only once its work
+has succeeded: its outputs, then a run manifest (command, configuration,
+digests of the inputs as read, seed, version, timestamp, environment) beside
+its primary output. The library writes none of them, so a failed run leaves
+existing outputs as they were and no manifest. A checkpoint carries its
+vocabulary, template mode and marker options, so `predict` takes none of
+them from flags. Outputs are never overwritten unless --force is given.
 AGED_LOG in {error, info, debug} controls stderr log verbosity.
 """
 
@@ -25,8 +25,11 @@ import json
 import logging
 import math
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .corpus import (
@@ -37,7 +40,7 @@ from .corpus import (
     mini_framenet_path,
 )
 from .decoding import SpanPrediction, predict_pairs, query_pairs
-from .encoder import EncoderConfig, load_checkpoint
+from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
 from .evaluation import evaluate
 from .experiments import run_holdout_experiment
 from .templates import QUERY_MODES, MarkerOptions, TemplateMode, build_template, render_surface
@@ -214,26 +217,44 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(command: str, cfg: dict, inputs: list[str], out_path: str | None) -> str:
-    manifest = {
+def _environment() -> dict:
+    """Python and numpy versions, CPU count and, where numpy says it, its BLAS."""
+    env = {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count()}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # a numpy without mode= (before 1.26)
+        return env
+    return {**env, "blas": {"name": blas["name"], "version": blas["version"]}}
+
+
+def _run_manifest(command: str, cfg: dict, inputs: list[str]) -> dict:
+    """The run's manifest, with the digests of `inputs` as the command read them."""
+    return {
         "command": command,
-        "config": {k: v for k, v in cfg.items()},
+        "config": dict(cfg),
         "inputs": {p: _sha256(p) for p in inputs if p},
         "seed": cfg.get("seed"),
         "version": __version__,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "environment": _environment(),
     }
-    path = f"{out_path}.manifest.json" if out_path else f"aged-{command}-manifest.json"
-    Path(path).write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-    logger.info("wrote manifest %s", path)
-    return path
 
 
-def _check_output(flag: str, path: str, force: bool) -> None:
-    if not path or Path(path).is_dir() or not Path(path).parent.is_dir():
-        raise UsageError(f"{flag} must name a file in an existing directory, got {path!r}")
-    if Path(path).exists() and not force:
-        raise UsageError(f"output '{path}' exists; pass --force to overwrite")
+def _write_json(path: str, doc: dict) -> None:
+    """The one writer of reports and manifests."""
+    Path(path).write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    logger.info("wrote %s", path)
+
+
+def _check_outputs(flag: str, force: bool, path: str, *others: str) -> None:
+    """Refuse the output `path`, the `others` beside it and its manifest, before
+    any input is read, if one is not a file name in an existing directory or,
+    without --force, exists."""
+    for out in (path, *others, path + ".manifest.json"):
+        if not path or Path(out).is_dir() or not Path(out).parent.is_dir():
+            raise UsageError(f"{flag} must name a file in an existing directory, got {out!r}")
+        if Path(out).exists() and not force:
+            raise UsageError(f"output '{out}' exists; pass --force to overwrite")
 
 
 def _markers(cfg: dict) -> MarkerOptions:
@@ -254,26 +275,26 @@ def _encoder_config(cfg: dict) -> EncoderConfig:
     )
 
 
-def _train_config(cfg: dict, checkpoint_path: str | None) -> TrainConfig:
+def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
         learning_rate=cfg["lr"],
         augment_fe_defs=cfg["augment_fe_defs"],
-        checkpoint_path=checkpoint_path,
     )
 
 
 def cmd_ingest(cfg: dict, force: bool) -> int:
     store = load_ontology(cfg["frames"])
     instances = load_instances(cfg["instances"], store)
-    write_manifest("ingest", cfg, [cfg["frames"], cfg["instances"]], None)
+    manifest = _run_manifest("ingest", cfg, [cfg["frames"], cfg["instances"]])
     counts = {
         "frames": len(store),
         "frame_elements": sum(len(f.fes) for f in store),
         "instances": len(instances),
         "arguments": sum(len(i.arguments) for i in instances),
     }
+    _write_json("aged-ingest-manifest.json", manifest)
     print(json.dumps(counts))
     return EXIT_OK
 
@@ -283,28 +304,32 @@ def cmd_template(cfg: dict, force: bool) -> int:
     if mode is not TemplateMode.FRAME_DEF and not cfg["fe"]:
         raise UsageError(f"--fe is required for mode '{mode.value}'")
     store = load_ontology(cfg["frames"])
+    manifest = _run_manifest("template", cfg, [cfg["frames"]])
     template = build_template(store.frame(cfg["frame"]), mode, cfg["fe"] or None, _markers(cfg))
-    write_manifest("template", cfg, [cfg["frames"]], None)
+    _write_json("aged-template-manifest.json", manifest)
     print(render_surface(template))
     return EXIT_OK
 
 
 def cmd_train(cfg: dict, force: bool) -> int:
     checkpoint_path = cfg["checkpoint"]
-    report_path = checkpoint_path + ".report.json"
-    outputs = [checkpoint_path, report_path] + ([checkpoint_path + ".best"] if cfg["dev"] else [])
-    for path in outputs:
-        _check_output("--checkpoint", path, force)
-    encoder_config, train_config = _encoder_config(cfg), _train_config(cfg, checkpoint_path)
+    report_path, best_path = checkpoint_path + ".report.json", checkpoint_path + ".best"
+    _check_outputs("--checkpoint", force, checkpoint_path, report_path,
+                   *([best_path] if cfg["dev"] else []))
+    encoder_config, train_config = _encoder_config(cfg), _train_config(cfg)
     store = load_ontology(cfg["frames"])
     train_instances = load_instances(cfg["train"], store)
     dev_instances = load_instances(cfg["dev"], store) if cfg["dev"] else None
-    inputs = [cfg["frames"], cfg["train"]] + ([cfg["dev"]] if cfg["dev"] else [])
+    manifest = _run_manifest("train", cfg, [cfg["frames"], cfg["train"], cfg["dev"]])
     model = untrained_model(train_instances, store, encoder_config,
                             mode=TemplateMode(cfg["mode"]), markers=_markers(cfg))
-    _, report = fit(model, train_instances, store, train_config, dev=dev_instances,
-                    on_assembled=lambda: write_manifest("train", cfg, inputs, checkpoint_path))
-    report.save(report_path)
+    model, report, best = fit(model, train_instances, store, train_config, dev=dev_instances)
+    save_checkpoint(model, checkpoint_path)
+    if best is not None:
+        save_checkpoint(best, best_path)
+    _write_json(report_path, {**report.to_json(), "checkpoint_path": checkpoint_path,
+                              "best_checkpoint_path": best_path if best is not None else None})
+    _write_json(checkpoint_path + ".manifest.json", manifest)
     summary = {
         "checkpoint": checkpoint_path,
         "report": report_path,
@@ -317,7 +342,7 @@ def cmd_train(cfg: dict, force: bool) -> int:
 
 def cmd_predict(cfg: dict, force: bool) -> int:
     out_path = cfg["out"]
-    _check_output("--out", out_path, force)
+    _check_outputs("--out", force, out_path)
     model = load_checkpoint(cfg["checkpoint"])
     if cfg["mode"] and cfg["mode"] != model.mode.value:
         raise UsageError(
@@ -326,9 +351,8 @@ def cmd_predict(cfg: dict, force: bool) -> int:
         )
     store = load_ontology(cfg["frames"])
     instances = load_instances(cfg["instances"], store)
-    pairs = query_pairs(instances, store, model)
-    write_manifest("predict", cfg, [cfg["frames"], cfg["instances"], cfg["checkpoint"]], out_path)
-    predictions = predict_pairs(model, pairs)
+    manifest = _run_manifest("predict", cfg, [cfg["frames"], cfg["instances"], cfg["checkpoint"]])
+    predictions = predict_pairs(model, query_pairs(instances, store, model))
     with open(out_path, "w", encoding="utf-8") as f:
         for inst, preds in zip(instances, predictions):
             rec = {
@@ -339,6 +363,7 @@ def cmd_predict(cfg: dict, force: bool) -> int:
                 ],
             }
             f.write(json.dumps(rec) + "\n")
+    _write_json(out_path + ".manifest.json", manifest)
     print(json.dumps({"instances": len(instances), "out": out_path}))
     return EXIT_OK
 
@@ -417,35 +442,35 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
 def cmd_eval(cfg: dict, force: bool) -> int:
     out_path = cfg["out"] or None
     if out_path:
-        _check_output("--out", out_path, force)
+        _check_outputs("--out", force, out_path)
     store = load_ontology(cfg["frames"])
     gold = load_instances(cfg["gold"], store)
     predictions = _load_prediction_file(cfg["pred"], gold, store)
-    write_manifest("eval", cfg, [cfg["frames"], cfg["gold"], cfg["pred"]], out_path)
-    metrics = evaluate(predictions, gold)
-    line = json.dumps(metrics.to_json())
-    print(line)
+    manifest = _run_manifest("eval", cfg, [cfg["frames"], cfg["gold"], cfg["pred"]])
+    line = json.dumps(evaluate(predictions, gold).to_json())
     if out_path:
         Path(out_path).write_text(line + "\n", encoding="utf-8")
+    _write_json(out_path + ".manifest.json" if out_path else "aged-eval-manifest.json", manifest)
+    print(line)
     return EXIT_OK
 
 
 def cmd_experiment(cfg: dict, force: bool) -> int:
     out_path = cfg["out"]
-    _check_output("--out", out_path, force)
+    _check_outputs("--out", force, out_path)
     k = None if cfg["k"] == "full" else int(cfg["k"])
-    encoder_config, train_config = _encoder_config(cfg), _train_config(cfg, None)
+    encoder_config, train_config = _encoder_config(cfg), _train_config(cfg)
     store = load_ontology(cfg["frames"])
     train_instances = load_instances(cfg["train"], store)
     test_instances = load_instances(cfg["test"], store)
+    manifest = _run_manifest("experiment", cfg, [cfg["frames"], cfg["train"], cfg["test"]])
     frames = {name.strip() for name in str(cfg["holdout"]).split(",") if name.strip()}
-    inputs = [cfg["frames"], cfg["train"], cfg["test"]]
     report = run_holdout_experiment(
         train_instances, test_instances, store, frames, k, encoder_config, train_config,
         mode=TemplateMode(cfg["mode"]), markers=_markers(cfg),
-        on_assembled=lambda: write_manifest("experiment", cfg, inputs, out_path),
     )
-    report.save(out_path)
+    _write_json(out_path, report.to_json())
+    _write_json(out_path + ".manifest.json", manifest)
     print(json.dumps({
         "out": out_path,
         "k": report.k,

@@ -4,15 +4,13 @@ Instances of the held-out frames are capped at k training occurrences
 (k=0 removes them entirely, k=None keeps everything), a model is trained
 from scratch, and the report carries overall plus per-frame metrics. A
 held-out frame is still predictable at k=0 because its definition template
-is rendered from the ontology, not learned from instances.
+is rendered from the ontology, not learned from instances. The harness
+writes no file: `aged experiment` saves the report's `to_json`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Callable
 
 from .corpus import AnnotatedInstance, FrameStore, sample_k_shot
 from .decoding import predict_pairs, query_pairs
@@ -41,9 +39,6 @@ class ExperimentReport:
         return {**asdict(self), "overall": self.overall.to_json(),
                 "per_frame": {f: m.to_json() for f, m in self.per_frame.items()}}
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2), encoding="utf-8")
-
 
 def run_holdout_experiment(
     train_instances: list[AnnotatedInstance],
@@ -56,7 +51,6 @@ def run_holdout_experiment(
     *,
     mode: TemplateMode = TemplateMode.FRAME_DEF,
     markers: MarkerOptions = DEFAULT_MARKERS,
-    on_assembled: Callable[[], object] = lambda: None,
 ) -> ExperimentReport:
     """Train a model of query `mode` and `markers` with held-out frames capped
     at k instances, and evaluate it on test."""
@@ -83,7 +77,7 @@ def run_holdout_experiment(
     # instance is rejected before any training
     model = untrained_model(sampled, store, encoder_config, mode=mode, markers=markers)
     test_pairs = query_pairs(test_instances, store, model)
-    model, train_report = fit(model, sampled, store, train_config, on_assembled=on_assembled)
+    model, train_report, _ = fit(model, sampled, store, train_config)
     predictions = predict_pairs(model, test_pairs)
     predictions_complete = all(
         len(preds) == len(store.frame(inst.frame).fe_order)

@@ -8,30 +8,23 @@ frame-definition) pair per instance; with FE augmentation on, each gold
 argument adds a (sentence, FE-definition) pair for its role, so stream size
 is exactly |instances| + total gold arguments. The question baseline
 instead has one single-slot pair per FE of the frame, and takes no FE
-augmentation. A dev set, when given, is scored every epoch.
+augmentation. A dev set, when given, is scored every epoch, and the model
+at its best F1 is kept. Training writes no file: the caller saves what it
+returns.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .corpus import AnnotatedInstance, FrameStore
 from .decoding import predict_pairs, query_pairs
-from .encoder import (
-    Checkpoint,
-    EncoderConfig,
-    FlatTensors,
-    init_parameters,
-    save_checkpoint,
-)
+from .encoder import Checkpoint, EncoderConfig, FlatTensors, init_parameters
 from .encoding import (
     EncodedPair,
     SlotLabel,
@@ -65,7 +58,6 @@ class TrainConfig:
     batch_size: int = 8
     learning_rate: float = 1e-3
     augment_fe_defs: bool = False
-    checkpoint_path: str | Path | None = None
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
@@ -182,15 +174,10 @@ class TrainingReport:
     dev_f1_history: list[tuple[int, float]] = field(default_factory=list)
     best_dev_f1: float | None = None
     best_epoch: int | None = None
-    checkpoint_path: str | None = None
-    best_checkpoint_path: str | None = None
     wallclock_seconds: float = 0.0
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2), encoding="utf-8")
 
 
 def train(
@@ -199,23 +186,25 @@ def train(
     config: TrainConfig,
     *,
     dev: tuple[list[AnnotatedInstance], list[list[EncodedPair]]] | None = None,
-) -> tuple[Checkpoint, TrainingReport]:
-    """Run shuffled mini-batch training; returns a trained copy of the model.
+) -> tuple[Checkpoint, TrainingReport, Checkpoint | None]:
+    """Run shuffled mini-batch training; returns a trained copy of the model,
+    the report and, with `dev`, a copy of the model at its best dev F1.
 
     Each epoch's batch order is drawn from the model's seed and the epoch.
     Per-example losses are summed over slots; batches average over examples,
     and each step's gradients are clipped to a global norm of `GRAD_CLIP`.
     Each mini-batch runs as one padded forward and backward pass.
     `dev` is a dev set and its `query_pairs`; its F1 is computed every
-    epoch, and the best-dev checkpoint is saved alongside the final one.
+    epoch, and the first epoch with the highest F1 gives the best model.
     """
     if not stream:
-        raise ValueError("training stream is empty")
+        raise ValueError("no training instance remains: the training stream is empty")
     model = model.copy()
     params, enc_config = model.params, model.config
     grads = FlatTensors(params.shapes, np.empty_like(params.flat))  # zero-filled by each backward
     optimizer = Adam(params, config.learning_rate)
     report = TrainingReport(epochs=config.epochs, stream_size=len(stream))
+    best = None
     started = time.monotonic()
 
     for epoch in range(config.epochs):
@@ -254,16 +243,10 @@ def train(
             if report.best_dev_f1 is None or f1 > report.best_dev_f1:
                 report.best_dev_f1 = f1
                 report.best_epoch = epoch
-                if config.checkpoint_path is not None:
-                    best_path = str(config.checkpoint_path) + ".best"
-                    save_checkpoint(model, best_path)
-                    report.best_checkpoint_path = best_path
+                best = model.copy()
 
     report.wallclock_seconds = time.monotonic() - started
-    if config.checkpoint_path is not None:
-        save_checkpoint(model, config.checkpoint_path)
-        report.checkpoint_path = str(config.checkpoint_path)
-    return model, report
+    return model, report, best
 
 
 def untrained_model(
@@ -293,21 +276,17 @@ def fit(
     train_config: TrainConfig,
     *,
     dev: list[AnnotatedInstance] | None = None,
-    on_assembled: Callable[[], object] = lambda: None,
-) -> tuple[Checkpoint, TrainingReport]:
+) -> tuple[Checkpoint, TrainingReport, Checkpoint | None]:
     """Train `model`, usually an `untrained_model`, on `instances`: the one
     pipeline every entry point runs.
 
     Builds the training stream from the model, assembles the dev set's
-    query pairs, calls `on_assembled` and runs `train`, which returns a
-    trained copy. A training or dev pair over `max_len` raises
-    PairTooLongError, and an empty training stream ValueError, before
-    `on_assembled` is called.
+    query pairs and runs `train`, which returns a trained copy, the report
+    and the best-dev copy (None without `dev`). A training or dev pair over
+    `max_len` raises PairTooLongError, and an empty training stream
+    ValueError, before the first epoch.
     """
     stream = build_training_stream(instances, store, model, train_config)
-    if not stream:
-        raise ValueError("no training instance remains: the training stream is empty")
     dev_set = None if dev is None else (dev, query_pairs(dev, store, model))
-    on_assembled()
     logger.info("training on %d pairs (%d instances)", len(stream), len(instances))
     return train(stream, model, train_config, dev=dev_set)

@@ -72,8 +72,8 @@ def overfit(corpus):
         return train(stream, model, train_config)
 
     started = time.monotonic()
-    model_a, report_a = one_run()
-    model_b, report_b = one_run()
+    model_a, report_a, _ = one_run()
+    model_b, report_b, _ = one_run()
     elapsed = time.monotonic() - started
     return vocab, model_a, report_a, report_b, elapsed
 
@@ -291,7 +291,7 @@ def test_criterion_9_checkpoint_round_trip(corpus, tmp_path):
         model = Checkpoint(config, init_parameters(config, len(vocab)), vocab, TemplateMode.FRAME_DEF, MarkerOptions())
         train_config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-3)
         stream = build_training_stream(train_instances, store, model, train_config)
-        model, _ = train(stream, model, train_config)
+        model, _, _ = train(stream, model, train_config)
 
         path = tmp_path / "model.json"
         save_checkpoint(model, path)

@@ -2,6 +2,8 @@ import base64
 import hashlib
 import json
 import math
+import os
+import platform
 import types
 
 import numpy as np
@@ -140,6 +142,24 @@ def test_train_writes_artifacts(trained):
     frames_path = str(mini_framenet_path("frames"))
     digest = hashlib.sha256(open(frames_path, "rb").read()).hexdigest()
     assert manifest["inputs"][frames_path] == digest
+    assert {"python", "numpy", "cpu_count"} <= set(manifest["environment"])
+
+
+@pytest.mark.parametrize("mode_keyword", [True, False], ids=["numpy", "numpy-without-mode"])
+def test_manifest_records_the_environment(capsys, tmp_path, monkeypatch, mode_keyword):
+    monkeypatch.chdir(tmp_path)
+    if not mode_keyword:  # numpy before 1.26: show_config() takes no mode=
+        monkeypatch.setattr(np, "show_config", lambda: None)
+    assert run(capsys, "ingest")[0] == 0
+    environment = json.loads((tmp_path / "aged-ingest-manifest.json").read_text())["environment"]
+    assert environment["python"] == platform.python_version()
+    assert environment["numpy"] == np.__version__
+    assert environment["cpu_count"] == os.cpu_count()
+    if mode_keyword:
+        assert set(environment) == {"python", "numpy", "cpu_count", "blas"}
+        assert set(environment["blas"]) == {"name", "version"}
+    else:
+        assert set(environment) == {"python", "numpy", "cpu_count"}
 
 
 def test_train_refuses_to_overwrite(capsys, trained):
@@ -570,6 +590,32 @@ def test_unusable_output_path_rejected_before_manifest(capsys, trained, tmp_path
     assert not (tmp_path / "nodir").exists()
 
 
+@pytest.mark.parametrize("command, flag, out", [
+    ("train", "--checkpoint", "m.ckpt"), ("predict", "--out", "p.jsonl"),
+    ("experiment", "--out", "x.json"), ("eval", "--out", "e.json"),
+])
+def test_manifest_path_is_checked_before_any_input_is_read(capsys, trained, tmp_path, monkeypatch,
+                                                           command, flag, out):
+    # the manifest is written last, so an unusable one must be refused first
+    monkeypatch.chdir(tmp_path)
+    _gold_as_predictions(tmp_path / "pred.jsonl", lambda preds, inst: None)
+    inputs = {"train": ["--epochs", "1"], "predict": ["--checkpoint", str(trained[1])],
+              "eval": ["--pred", "pred.jsonl"], "experiment": ["--epochs", "1"]}[command]
+    manifest = tmp_path / f"{out}.manifest.json"
+    manifest.mkdir()
+    code, out_text, err = run(capsys, command, *inputs, flag, out, "--force")
+    assert code == 1
+    assert out_text == ""
+    assert err == f"error: {flag} must name a file in an existing directory, got '{manifest.name}'\n"
+    manifest.rmdir()
+    manifest.write_text("kept")  # an existing manifest is an output like any other
+    code, _, err = run(capsys, command, *inputs, flag, out)
+    assert code == 1
+    assert err == f"error: output '{manifest.name}' exists; pass --force to overwrite\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([manifest.name, "pred.jsonl"])
+    assert manifest.read_text() == "kept"
+
+
 def test_experiment_equals_train_predict_eval(capsys, trained, tmp_path, monkeypatch):
     # same flags and seed as the `trained` fixture, no frame held out
     workdir, ckpt = trained
@@ -783,7 +829,54 @@ def test_train_exits_2_on_non_finite_loss(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("runtime error: non-finite loss at epoch 0, batch 0")
-    assert not (tmp_path / "model.ckpt").exists()
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, report or manifest
+
+
+def _nan_loss_after_first_dev_score(monkeypatch):
+    """Make training losses NaN once the dev set has been scored once."""
+    real_loss, real_evaluate = aged.training.batch_loss_and_gradients, aged.training.evaluate
+    scored = []
+
+    def loss(*args, **kwargs):
+        losses, grads = real_loss(*args, **kwargs)
+        return ([float("nan")] * len(losses) if scored else losses), grads
+
+    def evaluate(*args, **kwargs):
+        scored.append(True)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(aged.training, "batch_loss_and_gradients", loss)
+    monkeypatch.setattr(aged.training, "evaluate", evaluate)
+
+
+def test_failed_forced_rerun_leaves_the_finished_run_as_it_was(capsys, tmp_path, monkeypatch):
+    # the rerun fails after its epoch 0 has found a best-dev model of its own
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--epochs", "2", "--d-model", "8", "--layers", "1", "--heads", "2",
+            "--dev", str(mini_framenet_path("test")), "--checkpoint", "m.ckpt"]
+    assert run(capsys, *argv)[0] == 0
+    finished = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(finished) == ["m.ckpt", "m.ckpt.best", "m.ckpt.manifest.json",
+                                "m.ckpt.report.json"]
+    _nan_loss_after_first_dev_score(monkeypatch)
+    code, out, err = run(capsys, *argv, "--seed", "8", "--force")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("runtime error: non-finite loss at epoch 1, batch 0")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == finished
+
+
+def test_experiment_with_non_finite_loss_leaves_no_file(capsys, tmp_path, monkeypatch):
+    real = aged.training.batch_loss_and_gradients
+    monkeypatch.setattr(aged.training, "batch_loss_and_gradients",
+                        lambda *a: ([float("nan")] * len(a[2]), real(*a)[1]))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "experiment", "--epochs", "1", "--d-model", "8",
+                         "--layers", "1", "--heads", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("runtime error: non-finite loss at epoch 0, batch 0")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("k", ["abc", "-1", "1.5", "", "2 full"])

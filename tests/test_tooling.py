@@ -26,14 +26,34 @@ import reference
 ROOT = Path(__file__).resolve().parents[1]
 GENERATOR = ROOT / "scripts" / "make_mini_framenet.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
+MUTANTS = ROOT / "scripts" / "mutants.py"
+
+
+def _load_script(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def generator():
-    spec = importlib.util.spec_from_file_location("make_mini_framenet", GENERATOR)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_script("make_mini_framenet", GENERATOR)
+
+
+def test_every_catalogued_mutant_snippet_matches_once():
+    # a refactor that moves a snippet updates scripts/mutants.py, or this fails
+    mutants = _load_script("mutants", MUTANTS)
+    assert mutants.unmatched(mutants.CATALOGUE) == []
+
+
+def test_mutant_script_exits_1_on_an_unmatched_snippet(capsys):
+    mutants = _load_script("mutants", MUTANTS)
+    stale = mutants.Mutant("stale", "src/aged/cli.py", "no such snippet", "",
+                           ("tests/test_cli.py::test_version_flag",))
+    assert mutants.main([], catalogue=[stale, *mutants.CATALOGUE]) == 1
+    assert capsys.readouterr().out == (
+        "UNMATCHED stale: its snippet occurs 0 times in src/aged/cli.py, not once\n")
 
 
 @pytest.mark.parametrize("name, records", [
@@ -46,10 +66,7 @@ def test_generator_reproduces_bundled_corpus(generator, name, records):
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_script("perfbench_tracing", TRACING)
 
 
 def test_benchmark_tracer_finds_every_function_it_needs(tracing):
@@ -120,7 +137,7 @@ def test_every_train_config_field_is_set_from_flags(monkeypatch):
     # a training setting that no command can set is reachable only from tests
     set_by_cli = {}
     monkeypatch.setattr(aged.cli, "TrainConfig", lambda **fields: set_by_cli.update(fields))
-    aged.cli._train_config(aged.cli.DEFAULTS["train"], "model.ckpt")
+    aged.cli._train_config(aged.cli.DEFAULTS["train"])
     assert {f.name for f in dataclasses.fields(TrainConfig)} == set(set_by_cli)
 
 
@@ -146,7 +163,7 @@ def saved(request, mini, tmp_path_factory):
     untrained = untrained_model(train_instances[:6], store,
                                 EncoderConfig(d_model=8, n_layers=1, n_heads=2),
                                 mode=mode, markers=markers)
-    model, _ = fit(untrained, train_instances[:6], store, TrainConfig(epochs=1))
+    model, _, _ = fit(untrained, train_instances[:6], store, TrainConfig(epochs=1))
     path = tmp_path_factory.mktemp("checkpoint") / "model.ckpt"
     save_checkpoint(model, path)
     return model, path

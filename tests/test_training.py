@@ -127,7 +127,7 @@ def test_tiny_learning_rate_leaves_parameters_nearly_fixed(store, vocab, train_i
     model = small_model(vocab)
     config = TrainConfig(epochs=1, batch_size=4, learning_rate=1e-30)
     stream = build_training_stream(train_instances[:4], store, model, config)
-    trained, _ = train(stream, model, config)
+    trained, _, _ = train(stream, model, config)
     for k in model.params:
         np.testing.assert_allclose(trained.params[k], model.params[k], atol=1e-20)
 
@@ -138,8 +138,8 @@ def test_training_is_deterministic(store, vocab, train_instances, augment_fe_def
     config = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3,
                          augment_fe_defs=augment_fe_defs)
     stream = build_training_stream(train_instances[:8], store, small_model(vocab), config)
-    model_a, report_a = train(stream, small_model(vocab), config)
-    model_b, report_b = train(stream, small_model(vocab), config)
+    model_a, report_a, _ = train(stream, small_model(vocab), config)
+    model_b, report_b, _ = train(stream, small_model(vocab), config)
     assert report_a.epoch_losses == report_b.epoch_losses
     for k in model_a.params:
         assert np.array_equal(model_a.params[k], model_b.params[k]), k
@@ -149,7 +149,7 @@ def test_loss_is_nonincreasing_at_start(store, vocab, train_instances):
     config = TrainConfig(epochs=5, batch_size=8, learning_rate=3e-4)
     model = small_model(vocab, d_model=16)
     stream = build_training_stream(train_instances, store, model, config)
-    _, report = train(stream, model, config)
+    _, report, _ = train(stream, model, config)
     losses = report.epoch_losses
     increases = sum(1 for a, b in zip(losses, losses[1:]) if b > a)
     assert increases <= 1, losses
@@ -199,29 +199,30 @@ def test_empty_stream_rejected(vocab):
 def test_checkpoint_round_trip_preserves_dev_f1(store, vocab, train_instances, tmp_path):
     dev = train_instances[:6]
     ckpt_path = tmp_path / "model.json"
-    config = TrainConfig(
-        epochs=4, batch_size=8, learning_rate=1e-3, checkpoint_path=ckpt_path,
-    )
+    config = TrainConfig(epochs=4, batch_size=8, learning_rate=1e-3)
     model = small_model(vocab, d_model=16)
     stream = build_training_stream(train_instances, store, model, config)
-    model, report = train(stream, model, config, dev=(dev, query_pairs(dev, store, model)))
+    model, report, best = train(stream, model, config, dev=(dev, query_pairs(dev, store, model)))
     assert [epoch for epoch, _ in report.dev_f1_history] == list(range(config.epochs))
+    save_checkpoint(model, ckpt_path)
     loaded = load_checkpoint(ckpt_path)
     f1_direct = evaluate(predict_all(dev, store, model), dev).f1
     f1_loaded = evaluate(predict_all(dev, store, loaded), dev).f1
     assert f1_direct == f1_loaded
-    assert report.best_checkpoint_path is not None
+    # the best model is a copy taken at the first epoch of the highest dev F1
+    f1s = [f1 for _, f1 in report.dev_f1_history]
+    assert report.best_epoch == f1s.index(max(f1s))
+    assert evaluate(predict_all(dev, store, best), dev).f1 == report.best_dev_f1 == max(f1s)
+    assert not np.shares_memory(best.params.flat, model.params.flat)
 
 
-def test_training_report_serializes(tmp_path, store, vocab, train_instances):
+def test_training_report_serializes(store, vocab, train_instances):
     config = TrainConfig(epochs=1, batch_size=8)
     model = small_model(vocab)
     stream = build_training_stream(train_instances[:4], store, model, config)
-    _, report = train(stream, model, config)
-    path = tmp_path / "report.json"
-    report.save(path)
-    assert path.exists()
-    assert report.stream_size == 4
+    _, report, best = train(stream, model, config)
+    assert best is None  # no dev set, no best model
+    assert json.loads(json.dumps(report.to_json()))["stream_size"] == report.stream_size == 4
 
 
 class ReferenceAdam:
@@ -273,9 +274,9 @@ def test_training_matches_per_tensor_adam_bitwise(store, vocab, train_instances,
     model = Checkpoint(enc, init_parameters(enc, len(vocab)), vocab, TemplateMode.FRAME_DEF,
                        MarkerOptions())
     stream = build_training_stream(train_instances[:8], store, model, config)
-    trained, report = train(stream, model, config)
+    trained, report, _ = train(stream, model, config)
     monkeypatch.setattr(aged.training, "Adam", ReferenceAdam)
-    ref_trained, ref_report = train(stream, model, config)
+    ref_trained, ref_report, _ = train(stream, model, config)
     assert report.epoch_losses == ref_report.epoch_losses
     for k in trained.params:
         assert np.array_equal(trained.params[k], ref_trained.params[k]), k
@@ -355,7 +356,7 @@ def test_parameters_are_views_of_one_flat_buffer(store, vocab, train_instances, 
     monkeypatch.setattr(aged.training, "batch_loss_and_gradients", recording)
     config = TrainConfig(epochs=1, batch_size=2)
     stream = build_training_stream(train_instances[:6], store, model, config)
-    trained, _ = train(stream, model, config)
+    trained, _, _ = train(stream, model, config)
     assert len(buffers) == 3 and all(b is buffers[0] for b in buffers)
     assert not np.shares_memory(buffers[0].flat, trained.params.flat)
     assert_views_of_flat(trained.params, model.params)
@@ -375,7 +376,7 @@ def test_report_records_gradient_norms_per_epoch(store, vocab, train_instances, 
     config = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3)
     model = small_model(vocab)
     stream = build_training_stream(train_instances[:10], store, model, config)
-    _, report = train(stream, model, config)
+    _, report, _ = train(stream, model, config)
     steps = -(-len(stream) // config.batch_size)
     assert len(norms) == config.epochs * steps
     for name in ("grad_norm_mean", "grad_norm_max", "clipped_steps"):
@@ -396,13 +397,13 @@ def test_fit_equals_hand_built_pipeline_bitwise(store, train_instances, test_ins
     shape = dict(d_model=8, n_layers=1, n_heads=2, max_len=256, seed=2)
     encoder_config = EncoderConfig(**shape)
     untrained = untrained_model(instances, store, encoder_config, mode=mode)
-    model, report = fit(untrained, instances, store, config, dev=dev)
+    model, report, _ = fit(untrained, instances, store, config, dev=dev)
 
     expected_vocab = build_vocabulary(instances, store)
     initial = Checkpoint(encoder_config, init_parameters(encoder_config, len(expected_vocab)),
                          expected_vocab, mode, MarkerOptions())
     stream = build_training_stream(instances, store, initial, config)
-    expected, expected_report = train(
+    expected, expected_report, _ = train(
         stream, initial, config, dev=(dev, query_pairs(dev, store, initial)),
     )
     assert model.vocab.tokens == expected_vocab.tokens
@@ -421,7 +422,7 @@ def test_fit_scores_a_dev_set_every_epoch(store, train_instances, test_instances
     encoder_config = EncoderConfig(d_model=8, n_layers=1, n_heads=2)
     config = TrainConfig(epochs=3)
     model = untrained_model(train_instances[:4], store, encoder_config)
-    _, report = fit(model, train_instances[:4], store, config, dev=test_instances[:2])
+    _, report, _ = fit(model, train_instances[:4], store, config, dev=test_instances[:2])
     assert [epoch for epoch, _ in report.dev_f1_history] == [0, 1, 2]
     assert report.best_dev_f1 == max(f1 for _, f1 in report.dev_f1_history)
 
