@@ -15,9 +15,7 @@ matches (checked before any test runs), a named test fails unmutated, or a
 mutant survives. A refactor that moves a snippet updates its entry here, and
 a claim that "mutation M fails test T" adds M to the catalogue.
 
-    python3 scripts/mutants.py                 # every mutant
-    python3 scripts/mutants.py --only NAME     # one mutant (repeatable)
-    python3 scripts/mutants.py --list          # names, files and tests
+    python3 scripts/mutants.py
 
 Standard library only; the tests themselves need numpy, pytest and
 hypothesis, as the suite does.
@@ -25,7 +23,6 @@ hypothesis, as the suite does.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -131,23 +128,8 @@ def _still_passing(mutant: Mutant, failed: set[str]) -> list[str]:
             if not any(f == t or f.startswith(t + "[") for f in failed)]
 
 
-def main(argv: list[str] | None = None, catalogue: list[Mutant] = CATALOGUE) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", action="append", metavar="NAME",
-                        help="run only this mutant (repeatable)")
-    parser.add_argument("--list", action="store_true", help="list the catalogue and exit")
-    args = parser.parse_args(argv)
-    if args.list:
-        for m in catalogue:
-            print(f"{m.name}  {m.file}  {' '.join(m.tests)}")
-        return 0
-    names = {m.name for m in catalogue}
-    unknown = sorted(set(args.only or ()) - names)
-    if unknown:
-        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
-    chosen = [m for m in catalogue if not args.only or m.name in args.only]
-
-    problems = unmatched(chosen)
+def main(catalogue: list[Mutant] = CATALOGUE) -> int:
+    problems = unmatched(catalogue)
     for problem in problems:
         print(f"UNMATCHED {problem}")
     if problems:
@@ -156,14 +138,14 @@ def main(argv: list[str] | None = None, catalogue: list[Mutant] = CATALOGUE) -> 
     with tempfile.TemporaryDirectory(prefix="aged-mutants-") as tmp:
         base = Path(tmp) / "base"
         _copy(base)
-        union = sorted({t for m in chosen for t in m.tests})
+        union = sorted({t for m in catalogue for t in m.tests})
         code, failed = _pytest(base, union)
         if code != 0:
             print(f"BASELINE the named tests do not pass unmutated (pytest exit {code}): "
                   f"{' '.join(sorted(failed)) or 'see pytest'}")
             return 1
         survivors = 0
-        for m in chosen:
+        for m in catalogue:
             where = Path(tmp) / m.name
             shutil.copytree(base, where)
             target = where / m.file
@@ -178,7 +160,7 @@ def main(argv: list[str] | None = None, catalogue: list[Mutant] = CATALOGUE) -> 
                 print(f"SURVIVED  {m.name}: pytest exit {code}; "
                       f"passing: {' '.join(passed) or '(none)'}")
             shutil.rmtree(where)
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    print(f"{len(catalogue) - survivors} of {len(catalogue)} mutants killed")
     return 1 if survivors else 0
 
 

@@ -8,16 +8,18 @@ reads and validates its inputs first (`train`, `predict` and `experiment`
 assemble every pair they encode), and writes its files only once its work
 has succeeded: its outputs, then a run manifest (command, configuration,
 digests of the inputs as read, seed, version, timestamp, environment) beside
-its primary output. The library writes none of them, so a failed run leaves
-existing outputs as they were and no manifest. A checkpoint carries its
-vocabulary, template mode and marker options, so `predict` takes none of
-them from flags. Outputs are never overwritten unless --force is given.
+its primary output, each through a `.partial` file that replaces it only
+once every write has succeeded. The library writes none of them, so a run
+that fails, in its work or its writes, leaves existing outputs as they were
+and no manifest. A checkpoint carries its vocabulary, template mode and
+marker options, so `predict` takes none of them from flags. Outputs are never overwritten unless --force is given.
 AGED_LOG in {error, info, debug} controls stderr log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 import hashlib
@@ -243,7 +245,29 @@ def _run_manifest(command: str, cfg: dict, inputs: list[str]) -> dict:
 def _write_json(path: str, doc: dict) -> None:
     """The one writer of reports and manifests."""
     Path(path).write_text(json.dumps(doc, indent=2), encoding="utf-8")
-    logger.info("wrote %s", path)
+
+
+@contextlib.contextmanager
+def _staged():
+    """Yield `stage(path)`, the `.partial` file beside output `path` to write.
+    Once the block succeeds, each replaces its output in the order staged (the
+    manifest last); if it raises, they are removed and no output is touched."""
+    staged: list[str] = []
+
+    def stage(path: str) -> str:
+        staged.append(path)
+        return path + ".partial"
+
+    try:
+        yield stage
+    except BaseException:
+        for path in staged:
+            with contextlib.suppress(OSError):  # a file not yet written, or a directory
+                Path(path + ".partial").unlink()
+        raise
+    for path in staged:
+        os.replace(path + ".partial", path)
+        logger.info("wrote %s", path)
 
 
 def _check_outputs(flag: str, force: bool, path: str, *others: str) -> None:
@@ -294,7 +318,8 @@ def cmd_ingest(cfg: dict, force: bool) -> int:
         "instances": len(instances),
         "arguments": sum(len(i.arguments) for i in instances),
     }
-    _write_json("aged-ingest-manifest.json", manifest)
+    with _staged() as stage:
+        _write_json(stage("aged-ingest-manifest.json"), manifest)
     print(json.dumps(counts))
     return EXIT_OK
 
@@ -306,7 +331,8 @@ def cmd_template(cfg: dict, force: bool) -> int:
     store = load_ontology(cfg["frames"])
     manifest = _run_manifest("template", cfg, [cfg["frames"]])
     template = build_template(store.frame(cfg["frame"]), mode, cfg["fe"] or None, _markers(cfg))
-    _write_json("aged-template-manifest.json", manifest)
+    with _staged() as stage:
+        _write_json(stage("aged-template-manifest.json"), manifest)
     print(render_surface(template))
     return EXIT_OK
 
@@ -324,12 +350,14 @@ def cmd_train(cfg: dict, force: bool) -> int:
     model = untrained_model(train_instances, store, encoder_config,
                             mode=TemplateMode(cfg["mode"]), markers=_markers(cfg))
     model, report, best = fit(model, train_instances, store, train_config, dev=dev_instances)
-    save_checkpoint(model, checkpoint_path)
-    if best is not None:
-        save_checkpoint(best, best_path)
-    _write_json(report_path, {**report.to_json(), "checkpoint_path": checkpoint_path,
-                              "best_checkpoint_path": best_path if best is not None else None})
-    _write_json(checkpoint_path + ".manifest.json", manifest)
+    with _staged() as stage:
+        save_checkpoint(model, stage(checkpoint_path))
+        if best is not None:
+            save_checkpoint(best, stage(best_path))
+        _write_json(stage(report_path), {
+            **report.to_json(), "checkpoint_path": checkpoint_path,
+            "best_checkpoint_path": best_path if best is not None else None})
+        _write_json(stage(checkpoint_path + ".manifest.json"), manifest)
     summary = {
         "checkpoint": checkpoint_path,
         "report": report_path,
@@ -353,17 +381,18 @@ def cmd_predict(cfg: dict, force: bool) -> int:
     instances = load_instances(cfg["instances"], store)
     manifest = _run_manifest("predict", cfg, [cfg["frames"], cfg["instances"], cfg["checkpoint"]])
     predictions = predict_pairs(model, query_pairs(instances, store, model))
-    with open(out_path, "w", encoding="utf-8") as f:
-        for inst, preds in zip(instances, predictions):
-            rec = {
-                "frame": inst.frame,
-                "predictions": [
-                    {"fe": p.fe, "span": list(p.span) if p.span else None, "score": p.score}
-                    for p in preds
-                ],
-            }
-            f.write(json.dumps(rec) + "\n")
-    _write_json(out_path + ".manifest.json", manifest)
+    with _staged() as stage:
+        with open(stage(out_path), "w", encoding="utf-8") as f:
+            for inst, preds in zip(instances, predictions):
+                rec = {
+                    "frame": inst.frame,
+                    "predictions": [
+                        {"fe": p.fe, "span": list(p.span) if p.span else None, "score": p.score}
+                        for p in preds
+                    ],
+                }
+                f.write(json.dumps(rec) + "\n")
+        _write_json(stage(out_path + ".manifest.json"), manifest)
     print(json.dumps({"instances": len(instances), "out": out_path}))
     return EXIT_OK
 
@@ -448,9 +477,11 @@ def cmd_eval(cfg: dict, force: bool) -> int:
     predictions = _load_prediction_file(cfg["pred"], gold, store)
     manifest = _run_manifest("eval", cfg, [cfg["frames"], cfg["gold"], cfg["pred"]])
     line = json.dumps(evaluate(predictions, gold).to_json())
-    if out_path:
-        Path(out_path).write_text(line + "\n", encoding="utf-8")
-    _write_json(out_path + ".manifest.json" if out_path else "aged-eval-manifest.json", manifest)
+    with _staged() as stage:
+        if out_path:
+            Path(stage(out_path)).write_text(line + "\n", encoding="utf-8")
+        _write_json(stage(out_path + ".manifest.json" if out_path else "aged-eval-manifest.json"),
+                    manifest)
     print(line)
     return EXIT_OK
 
@@ -469,8 +500,9 @@ def cmd_experiment(cfg: dict, force: bool) -> int:
         train_instances, test_instances, store, frames, k, encoder_config, train_config,
         mode=TemplateMode(cfg["mode"]), markers=_markers(cfg),
     )
-    _write_json(out_path, report.to_json())
-    _write_json(out_path + ".manifest.json", manifest)
+    with _staged() as stage:
+        _write_json(stage(out_path), report.to_json())
+        _write_json(stage(out_path + ".manifest.json"), manifest)
     print(json.dumps({
         "out": out_path,
         "k": report.k,

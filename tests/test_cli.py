@@ -866,6 +866,28 @@ def test_failed_forced_rerun_leaves_the_finished_run_as_it_was(capsys, tmp_path,
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == finished
 
 
+def test_failed_write_leaves_the_finished_run_as_it_was(capsys, tmp_path, monkeypatch):
+    # the rerun's work succeeds; writing its .best checkpoint fails, as on a full disk
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--epochs", "1", "--d-model", "8", "--layers", "1", "--heads", "2",
+            "--dev", str(mini_framenet_path("test")), "--checkpoint", "m.ckpt"]
+    assert run(capsys, *argv)[0] == 0
+    finished = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_save = aged.cli.save_checkpoint
+
+    def save(model, path):
+        real_save(model, path)  # a half-written file is left behind too
+        if str(path).startswith("m.ckpt.best"):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(aged.cli, "save_checkpoint", save)
+    code, out, err = run(capsys, *argv, "--seed", "8", "--force")
+    assert code == 2
+    assert out == ""
+    assert err == "runtime error: [Errno 28] No space left on device\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == finished
+
+
 def test_experiment_with_non_finite_loss_leaves_no_file(capsys, tmp_path, monkeypatch):
     real = aged.training.batch_loss_and_gradients
     monkeypatch.setattr(aged.training, "batch_loss_and_gradients",

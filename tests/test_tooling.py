@@ -51,7 +51,7 @@ def test_mutant_script_exits_1_on_an_unmatched_snippet(capsys):
     mutants = _load_script("mutants", MUTANTS)
     stale = mutants.Mutant("stale", "src/aged/cli.py", "no such snippet", "",
                            ("tests/test_cli.py::test_version_flag",))
-    assert mutants.main([], catalogue=[stale, *mutants.CATALOGUE]) == 1
+    assert mutants.main(catalogue=[stale, *mutants.CATALOGUE]) == 1
     assert capsys.readouterr().out == (
         "UNMATCHED stale: its snippet occurs 0 times in src/aged/cli.py, not once\n")
 
