@@ -82,11 +82,19 @@ CATALOGUE = [
     ),
     Mutant(
         "manifest-written-before-training", "src/aged/cli.py",
-        "    model, report, best = fit(",
-        "    _write_json(checkpoint_path + \".manifest.json\", manifest)\n"
-        "    model, report, best = fit(",
+        "    files, line = COMMANDS[command](cfg)\n",
+        "    _write_json(outputs[-1], manifest)\n"
+        "    files, line = COMMANDS[command](cfg)\n",
         ("tests/test_cli.py::test_train_exits_2_on_non_finite_loss",
          "tests/test_cli.py::test_failed_forced_rerun_leaves_the_finished_run_as_it_was"),
+    ),
+    Mutant(
+        "outputs-checked-after-the-work", "src/aged/cli.py",
+        "    for out in outputs:\n",
+        "    COMMANDS[command](cfg)\n"
+        "    for out in outputs:\n",
+        ("tests/test_cli.py::test_manifest_path_is_checked_before_any_input_is_read",
+         "tests/test_cli.py::test_unusable_output_path_rejected_before_manifest"),
     ),
 ]
 

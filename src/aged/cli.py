@@ -3,16 +3,19 @@
 Every setting is a flag with its built-in default. A --config file is flat
 ``key = value`` text whose keys are flag names with underscores for dashes;
 each line is read as its flag, ahead of the command line, so one argparse
-pass types and checks every setting and flags beat the file. A command
-reads and validates its inputs first (`train`, `predict` and `experiment`
-assemble every pair they encode), and writes its files only once its work
-has succeeded: its outputs, then a run manifest (command, configuration,
-digests of the inputs as read, seed, version, timestamp, environment) beside
-its primary output, each through a `.partial` file that replaces it only
-once every write has succeeded. The library writes none of them, so a run
-that fails, in its work or its writes, leaves existing outputs as they were
-and no manifest. A checkpoint carries its vocabulary, template mode and
-marker options, so `predict` takes none of them from flags. Outputs are never overwritten unless --force is given.
+pass types and checks every setting and flags beat the file. `dispatch`
+runs each command under one write protocol: it refuses an unusable
+or, without --force, existing output before any input is read, digests the
+inputs, and lets the command read, validate (`train`, `predict` and
+`experiment` assemble every pair they encode) and compute. The command
+returns its files as writers; each is written to a `.partial` file beside
+its output, then a run manifest (command, configuration, input digests,
+seed, version, timestamp, environment) beside the primary output, and only
+once every write has succeeded do they replace the outputs. A run that
+fails, in its work or its writes, leaves existing outputs as they were and
+no manifest. `ingest`, `template` and `eval` without --out write no file and
+no manifest; they only print. A checkpoint carries its vocabulary, template
+mode and marker options, so `predict` takes none of them from flags.
 AGED_LOG in {error, info, debug} controls stderr log verbosity.
 """
 
@@ -29,6 +32,7 @@ import math
 import os
 import platform
 import sys
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
@@ -212,11 +216,7 @@ def _config_arguments(command: str, path: str) -> list[str]:
 
 
 def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _environment() -> dict:
@@ -229,56 +229,14 @@ def _environment() -> dict:
     return {**env, "blas": {"name": blas["name"], "version": blas["version"]}}
 
 
-def _run_manifest(command: str, cfg: dict, inputs: list[str]) -> dict:
-    """The run's manifest, with the digests of `inputs` as the command read them."""
-    return {
-        "command": command,
-        "config": dict(cfg),
-        "inputs": {p: _sha256(p) for p in inputs if p},
-        "seed": cfg.get("seed"),
-        "version": __version__,
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "environment": _environment(),
-    }
-
-
 def _write_json(path: str, doc: dict) -> None:
     """The one writer of reports and manifests."""
     Path(path).write_text(json.dumps(doc, indent=2), encoding="utf-8")
 
 
-@contextlib.contextmanager
-def _staged():
-    """Yield `stage(path)`, the `.partial` file beside output `path` to write.
-    Once the block succeeds, each replaces its output in the order staged (the
-    manifest last); if it raises, they are removed and no output is touched."""
-    staged: list[str] = []
-
-    def stage(path: str) -> str:
-        staged.append(path)
-        return path + ".partial"
-
-    try:
-        yield stage
-    except BaseException:
-        for path in staged:
-            with contextlib.suppress(OSError):  # a file not yet written, or a directory
-                Path(path + ".partial").unlink()
-        raise
-    for path in staged:
-        os.replace(path + ".partial", path)
-        logger.info("wrote %s", path)
-
-
-def _check_outputs(flag: str, force: bool, path: str, *others: str) -> None:
-    """Refuse the output `path`, the `others` beside it and its manifest, before
-    any input is read, if one is not a file name in an existing directory or,
-    without --force, exists."""
-    for out in (path, *others, path + ".manifest.json"):
-        if not path or Path(out).is_dir() or not Path(out).parent.is_dir():
-            raise UsageError(f"{flag} must name a file in an existing directory, got {out!r}")
-        if Path(out).exists() and not force:
-            raise UsageError(f"output '{out}' exists; pass --force to overwrite")
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """The one writer of predictions and eval outputs: each line, then a newline."""
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def _markers(cfg: dict) -> MarkerOptions:
@@ -308,69 +266,54 @@ def _train_config(cfg: dict) -> TrainConfig:
     )
 
 
-def cmd_ingest(cfg: dict, force: bool) -> int:
+Files = dict[str, Callable[[str], object]]  # output path -> writer of that file at a given path
+
+
+def cmd_ingest(cfg: dict) -> tuple[Files, str]:
     store = load_ontology(cfg["frames"])
     instances = load_instances(cfg["instances"], store)
-    manifest = _run_manifest("ingest", cfg, [cfg["frames"], cfg["instances"]])
-    counts = {
+    return {}, json.dumps({
         "frames": len(store),
         "frame_elements": sum(len(f.fes) for f in store),
         "instances": len(instances),
         "arguments": sum(len(i.arguments) for i in instances),
-    }
-    with _staged() as stage:
-        _write_json(stage("aged-ingest-manifest.json"), manifest)
-    print(json.dumps(counts))
-    return EXIT_OK
+    })
 
 
-def cmd_template(cfg: dict, force: bool) -> int:
+def cmd_template(cfg: dict) -> tuple[Files, str]:
     mode = TemplateMode(cfg["mode"])
     if mode is not TemplateMode.FRAME_DEF and not cfg["fe"]:
         raise UsageError(f"--fe is required for mode '{mode.value}'")
     store = load_ontology(cfg["frames"])
-    manifest = _run_manifest("template", cfg, [cfg["frames"]])
     template = build_template(store.frame(cfg["frame"]), mode, cfg["fe"] or None, _markers(cfg))
-    with _staged() as stage:
-        _write_json(stage("aged-template-manifest.json"), manifest)
-    print(render_surface(template))
-    return EXIT_OK
+    return {}, render_surface(template)
 
 
-def cmd_train(cfg: dict, force: bool) -> int:
-    checkpoint_path = cfg["checkpoint"]
-    report_path, best_path = checkpoint_path + ".report.json", checkpoint_path + ".best"
-    _check_outputs("--checkpoint", force, checkpoint_path, report_path,
-                   *([best_path] if cfg["dev"] else []))
+def cmd_train(cfg: dict) -> tuple[Files, str]:
     encoder_config, train_config = _encoder_config(cfg), _train_config(cfg)
     store = load_ontology(cfg["frames"])
     train_instances = load_instances(cfg["train"], store)
     dev_instances = load_instances(cfg["dev"], store) if cfg["dev"] else None
-    manifest = _run_manifest("train", cfg, [cfg["frames"], cfg["train"], cfg["dev"]])
     model = untrained_model(train_instances, store, encoder_config,
                             mode=TemplateMode(cfg["mode"]), markers=_markers(cfg))
     model, report, best = fit(model, train_instances, store, train_config, dev=dev_instances)
-    with _staged() as stage:
-        save_checkpoint(model, stage(checkpoint_path))
-        if best is not None:
-            save_checkpoint(best, stage(best_path))
-        _write_json(stage(report_path), {
-            **report.to_json(), "checkpoint_path": checkpoint_path,
-            "best_checkpoint_path": best_path if best is not None else None})
-        _write_json(stage(checkpoint_path + ".manifest.json"), manifest)
-    summary = {
+    checkpoint_path = cfg["checkpoint"]
+    report_path, best_path = checkpoint_path + ".report.json", checkpoint_path + ".best"
+    files = {checkpoint_path: lambda path: save_checkpoint(model, path)}
+    if best is not None:
+        files[best_path] = lambda path: save_checkpoint(best, path)
+    files[report_path] = lambda path: _write_json(path, {
+        **report.to_json(), "checkpoint_path": checkpoint_path,
+        "best_checkpoint_path": best_path if best is not None else None})
+    return files, json.dumps({
         "checkpoint": checkpoint_path,
         "report": report_path,
         "final_loss": report.epoch_losses[-1],
         "best_dev_f1": report.best_dev_f1,
-    }
-    print(json.dumps(summary))
-    return EXIT_OK
+    })
 
 
-def cmd_predict(cfg: dict, force: bool) -> int:
-    out_path = cfg["out"]
-    _check_outputs("--out", force, out_path)
+def cmd_predict(cfg: dict) -> tuple[Files, str]:
     model = load_checkpoint(cfg["checkpoint"])
     if cfg["mode"] and cfg["mode"] != model.mode.value:
         raise UsageError(
@@ -379,31 +322,36 @@ def cmd_predict(cfg: dict, force: bool) -> int:
         )
     store = load_ontology(cfg["frames"])
     instances = load_instances(cfg["instances"], store)
-    manifest = _run_manifest("predict", cfg, [cfg["frames"], cfg["instances"], cfg["checkpoint"]])
     predictions = predict_pairs(model, query_pairs(instances, store, model))
-    with _staged() as stage:
-        with open(stage(out_path), "w", encoding="utf-8") as f:
-            for inst, preds in zip(instances, predictions):
-                rec = {
-                    "frame": inst.frame,
-                    "predictions": [
-                        {"fe": p.fe, "span": list(p.span) if p.span else None, "score": p.score}
-                        for p in preds
-                    ],
-                }
-                f.write(json.dumps(rec) + "\n")
-        _write_json(stage(out_path + ".manifest.json"), manifest)
-    print(json.dumps({"instances": len(instances), "out": out_path}))
-    return EXIT_OK
+    records = (
+        json.dumps({
+            "frame": inst.frame,
+            "instance": _identity(inst),
+            "predictions": [
+                {"fe": p.fe, "span": list(p.span) if p.span else None, "score": p.score}
+                for p in preds
+            ],
+        })
+        for inst, preds in zip(instances, predictions)
+    )
+    return ({cfg["out"]: lambda path: _write_lines(path, records)},
+            json.dumps({"instances": len(instances), "out": cfg["out"]}))
+
+
+def _identity(inst) -> dict:
+    """How a prediction record names its instance: target and SHA-256 of the tokens as JSON."""
+    digest = hashlib.sha256(json.dumps(inst.tokens).encode()).hexdigest()
+    return {"target": inst.target, "tokens_sha256": digest}
 
 
 def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPrediction]]:
     """Read `aged predict` output aligned with the gold file, one record per line.
 
     Rejects, naming the 1-based line, a record or prediction that is not an
-    object, a missing `predictions`, `fe`, `span` or `score` (`aged predict`
-    writes them all), a `predictions` that is not a list, a record past the
-    last gold instance, a frame that differs from the gold instance's, an FE
+    object, a missing `predictions`, `instance`, `fe`, `span` or `score`
+    (`aged predict` writes them all), a `predictions` that is not a list, a
+    record past the last gold instance, a frame or an `instance` (see
+    `_identity`) that differs from the gold instance's, an FE
     outside that frame or predicted twice, a span that is neither null nor a
     list of two integers 1 <= start <= end <= len(tokens), and a score that
     is not a finite number. A boolean is not a number here. Fewer records
@@ -414,8 +362,9 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
     def parse(rec: object, where: str) -> list[SpanPrediction]:
         if not isinstance(rec, dict):
             raise CorpusError("a prediction record must be a JSON object")
-        if "predictions" not in rec:
-            raise CorpusError("a prediction record needs 'predictions'")
+        for key in ("predictions", "instance"):
+            if key not in rec:
+                raise CorpusError(f"a prediction record needs '{key}'")
         raw_preds = rec["predictions"]
         if not isinstance(raw_preds, list):
             raise CorpusError("'predictions' must be a list")
@@ -429,6 +378,8 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
                 f"misaligned at instance {i}: prediction frame {rec.get('frame')!r} "
                 f"vs gold frame {inst.frame!r}"
             )
+        if rec["instance"] != _identity(inst):
+            raise CorpusError(f"misaligned at instance {i}: the record names another target or sentence")
         frame, n = store.frame(inst.frame), len(inst.tokens)
         preds = []
         for p in raw_preds:
@@ -468,49 +419,32 @@ def _load_prediction_file(path: str, gold_instances, store) -> list[list[SpanPre
     return prediction_lists
 
 
-def cmd_eval(cfg: dict, force: bool) -> int:
-    out_path = cfg["out"] or None
-    if out_path:
-        _check_outputs("--out", force, out_path)
+def cmd_eval(cfg: dict) -> tuple[Files, str]:
     store = load_ontology(cfg["frames"])
     gold = load_instances(cfg["gold"], store)
     predictions = _load_prediction_file(cfg["pred"], gold, store)
-    manifest = _run_manifest("eval", cfg, [cfg["frames"], cfg["gold"], cfg["pred"]])
     line = json.dumps(evaluate(predictions, gold).to_json())
-    with _staged() as stage:
-        if out_path:
-            Path(stage(out_path)).write_text(line + "\n", encoding="utf-8")
-        _write_json(stage(out_path + ".manifest.json" if out_path else "aged-eval-manifest.json"),
-                    manifest)
-    print(line)
-    return EXIT_OK
+    return ({cfg["out"]: lambda path: _write_lines(path, [line])} if cfg["out"] else {}), line
 
 
-def cmd_experiment(cfg: dict, force: bool) -> int:
-    out_path = cfg["out"]
-    _check_outputs("--out", force, out_path)
+def cmd_experiment(cfg: dict) -> tuple[Files, str]:
     k = None if cfg["k"] == "full" else int(cfg["k"])
     encoder_config, train_config = _encoder_config(cfg), _train_config(cfg)
     store = load_ontology(cfg["frames"])
     train_instances = load_instances(cfg["train"], store)
     test_instances = load_instances(cfg["test"], store)
-    manifest = _run_manifest("experiment", cfg, [cfg["frames"], cfg["train"], cfg["test"]])
     frames = {name.strip() for name in str(cfg["holdout"]).split(",") if name.strip()}
     report = run_holdout_experiment(
         train_instances, test_instances, store, frames, k, encoder_config, train_config,
         mode=TemplateMode(cfg["mode"]), markers=_markers(cfg),
     )
-    with _staged() as stage:
-        _write_json(stage(out_path), report.to_json())
-        _write_json(stage(out_path + ".manifest.json"), manifest)
-    print(json.dumps({
-        "out": out_path,
+    return {cfg["out"]: lambda path: _write_json(path, report.to_json())}, json.dumps({
+        "out": cfg["out"],
         "k": report.k,
         "holdout": report.holdout_frames,
         "overall_f1": report.overall.f1,
         "holdout_f1": {f: report.per_frame[f].f1 for f in report.holdout_frames if f in report.per_frame},
-    }))
-    return EXIT_OK
+    })
 
 
 COMMANDS = {
@@ -521,6 +455,70 @@ COMMANDS = {
     "eval": cmd_eval,
     "experiment": cmd_experiment,
 }
+
+# the flags naming the input files of each command that writes a manifest
+_INPUTS = {
+    "train": ("frames", "train", "dev"),
+    "predict": ("frames", "instances", "checkpoint"),
+    "eval": ("frames", "gold", "pred"),
+    "experiment": ("frames", "train", "test"),
+}
+
+
+def _outputs(command: str, cfg: dict) -> tuple[str, list[str]]:
+    """The flag naming `command`'s primary output, and the files it may write, that one first."""
+    if command == "train":
+        path = cfg["checkpoint"]
+        return "--checkpoint", [path, path + ".report.json"] + [path + ".best"] * bool(cfg["dev"])
+    if command in ("predict", "experiment") or command == "eval" and cfg["out"]:
+        return "--out", [cfg["out"]]
+    return "", []
+
+
+def _run(command: str, cfg: dict, force: bool) -> None:
+    """Run `command` under the one write protocol, then print its line.
+
+    Its outputs and the manifest beside the first are refused, before any
+    input is read, if one is not a file name in an existing directory or,
+    without --force, exists. The inputs are digested before the work. Each
+    file the command returns, then the manifest, is written to a `.partial`
+    file beside its output, and only once every write has succeeded do they
+    replace the outputs in that order; if a write raises, the `.partial`
+    files are removed and no output is touched.
+    """
+    flag, outputs = _outputs(command, cfg)
+    if outputs:
+        outputs.append(outputs[0] + ".manifest.json")
+    for out in outputs:
+        if not outputs[0] or Path(out).is_dir() or not Path(out).parent.is_dir():
+            raise UsageError(f"{flag} must name a file in an existing directory, got {out!r}")
+        if Path(out).exists() and not force:
+            raise UsageError(f"output '{out}' exists; pass --force to overwrite")
+    if outputs:
+        manifest = {
+            "command": command,
+            "config": dict(cfg),
+            "inputs": {cfg[key]: _sha256(cfg[key]) for key in _INPUTS[command] if cfg[key]},
+            "seed": cfg.get("seed"),
+            "version": __version__,
+            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "environment": _environment(),
+        }
+    files, line = COMMANDS[command](cfg)
+    if outputs:
+        files[outputs[-1]] = lambda path: _write_json(path, manifest)
+    try:
+        for path, write in files.items():
+            write(path + ".partial")
+    except BaseException:
+        for path in files:
+            with contextlib.suppress(OSError):  # a file not yet written, or a directory
+                Path(path + ".partial").unlink()
+        raise
+    for path in files:
+        os.replace(path + ".partial", path)
+        logger.info("wrote %s", path)
+    print(line)
 
 
 def _setup_logging() -> None:
@@ -542,7 +540,8 @@ def dispatch(argv: list[str]) -> int:
             args = parser.parse_args(
                 [args.command, *_config_arguments(args.command, args.config), *argv[1:]])
         cfg = {key: getattr(args, key) for key in DEFAULTS[args.command]}
-        return COMMANDS[args.command](cfg, args.force)
+        _run(args.command, cfg, args.force)
+        return EXIT_OK
     except SystemExit as e:  # --help / --version
         return int(e.code or 0)
     except (UsageError, ValueError, FileNotFoundError, IsADirectoryError) as e:  # CorpusError too

@@ -21,13 +21,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _instance(inst):
+    # how a prediction record names its gold instance
+    tokens_sha256 = hashlib.sha256(json.dumps(list(inst.tokens)).encode("ascii")).hexdigest()
+    return {"target": inst.target, "tokens_sha256": tokens_sha256}
+
+
+def _record(inst, predictions, frame=None):
+    return json.dumps({"frame": frame or inst.frame, "instance": _instance(inst),
+                       "predictions": predictions})
+
+
 def test_ingest_default_flags(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "ingest")
     assert code == 0
     counts = json.loads(out)
     assert counts == {"frames": 4, "frame_elements": 14, "instances": 40, "arguments": 95}
-    assert (tmp_path / "aged-ingest-manifest.json").exists()
+    assert list(tmp_path.iterdir()) == []  # it only prints: no output, so no manifest
 
 
 def test_ingest_missing_file(capsys, tmp_path, monkeypatch):
@@ -150,8 +161,9 @@ def test_manifest_records_the_environment(capsys, tmp_path, monkeypatch, mode_ke
     monkeypatch.chdir(tmp_path)
     if not mode_keyword:  # numpy before 1.26: show_config() takes no mode=
         monkeypatch.setattr(np, "show_config", lambda: None)
-    assert run(capsys, "ingest")[0] == 0
-    environment = json.loads((tmp_path / "aged-ingest-manifest.json").read_text())["environment"]
+    _gold_as_predictions(tmp_path / "pred.jsonl", lambda preds, inst: None)
+    assert run(capsys, "eval", "--pred", "pred.jsonl", "--out", "e.json")[0] == 0
+    environment = json.loads((tmp_path / "e.json.manifest.json").read_text())["environment"]
     assert environment["python"] == platform.python_version()
     assert environment["numpy"] == np.__version__
     assert environment["cpu_count"] == os.cpu_count()
@@ -160,6 +172,24 @@ def test_manifest_records_the_environment(capsys, tmp_path, monkeypatch, mode_ke
         assert set(environment["blas"]) == {"name", "version"}
     else:
         assert set(environment) == {"python", "numpy", "cpu_count"}
+
+
+@pytest.mark.parametrize("stale", ["file", "directory"])
+def test_commands_without_an_output_file_write_nothing(capsys, tmp_path, monkeypatch, stale):
+    # no output file, so no manifest: a rerun does not overwrite one, and a
+    # directory where a fixed-name manifest used to go does not fail the run
+    monkeypatch.chdir(tmp_path)
+    _gold_as_predictions(tmp_path / "pred.jsonl", lambda preds, inst: None)
+    old = tmp_path / "aged-eval-manifest.json"
+    old.write_text("kept") if stale == "file" else old.mkdir()
+    before = sorted(tmp_path.iterdir())
+    for argv in (["ingest"], ["template", "--frame", "Attack"], ["eval", "--pred", "pred.jsonl"]):
+        for _ in range(2):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out.strip()
+            assert sorted(tmp_path.iterdir()) == before
+    assert old.read_text() == "kept" if stale == "file" else list(old.iterdir()) == []
 
 
 def test_train_refuses_to_overwrite(capsys, trained):
@@ -190,8 +220,11 @@ def test_predict_eval_round_trip(capsys, trained, tmp_path, monkeypatch):
     assert code == 0
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(lines) == 12
-    for rec in lines:
-        assert set(rec) == {"frame", "predictions"}
+    store = load_ontology(mini_framenet_path("frames"))
+    gold = load_instances(mini_framenet_path("test"), store)
+    for rec, inst in zip(lines, gold):
+        assert set(rec) == {"frame", "instance", "predictions"}
+        assert rec["instance"] == _instance(inst)
         for p in rec["predictions"]:
             assert set(p) == {"fe", "span", "score"}
             assert p["span"] is None or (len(p["span"]) == 2 and p["span"][0] <= p["span"][1])
@@ -208,14 +241,8 @@ def test_eval_perfect_predictions_score_one(capsys, tmp_path, monkeypatch):
     pred_path = tmp_path / "gold-as-pred.jsonl"
     with open(pred_path, "w") as f:
         for inst in gold:
-            rec = {
-                "frame": inst.frame,
-                "predictions": [
-                    {"fe": a.fe, "span": [a.start, a.end], "score": 1.0}
-                    for a in inst.arguments
-                ],
-            }
-            f.write(json.dumps(rec) + "\n")
+            preds = [{"fe": a.fe, "span": [a.start, a.end], "score": 1.0} for a in inst.arguments]
+            f.write(_record(inst, preds) + "\n")
     code, out, _ = run(capsys, "eval", "--pred", str(pred_path))
     assert code == 0
     metrics = json.loads(out)
@@ -232,7 +259,7 @@ def test_eval_misaligned_names_first_bad_instance(capsys, tmp_path, monkeypatch)
             frame = "Getting" if i == 2 else inst.frame
             if i == 2 and inst.frame == "Getting":
                 frame = "Attack"
-            f.write(json.dumps({"frame": frame, "predictions": []}) + "\n")
+            f.write(_record(inst, [], frame) + "\n")
     code, _, err = run(capsys, "eval", "--pred", str(pred_path))
     assert code == 1
     assert "instance 3" in err
@@ -251,7 +278,7 @@ def _gold_as_predictions(path, edit):
             preds = [{"fe": a.fe, "span": [a.start, a.end], "score": 1.0} for a in inst.arguments]
             if i == target:
                 edit(preds, inst)
-            f.write(json.dumps({"frame": inst.frame, "predictions": preds}) + "\n")
+            f.write(_record(inst, preds) + "\n")
     return target + 1
 
 
@@ -308,19 +335,44 @@ def test_eval_rejects_record_count_mismatch(capsys, tmp_path, monkeypatch, recor
 @pytest.mark.parametrize("line, message", [
     (b'{"frame": ', "malformed JSON"),
     (b"[1, 2]", "a prediction record must be a JSON object"),
-    (b'{"frame": "Attack", "predictions": 5}', "'predictions' must be a list"),
+    (b'{"frame": "Attack", "instance": null, "predictions": 5}', "'predictions' must be a list"),
     (b'{"frame": "Att\xffack", "predictions": []}', "not UTF-8"),
     (b'{"frame": "Attack"}', "a prediction record needs 'predictions'"),
+    (b'{"frame": "Attack", "predictions": []}', "a prediction record needs 'instance'"),
 ], ids=["truncated-json", "not-an-object", "predictions-not-a-list", "not-utf-8",
-        "no-predictions"])
+        "no-predictions", "no-instance"])
 def test_eval_malformed_record_names_line(capsys, tmp_path, monkeypatch, line, message):
     monkeypatch.chdir(tmp_path)
+    store = load_ontology(mini_framenet_path("frames"))
+    first = load_instances(mini_framenet_path("test"), store)[0]
     pred_path = tmp_path / "bad.jsonl"
-    pred_path.write_bytes(b'{"frame": "Attack", "predictions": []}\n\n' + line + b"\n")
+    pred_path.write_bytes(_record(first, []).encode() + b"\n\n" + line + b"\n")
     code, _, err = run(capsys, "eval", "--pred", str(pred_path), "--out", "m.json")
     assert code == 1
     assert f"bad.jsonl:3: {message}" in err
     assert list(tmp_path.glob("*manifest.json")) == []
+
+
+@pytest.mark.parametrize("swapped", ["pred", "gold"])
+def test_eval_rejects_a_record_of_another_instance(capsys, tmp_path, monkeypatch, swapped):
+    # the first two Attack instances trade places in the predictions or in the gold
+    # file: the frames still agree, but each record names the other instance
+    monkeypatch.chdir(tmp_path)
+    _gold_as_predictions(tmp_path / "pred.jsonl", lambda preds, inst: None)
+    lines = (tmp_path / "pred.jsonl").read_text().splitlines()
+    attack = [i for i, line in enumerate(lines) if json.loads(line)["frame"] == "Attack"][:2]
+    gold = mini_framenet_path("test").read_text().splitlines()
+    edited = lines if swapped == "pred" else gold
+    edited[attack[0]], edited[attack[1]] = edited[attack[1]], edited[attack[0]]
+    (tmp_path / "pred.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "gold.jsonl").write_text("\n".join(gold) + "\n")
+    code, out, err = run(capsys, "eval", "--pred", "pred.jsonl", "--gold", "gold.jsonl")
+    assert code == 1
+    assert out == ""
+    line = attack[0] + 1
+    assert err == (f"error: pred.jsonl:{line}: misaligned at instance {line}: "
+                   "the record names another target or sentence\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.jsonl", "pred.jsonl"]
 
 
 def _tensor_data(edit):
@@ -581,6 +633,7 @@ def test_unusable_output_path_rejected_before_manifest(capsys, trained, tmp_path
     _gold_as_predictions(tmp_path / "pred.jsonl", lambda preds, inst: None)
     inputs = {"train": ["--epochs", "1"], "predict": ["--checkpoint", str(trained[1])],
               "eval": ["--pred", "pred.jsonl"], "experiment": ["--epochs", "1"]}[command]
+    inputs += ["--frames", "absent.jsonl"]  # refused before it would be found missing
     code, out, err = run(capsys, command, *inputs, flag, path, "--force")
     assert code == 1
     assert out == ""
@@ -601,6 +654,7 @@ def test_manifest_path_is_checked_before_any_input_is_read(capsys, trained, tmp_
     _gold_as_predictions(tmp_path / "pred.jsonl", lambda preds, inst: None)
     inputs = {"train": ["--epochs", "1"], "predict": ["--checkpoint", str(trained[1])],
               "eval": ["--pred", "pred.jsonl"], "experiment": ["--epochs", "1"]}[command]
+    inputs += ["--frames", "absent.jsonl"]  # refused before it would be found missing
     manifest = tmp_path / f"{out}.manifest.json"
     manifest.mkdir()
     code, out_text, err = run(capsys, command, *inputs, flag, out, "--force")
